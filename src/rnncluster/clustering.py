@@ -68,13 +68,9 @@ def canonicalize_labels(labels: np.ndarray) -> Clustering:
     """
     labels = np.asarray(labels, dtype=np.int64)
     out = np.full(labels.shape, NOISE, dtype=np.int64)
-    seen: dict[int, int] = {}
-    next_id = 0
-    for i, lab in enumerate(labels):
-        if lab < 0:
-            continue
-        if lab not in seen:
-            seen[int(lab)] = next_id
-            next_id += 1
-        out[i] = seen[int(lab)]
+    clustered = labels >= 0
+    _, first, inverse = np.unique(labels[clustered], return_index=True, return_inverse=True)
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(first.size)
+    out[clustered] = rank[inverse]
     return Clustering(labels=out)

@@ -5,6 +5,11 @@ dissimilarities used by the clustering algorithms are *squared* Euclidean
 distances; squaring preserves neighbour rankings, so only radius-type
 thresholds change scale, and the sweep grids are expressed in the same
 squared units.
+
+One blocked kernel, `squared_distance_blocks`, serves every all-rows scan
+in O(block * n) memory. It evaluates the same expression as
+`row_squared_distances`, so a pair's distance is bit-identical on every
+path, which keeps index tie-breaking exact.
 """
 
 from __future__ import annotations
@@ -23,8 +28,12 @@ __all__ = [
     "pairwise_squared_distances",
     "range_standardize",
     "row_squared_distances",
+    "squared_distance_blocks",
     "squared_euclidean",
 ]
+
+# bytes of difference vectors one block of `squared_distance_blocks` may hold
+_BLOCK_BYTES = 4 * 2**20
 
 
 def as_feature_matrix(values) -> np.ndarray:
@@ -104,28 +113,40 @@ def squared_euclidean(a, b) -> float:
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    d = a - b
-    return float(np.sum(d * d))
+    return float(row_squared_distances(a, b))
 
 
 def row_squared_distances(rows: np.ndarray, point: np.ndarray) -> np.ndarray:
     """Squared Euclidean distance from `point` to each row of `rows`.
 
-    Every neighbour backend funnels its distance evaluations through this
-    one expression, so equal pairs always produce bit-identical floats and
-    index tie-breaking is exact.
+    The package's one distance expression: `squared_distance_blocks`
+    broadcasts it over a block of points, so equal pairs always produce
+    bit-identical floats and index tie-breaking is exact.
     """
     diff = rows - point
-    return np.einsum("ij,ij->i", diff, diff)
+    return np.einsum("...j,...j->...", diff, diff)
+
+
+def squared_distance_blocks(queries: np.ndarray, refs: np.ndarray):
+    """Yield (start, block): squared distances from query rows to every ref row.
+
+    block[r, j] is `row_squared_distances(refs, queries[start + r])[j]`.
+    Blocks cover the queries in order, each as many rows as fit in a fixed
+    byte budget (at least one), so memory is O(block * len(refs)).
+    """
+    q = np.asarray(queries, dtype=np.float64)
+    r = np.asarray(refs, dtype=np.float64)
+    rows = max(1, _BLOCK_BYTES // max(1, 8 * r.size))
+    for start in range(0, q.shape[0], rows):
+        yield start, row_squared_distances(r, q[start : start + rows, None, :])
 
 
 def pairwise_squared_distances(matrix: np.ndarray) -> np.ndarray:
     """Full (n, n) matrix of squared Euclidean distances."""
     x = np.asarray(matrix, dtype=np.float64)
-    n = x.shape[0]
-    out = np.empty((n, n), dtype=np.float64)
-    for i in range(n):
-        out[i] = row_squared_distances(x, x[i])
+    out = np.empty((x.shape[0], x.shape[0]), dtype=np.float64)
+    for start, block in squared_distance_blocks(x, x):
+        out[start : start + block.shape[0]] = block
     return out
 
 
@@ -133,14 +154,18 @@ def range_standardize(matrix: np.ndarray) -> tuple[np.ndarray, StandardizationRe
     """Standardize each feature by its range: (y - mean) / (max - min).
 
     Constant features (range 0) map to all-zeros: they carry no cluster
-    information, and erroring would make real datasets unloadable. The
-    input is left unmodified.
+    information, and erroring would make real datasets unloadable. A mean
+    or range that overflows float64 raises. The input is left unmodified.
     """
     x = as_feature_matrix(matrix)
-    mean = x.mean(axis=0)
     minimum = x.min(axis=0)
     maximum = x.max(axis=0)
-    rng = maximum - minimum
+    with np.errstate(over="ignore"):
+        mean = x.mean(axis=0)
+        rng = maximum - minimum
+    overflow = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(rng)))
+    if overflow.size:
+        raise ValueError(f"feature column {overflow[0]}: mean or range overflows float64")
     safe = np.where(rng > 0, rng, 1.0)
     standardized = (x - mean) / safe
     standardized[:, rng == 0] = 0.0
@@ -154,15 +179,13 @@ def pairwise_distance_extrema(matrix: np.ndarray) -> tuple[float, float]:
     n >= 2. Used to bound the epsilon sweep grid.
     """
     x = as_feature_matrix(matrix)
-    n = x.shape[0]
-    if n < 2:
+    if x.shape[0] < 2:
         raise ValueError("pairwise extrema need at least 2 entities")
-    lo = np.inf
-    hi = -np.inf
-    for i in range(n - 1):
-        d = row_squared_distances(x[i + 1 :], x[i])
-        lo = min(lo, float(d.min()))
-        hi = max(hi, float(d.max()))
+    lo, hi = np.inf, -np.inf
+    for start, block in squared_distance_blocks(x, x):
+        hi = max(hi, float(block.max()))  # the zero self-distances cannot raise it
+        np.fill_diagonal(block[:, start:], np.inf)
+        lo = min(lo, float(block.min()))
     return lo, hi
 
 

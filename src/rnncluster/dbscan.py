@@ -2,9 +2,11 @@
 
 The epsilon threshold is compared against *squared* distances, like every
 other dissimilarity in this package; sweep grids are produced in the same
-units. Entity visit order is a seeded permutation: core/noise status never
-depends on the seed, but which cluster claims a shared border entity does,
-which is exactly the non-determinism DBSCAN is known for.
+units, and the epsilon-lists stream from the blocked distance kernel in
+O(block * n) memory. Entity visit order is a seeded permutation:
+core/noise status never depends on the seed, but which cluster claims a
+shared border entity does, which is exactly the non-determinism DBSCAN is
+known for.
 """
 
 from __future__ import annotations
@@ -15,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import NOISE, Clustering, canonicalize_labels
-from .data import row_squared_distances
-from .neighbors import NeighborIndex
+from .data import row_squared_distances, squared_distance_blocks
 
 __all__ = ["DbscanParams", "dbscan", "epsilon_neighborhood"]
 
@@ -43,32 +44,27 @@ def epsilon_neighborhood(data: np.ndarray, i: int, epsilon: float) -> np.ndarray
     return np.flatnonzero(row_squared_distances(x, x[i]) <= epsilon)
 
 
-def neighborhood_lists(data: np.ndarray, epsilon: float, pairwise_d2: np.ndarray | None = None):
-    """Epsilon-neighbourhood of every entity, as a list of id arrays."""
-    if pairwise_d2 is not None:
-        return [np.flatnonzero(row <= epsilon) for row in pairwise_d2]
+def neighborhood_lists(data: np.ndarray, epsilon: float):
+    """Epsilon-neighbourhood of every entity, as a list of ascending id arrays."""
     x = np.asarray(data, dtype=np.float64)
-    return [np.flatnonzero(row_squared_distances(x, x[i]) <= epsilon) for i in range(x.shape[0])]
+    lists = []
+    for _, block in squared_distance_blocks(x, x):
+        within = block <= epsilon
+        ids = np.flatnonzero(within) % x.shape[0]
+        lists.extend(np.split(ids, np.cumsum(np.count_nonzero(within, axis=1))[:-1]))
+    return lists
 
 
-def dbscan(
-    data: np.ndarray,
-    params: DbscanParams,
-    seed: int = 0,
-    index: NeighborIndex | None = None,
-) -> Clustering:
+def dbscan(data: np.ndarray, params: DbscanParams, seed: int = 0) -> Clustering:
     """Cluster `data` with DBSCAN.
 
     An entity is core iff its epsilon-neighbourhood (itself included) has
     at least min_pts members; clusters are the maximal sets grown from
-    core entities; remaining entities are NOISE. When `index` was built
-    with the brute backend its pairwise matrix is reused for the
-    neighbourhood scans.
+    core entities; remaining entities are NOISE.
 
     Reproducible bit-for-bit for a fixed seed.
     """
-    pairwise = index.pairwise_d2 if index is not None else None
-    neigh = neighborhood_lists(data, params.epsilon, pairwise)
+    neigh = neighborhood_lists(data, params.epsilon)
     return dbscan_from_neighborhoods(neigh, params.min_pts, seed)
 
 

@@ -5,7 +5,7 @@ nearest (|RNN_k| >= k). Clusters grow by breadth-first traversal over
 reverse-neighbour links among entities whose |RNN_k| exceeds 2k/pi; the
 traversal therefore sweeps out one dense connected region per seed.
 Afterwards each remaining non-core entity joins the cluster of its
-nearest core entity.
+nearest core entity, found by a blocked scan over the core rows.
 
 The single parameter is k; the cluster count emerges. There is no RNG
 anywhere: seeds are taken in ascending entity order, frontier waves are
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import Clustering, canonicalize_labels
-from .data import row_squared_distances
+from .data import squared_distance_blocks
 from .neighbors import NeighborIndex
 
 __all__ = ["DbscrnParams", "classify_core", "dbscrn", "expand_cluster"]
@@ -102,10 +102,11 @@ def dbscrn(data: np.ndarray, index: NeighborIndex, params: DbscrnParams) -> Clus
         expand_cluster(index, seed, k, assignment, next_id)
         next_id += 1
     x = np.asarray(data, dtype=np.float64)
-    core_rows = x[core_ids]
-    for j in np.flatnonzero(assignment == _UNASSIGNED).tolist():
-        d = row_squared_distances(core_rows, x[j])
+    left = np.flatnonzero(assignment == _UNASSIGNED)
+    nearest = np.empty(left.size, dtype=np.int64)
+    for start, block in squared_distance_blocks(x[left], x[core_ids]):
         # argmin returns the first minimum; core_ids ascend, so distance
         # ties resolve to the smaller core id
-        assignment[j] = assignment[core_ids[np.argmin(d)]]
+        nearest[start : start + block.shape[0]] = np.argmin(block, axis=1)
+    assignment[left] = assignment[core_ids[nearest]]
     return canonicalize_labels(assignment)

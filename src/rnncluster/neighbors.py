@@ -6,15 +6,15 @@ any k <= k_max are derived by inverting the kNN lists in O(n*k) and cached,
 so a parameter sweep over k reuses a single build.
 
 Two construction backends exist and must produce bit-identical lists: a
-vectorized brute-force scan (the oracle, and the default at these data
-sizes) and an exact kd-tree.
+brute-force scan of blocked distance rows in O(block * n) memory (the
+default) and an exact kd-tree.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .data import row_squared_distances
+from .data import squared_distance_blocks
 from .kdtree import KDTree
 
 __all__ = ["NeighborIndex", "build_index"]
@@ -29,18 +29,14 @@ class NeighborIndex:
     k_max : largest k any query may use.
     knn_idx : (n, k_max) entity ids, each row sorted by (distance, id).
     knn_d2 : (n, k_max) squared distances matching knn_idx.
-    pairwise_d2 : full (n, n) squared-distance matrix when the brute
-        backend built the index, else None. Radius-style consumers
-        (DBSCAN) reuse it.
     """
 
-    def __init__(self, data, k_max, knn_idx, knn_d2, backend, pairwise_d2=None):
+    def __init__(self, data, k_max, knn_idx, knn_d2, backend):
         self.data = data
         self.k_max = int(k_max)
         self.knn_idx = knn_idx
         self.knn_d2 = knn_d2
         self.backend = backend
-        self.pairwise_d2 = pairwise_d2
         self._rnn_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     @property
@@ -95,9 +91,8 @@ class NeighborIndex:
 def build_index(data: np.ndarray, k_max: int, backend: str = "brute") -> NeighborIndex:
     """Build the neighbour index for all k <= k_max.
 
-    backend "brute" scans full distance rows (and retains the pairwise
-    matrix for radius reuse); "spatial" queries an exact kd-tree. Both
-    produce bit-identical lists.
+    backend "brute" scans blocked distance rows; "spatial" queries an
+    exact kd-tree. Both produce bit-identical lists.
     """
     x = np.ascontiguousarray(data, dtype=np.float64)
     n = x.shape[0]
@@ -105,22 +100,25 @@ def build_index(data: np.ndarray, k_max: int, backend: str = "brute") -> Neighbo
         raise ValueError(f"k_max={k_max} must be at most n-1={n - 1}")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    if backend == "brute":
-        pairwise = np.empty((n, n), dtype=np.float64)
-        for i in range(n):
-            pairwise[i] = row_squared_distances(x, x[i])
-        masked = pairwise.copy()
-        np.fill_diagonal(masked, np.inf)  # self is never a neighbour
-        knn_idx = np.argsort(masked, axis=1, kind="stable")[:, :k_max]
-        knn_d2 = np.take_along_axis(masked, knn_idx, axis=1)
-        return NeighborIndex(x, k_max, knn_idx, knn_d2, backend, pairwise_d2=pairwise)
     knn_idx = np.empty((n, k_max), dtype=np.int64)
     knn_d2 = np.empty((n, k_max), dtype=np.float64)
-    if backend == "spatial":
+    if backend == "brute":
+        for start, block in squared_distance_blocks(x, x):
+            np.fill_diagonal(block[:, start:], np.inf)  # self is never a neighbour
+            rows = np.arange(block.shape[0])
+            # rank only the candidates at or below each row's k-th distance,
+            # by (d2, id), so ties straddling the k-th resolve to smaller ids
+            kth = np.partition(block, k_max - 1, axis=1)[:, k_max - 1]
+            row, col = np.nonzero(block <= kth[:, None])  # row-major: row ascends
+            d2 = block[row, col]
+            order = np.lexsort((col, d2, row))
+            take = order[np.searchsorted(row, rows)[:, None] + np.arange(k_max)]
+            knn_idx[start : start + rows.size] = col[take]
+            knn_d2[start : start + rows.size] = d2[take]
+    elif backend == "spatial":
         tree = KDTree(x)
         for i in range(n):
-            idx, d2 = tree.query(x[i], k_max, exclude=i)
-            knn_idx[i] = idx
-            knn_d2[i] = d2
-        return NeighborIndex(x, k_max, knn_idx, knn_d2, backend)
-    raise ValueError(f"unknown backend {backend!r} (expected 'brute' or 'spatial')")
+            knn_idx[i], knn_d2[i] = tree.query(x[i], k_max, exclude=i)
+    else:
+        raise ValueError(f"unknown backend {backend!r} (expected 'brute' or 'spatial')")
+    return NeighborIndex(x, k_max, knn_idx, knn_d2, backend)

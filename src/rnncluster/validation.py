@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import NOISE, Clustering
-from .data import row_squared_distances
+from .data import pairwise_squared_distances, squared_distance_blocks
 
 __all__ = [
     "DbcvReport",
@@ -116,23 +116,6 @@ class DbcvReport:
     overall: float
 
 
-def _euclidean_matrix(x: np.ndarray) -> np.ndarray:
-    n = x.shape[0]
-    out = np.empty((n, n), dtype=np.float64)
-    for i in range(n):
-        out[i] = row_squared_distances(x, x[i])
-    np.sqrt(out, out=out)
-    return out
-
-
-def _cross_euclidean(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
-    out = np.empty((xa.shape[0], xb.shape[0]), dtype=np.float64)
-    for i in range(xa.shape[0]):
-        out[i] = row_squared_distances(xb, xa[i])
-    np.sqrt(out, out=out)
-    return out
-
-
 def _all_points_core_distances(dist: np.ndarray, m: int) -> np.ndarray:
     """Kernel density estimate per entity within one cluster.
 
@@ -199,7 +182,8 @@ def dbcv(data: np.ndarray, clustering, count_noise_in_weight: bool = True) -> Db
     pools: list[np.ndarray] = []  # internal MST nodes (local positions)
     for c, cid in enumerate(scored):
         idx = np.flatnonzero(labels == cid)
-        dist = _euclidean_matrix(x[idx])
+        dist = pairwise_squared_distances(x[idx])
+        np.sqrt(dist, out=dist)
         core = _all_points_core_distances(dist, m)
         reach = np.maximum(dist, np.maximum(core[:, None], core[None, :]))
         edges, edge_w, degrees = _prim_mst(reach)
@@ -214,9 +198,12 @@ def dbcv(data: np.ndarray, clustering, count_noise_in_weight: bool = True) -> Db
     for a in range(scored.size):
         for b in range(a + 1, scored.size):
             pa, pb = pools[a], pools[b]
-            cross = _cross_euclidean(x[members[a][pa]], x[members[b][pb]])
-            reach = np.maximum(cross, np.maximum(apts[a][pa][:, None], apts[b][pb][None, :]))
-            dspc = float(reach.min())
+            core_a, core_b = apts[a][pa], apts[b][pb]
+            blocks = squared_distance_blocks(x[members[a][pa]], x[members[b][pb]])
+            dspc = float(np.min([
+                np.maximum(np.sqrt(d2), np.maximum(core_a[s : s + len(d2), None], core_b)).min()
+                for s, d2 in blocks
+            ]))
             separation[a] = min(separation[a], dspc)
             separation[b] = min(separation[b], dspc)
 

@@ -2,13 +2,19 @@
 
 Everything here is deliberately written with plain Python loops, sets and
 Kruskal-style algorithms so it shares no code path with the package
-implementations it checks.
+implementations it checks. The exceptions are the replaced implementations
+at the end of the file: they are kept as references that a rewrite must
+match bit for bit.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+
+import numpy as np
+
+from rnncluster.data import row_squared_distances
 
 
 def sq_dist(x, a, b):
@@ -176,3 +182,33 @@ def dbcv_oracle(x, labels):
         validity = (separation[c] - sparseness[c]) / denominator if denominator > 0 else 0.0
         overall += len(idx) / len(labels) * validity
     return overall
+
+
+def canonicalize_oracle(labels):
+    """Relabel by first appearance with a per-entity loop; negatives become -1."""
+    out = []
+    seen = {}
+    for lab in labels:
+        if lab < 0:
+            out.append(-1)
+            continue
+        if lab not in seen:
+            seen[lab] = len(seen)
+        out.append(seen[lab])
+    return out
+
+
+def full_sort_knn_oracle(x, k_max):
+    """The full-row brute kNN build: an (n, n) distance matrix, then a stable argsort.
+
+    Returns (knn_idx, knn_d2), each row ordered by (squared distance, id),
+    with distances from the package's own row kernel so the floats can be
+    compared bit for bit.
+    """
+    n = x.shape[0]
+    masked = np.empty((n, n), dtype=np.float64)
+    for i in range(n):
+        masked[i] = row_squared_distances(x, x[i])
+    np.fill_diagonal(masked, np.inf)  # self is never a neighbour
+    knn_idx = np.argsort(masked, axis=1, kind="stable")[:, :k_max]
+    return knn_idx, np.take_along_axis(masked, knn_idx, axis=1)

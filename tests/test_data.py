@@ -11,6 +11,7 @@ from rnncluster import (
     range_standardize,
     squared_euclidean,
 )
+from rnncluster.data import row_squared_distances, squared_distance_blocks
 
 finite_rows = st.lists(
     st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False), min_size=1, max_size=6
@@ -64,6 +65,35 @@ def test_range_standardize_unit_range_property():
         # standardizing twice keeps per-feature range 1 for non-constant features
         again, _ = range_standardize(out)
         np.testing.assert_allclose(again.max(axis=0) - again.min(axis=0), 1.0, atol=1e-12)
+
+
+def test_range_standardize_rejects_overflowing_features():
+    # the range of +-1e308 overflows to inf, which used to zero the feature
+    with pytest.raises(ValueError, match="feature column 1"):
+        range_standardize(np.array([[0.0, 1e308], [1.0, -1e308], [2.0, 0.0]]))
+    # a finite range whose mean overflows in the column sum
+    with pytest.raises(ValueError, match="feature column 0"):
+        range_standardize(np.array([[1e308], [1e308]]))
+    out, report = range_standardize(np.array([[1e308], [0.0]]))
+    np.testing.assert_array_equal(out.ravel(), [0.5, -0.5])
+    assert report.feature_range[0] == 1e308
+
+
+def test_distance_blocks_match_the_row_kernel_bitwise():
+    rng = np.random.default_rng(8)
+    for queries, refs in [
+        (rng.normal(size=(700, 9)), None),  # spans several blocks
+        (np.round(rng.normal(size=(40, 3)) * 3), None),  # tie-heavy
+        (rng.normal(size=(5, 2)), rng.normal(size=(30, 2))),
+        (np.empty((0, 4)), rng.normal(size=(3, 4))),
+    ]:
+        refs = queries if refs is None else refs
+        blocks = list(squared_distance_blocks(queries, refs))
+        assert len(blocks) > 1 or len(queries) < 700
+        assert sum(len(block) for _, block in blocks) == len(queries)
+        for start, block in blocks:
+            want = [row_squared_distances(refs, q) for q in queries[start : start + len(block)]]
+            assert np.array_equal(block.view(np.int64), np.array(want).view(np.int64))
 
 
 def test_pairwise_distance_extrema_examples():

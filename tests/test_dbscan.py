@@ -1,14 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from rnncluster import (
     DbscanParams,
     NOISE,
-    build_index,
     dbscan,
     epsilon_neighborhood,
     pairwise_distance_extrema,
 )
+from rnncluster.dbscan import neighborhood_lists
 
 LINE = np.array([[0.0], [1.0], [2.0], [4.0], [8.0]])
 
@@ -85,11 +87,23 @@ def test_raising_epsilon_never_adds_noise():
             previous = clustering.n_noise
 
 
-def test_brute_index_pairwise_matrix_is_reused():
+def test_neighborhood_lists_match_single_row_scans():
     rng = np.random.default_rng(4)
-    x = rng.normal(size=(50, 2))
-    index = build_index(x, k_max=5)
-    params = DbscanParams(epsilon=0.3, min_pts=3)
-    with_index = dbscan(x, params, seed=7, index=index)
-    without = dbscan(x, params, seed=7)
-    np.testing.assert_array_equal(with_index.labels, without.labels)
+    for x, eps in [(rng.normal(size=(700, 9)), 6.0), (np.round(rng.normal(size=(60, 2))), 1.0)]:
+        lists = neighborhood_lists(x, eps)
+        assert len(lists) == x.shape[0]
+        for i, members in enumerate(lists):
+            np.testing.assert_array_equal(members, epsilon_neighborhood(x, i, eps))
+
+
+def test_neighborhood_lists_memory_is_bounded():
+    # one n x n float64 at n = 6,000 is 275 MB; about 10 neighbours per entity
+    x = np.random.default_rng(6).uniform(size=(6000, 2))
+    tracemalloc.start()
+    try:
+        lists = neighborhood_lists(x, 5e-4)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak_mb < 64
+    assert len(lists) == 6000

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from oracles import influence_oracle, knn_oracle, rnn_oracle
+from oracles import full_sort_knn_oracle, influence_oracle, knn_oracle, rnn_oracle
 from rnncluster import KDTree, build_index
+from rnncluster.data import squared_distance_blocks
 
 LINE = np.array([[0.0], [1.0], [2.0], [4.0], [8.0]])
 
@@ -94,17 +97,24 @@ def test_matches_plain_loop_oracle():
 
 def test_backends_are_bit_identical():
     rng = np.random.default_rng(42)
+    multi_block = 0
     for trial in range(50):
-        n = int(rng.integers(5, 300))
-        m = int(rng.integers(1, 11))
+        n = 300 if trial == 1 else int(rng.integers(5, 300))
+        m = 10 if trial == 1 else int(rng.integers(1, 11))
         x = rng.normal(size=(n, m)) * rng.uniform(0.01, 100)
         if trial % 4 == 0:  # force exact distance ties
             x[: n // 2] = x[n - n // 2 :][::-1]
+        if trial % 4 == 2:  # integer grid: many equal distances straddle the k-th
+            x = np.round(x / x.std() * 1.5)
         k_max = min(int(rng.integers(1, 11)), n - 1)
+        multi_block += len(list(squared_distance_blocks(x, x))) > 1
         brute = build_index(x, k_max, backend="brute")
         spatial = build_index(x, k_max, backend="spatial")
-        np.testing.assert_array_equal(brute.knn_idx, spatial.knn_idx)
-        np.testing.assert_array_equal(brute.knn_d2, spatial.knn_d2)
+        oracle_idx, oracle_d2 = full_sort_knn_oracle(x, k_max)
+        for idx, d2 in ((spatial.knn_idx, spatial.knn_d2), (oracle_idx, oracle_d2)):
+            np.testing.assert_array_equal(brute.knn_idx, idx)
+            assert np.array_equal(brute.knn_d2.view(np.int64), d2.view(np.int64))
+    assert multi_block >= 1
 
 
 def test_rebuild_is_deterministic():
@@ -128,3 +138,16 @@ def test_kdtree_handles_identical_points():
     idx, d2 = tree.query(x[0], k=5, exclude=0)
     assert idx.tolist() == [1, 2, 3, 4, 5]  # all-tied distances resolve by id
     np.testing.assert_array_equal(d2, np.zeros(5))
+
+
+def test_brute_build_memory_is_bounded():
+    # one n x n float64 at n = 6,000 is 275 MB; the blocked build stays far below
+    x = np.random.default_rng(6).uniform(size=(6000, 2))
+    tracemalloc.start()
+    try:
+        index = build_index(x, 10)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak_mb < 64
+    assert index.knn_idx.shape == (6000, 10)
