@@ -27,7 +27,7 @@ from .data import (
 )
 from .dbscan import DbscanParams, dbscan, epsilon_neighborhood
 from .dbscrn import DbscrnParams, classify_core, dbscrn, expand_cluster
-from .isdbscan import IsdbscanParams, isdbscan, make_cluster
+from .isdbscan import IsdbscanParams, isdbscan
 from .kdtree import KDTree
 from .kmeans import KmeansParams, kmeans, lloyd
 from .neighbors import NeighborIndex, build_index
@@ -100,7 +100,6 @@ __all__ = [
     "lloyd",
     "load_dataset",
     "make_blobs",
-    "make_cluster",
     "make_nested_rings",
     "make_spirals",
     "make_two_moons",

@@ -1,9 +1,14 @@
-"""Shared clustering result type.
+"""Shared clustering result type and the draw-order claim of dense groups.
 
 Every algorithm returns a `Clustering`: one label per entity, either a
 cluster id in 0..K-1 or the NOISE sentinel (-1). Cluster ids are always
 canonical: contiguous from 0, ordered by each cluster's smallest member
 index, so identical partitions compare equal regardless of discovery order.
+
+ISDBSCAN and DBSCAN both draw entities in a seeded order from a symmetric
+graph whose linked dense entities form groups: a group is claimed at its
+first member's draw, and an entity goes to the first claimed group linked
+to it. `claim_in_draw_order` applies that rule in one vectorized pass.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import numpy as np
 
 NOISE = -1
 
-__all__ = ["NOISE", "Clustering", "canonicalize_labels"]
+__all__ = ["NOISE", "Clustering", "canonicalize_labels", "claim_in_draw_order"]
 
 
 @dataclass(frozen=True)
@@ -74,3 +79,34 @@ def canonicalize_labels(labels: np.ndarray) -> Clustering:
     rank[np.argsort(first)] = np.arange(first.size)
     out[clustered] = rank[inverse]
     return Clustering(labels=out)
+
+
+def claim_in_draw_order(offsets, members, dense, order):
+    """Claim each entity for the earliest-drawn dense group linked to it.
+
+    The graph is symmetric and in CSR form: row i, members[offsets[i]:
+    offsets[i+1]], holds i itself and every j whose row holds i. Dense
+    entities joined by an edge form a group, drawn at the first position
+    in `order` (a permutation of the n entities) that any member takes.
+
+    Returns (group, drawn): group[i] is the draw position of the earliest
+    group in row i, which names that group, or n when the row has none;
+    drawn[i] is i's own position in `order`.
+    """
+    n = dense.size
+    drawn = np.empty(n, dtype=np.int64)
+    drawn[order] = np.arange(n)
+    dense_ids = np.flatnonzero(dense)
+    # union-find over dense-dense edges: sparse entities have root n,
+    # which never hooks, so a sparse link joins no groups
+    root = np.append(np.where(dense, np.arange(n), n), n)
+    while True:
+        low = np.minimum.reduceat(root[members], offsets[:-1])[dense_ids]
+        if np.array_equal(low, root[dense_ids]):
+            break
+        np.minimum.at(root, root[dense_ids], low)  # hook each root to its lowest linked root
+        while not np.array_equal(jumped := root[root], root):
+            root = jumped
+    first = np.full(n + 1, n, dtype=np.int64)
+    np.minimum.at(first, root[dense_ids], drawn[dense_ids])
+    return np.minimum.reduceat(first[root][members], offsets[:-1]), drawn

@@ -3,25 +3,24 @@
 The epsilon threshold is compared against *squared* distances, like every
 other dissimilarity in this package; sweep grids are produced in the same
 units, and the epsilon-lists stream from the blocked distance kernel in
-O(block * n) memory. Entity visit order is a seeded permutation:
-core/noise status never depends on the seed, but which cluster claims a
-shared border entity does, which is exactly the non-determinism DBSCAN is
-known for.
+O(block * n) memory. Core entities linked by epsilon-neighbourhoods form
+groups; a cluster is a group plus the border entities within epsilon of
+it. A border entity near several groups goes to the one whose first core
+comes first in a seeded draw (`claim_in_draw_order`): core/noise status
+never depends on the seed, but which cluster claims a shared border
+entity does, which is exactly the non-determinism DBSCAN is known for.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import NOISE, Clustering, canonicalize_labels
+from .clustering import NOISE, Clustering, canonicalize_labels, claim_in_draw_order
 from .data import row_squared_distances, squared_distance_blocks
 
 __all__ = ["DbscanParams", "dbscan", "epsilon_neighborhood"]
-
-_UNVISITED = -2
 
 
 @dataclass(frozen=True)
@@ -69,31 +68,15 @@ def dbscan(data: np.ndarray, params: DbscanParams, seed: int = 0) -> Clustering:
 
 
 def dbscan_from_neighborhoods(neigh, min_pts: int, seed: int = 0) -> Clustering:
-    """DBSCAN given precomputed neighbourhood lists (sweeps reuse these)."""
+    """DBSCAN given precomputed neighbourhood lists (sweeps reuse these).
+
+    Each list must hold its own entity and be symmetric (j in neigh[i]
+    iff i in neigh[j]), as `neighborhood_lists` returns them.
+    """
     n = len(neigh)
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(n)
-    labels = np.full(n, _UNVISITED, dtype=np.int64)
-    next_id = 0
-    for p in order:
-        if labels[p] != _UNVISITED:
-            continue
-        candidates = neigh[p]
-        if candidates.size < min_pts:
-            labels[p] = NOISE
-            continue
-        cid = next_id
-        next_id += 1
-        labels[p] = cid
-        queue = deque(int(j) for j in candidates if j != p)
-        while queue:
-            q = queue.popleft()
-            if labels[q] == NOISE:
-                labels[q] = cid  # border entity reached from a core
-            if labels[q] != _UNVISITED:
-                continue
-            labels[q] = cid
-            expansion = neigh[q]
-            if expansion.size >= min_pts:
-                queue.extend(int(j) for j in expansion)
-    return canonicalize_labels(labels)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum([ids.size for ids in neigh], out=offsets[1:])
+    core = np.diff(offsets) >= min_pts
+    order = np.random.default_rng(seed).permutation(n)
+    group, _ = claim_in_draw_order(offsets, np.concatenate(neigh), core, order)
+    return canonicalize_labels(np.where(group < n, group, NOISE))

@@ -1,15 +1,13 @@
 """ISDBSCAN: influence-space clustering with seeded random start selection.
 
-Entities are drawn one at a time (without replacement) from the working
-set. Each draw seeds a transitive expansion over k-influence spaces: an
-entity whose influence space has more than 2k/3 members pulls all of those
-members in, and they expand in turn. Expansions whose collected set has
-more than k members become clusters; smaller ones are marked noise.
-
-Influence spaces are those of the full dataset (the index is never
-rebuilt on the shrinking working set); a shared visited set guarantees
-each entity is expanded at most once per run, which bounds the whole run
-by n expansions and forces termination.
+The k-influence space IS_k(i) = NN_k(i) ∩ RNN_k(i) is the mutual-kNN
+relation, so it is symmetric. Entities with more than 2k/3 members in it
+are dense, and linked dense entities form groups. Entities are drawn in a
+seeded order; the first draw of a group collects all of it plus its
+sparse neighbours not yet drawn or collected, and a sparse entity drawn
+before any linked group is noise (`claim_in_draw_order`). Collected sets
+with more than k members become clusters; smaller ones are noise.
+Influence spaces are those of the full dataset, never of what is left.
 """
 
 from __future__ import annotations
@@ -18,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import NOISE, Clustering, canonicalize_labels
+from .clustering import NOISE, Clustering, canonicalize_labels, claim_in_draw_order
 from .neighbors import NeighborIndex
 
-__all__ = ["IsdbscanParams", "isdbscan", "make_cluster"]
+__all__ = ["IsdbscanParams", "isdbscan"]
 
 
 @dataclass(frozen=True)
@@ -34,33 +32,6 @@ class IsdbscanParams:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
-
-
-def make_cluster(index: NeighborIndex, start: int, k: int, visited: set[int]) -> set[int]:
-    """Collect the influence-space expansion seeded at `start`.
-
-    Returns the empty set when the start entity fails the 2k/3 density
-    guard. Otherwise the start and every transitively pulled-in entity not
-    already in `visited` are collected; collected entities are added to
-    `visited` so no entity is ever expanded twice within a run.
-    """
-    threshold = 2.0 * k / 3.0
-    if len(index.influence_space(start, k)) <= threshold:
-        return set()
-    collected = {start}
-    visited.add(start)
-    worklist = [start]
-    while worklist:
-        entity = worklist.pop()
-        influence = index.influence_space(entity, k)
-        if influence.size <= threshold:
-            continue
-        for member in influence.tolist():
-            if member not in visited:
-                visited.add(member)
-                collected.add(member)
-                worklist.append(member)
-    return collected
 
 
 def isdbscan(data: np.ndarray, index: NeighborIndex, params: IsdbscanParams) -> Clustering:
@@ -77,21 +48,16 @@ def isdbscan(data: np.ndarray, index: NeighborIndex, params: IsdbscanParams) -> 
         return Clustering(labels=np.full(n, NOISE, dtype=np.int64))
     if k > index.k_max:
         raise ValueError(f"k={k} exceeds the index k_max={index.k_max}")
-    rng = np.random.default_rng(params.seed)
-    labels = np.full(n, NOISE, dtype=np.int64)
-    visited: set[int] = set()
-    next_id = 0
-    # a seeded permutation, skipping removed entities, is random selection
-    # without replacement from the working set
-    for start in rng.permutation(n).tolist():
-        if start in visited:
-            continue
-        cluster = make_cluster(index, start, k, visited)
-        if len(cluster) > k:
-            labels[list(cluster)] = next_id
-            next_id += 1
-        else:
-            # too small: every collected entity (and the failed start) is
-            # noise and leaves the working set for good
-            visited.add(start)
-    return canonicalize_labels(labels)
+    # row i is i itself, then NN_k(i); the pairs found both ways are i and IS_k(i)
+    nbrs = np.column_stack([np.arange(n), index.knn_idx[:, :k]]).ravel()
+    ids = np.repeat(np.arange(n), k + 1)
+    keys, reverse = ids * n + nbrs, np.sort(nbrs * n + ids)
+    mutual = reverse[np.minimum(np.searchsorted(reverse, keys), keys.size - 1)] == keys
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(mutual.reshape(n, k + 1).sum(axis=1), out=offsets[1:])
+    dense = np.diff(offsets) - 1 > 2.0 * k / 3.0
+    order = np.random.default_rng(params.seed).permutation(n)
+    group, drawn = claim_in_draw_order(offsets, nbrs[mutual], dense, order)
+    collected = drawn >= group  # a sparse entity drawn before its group stays noise
+    sizes = np.bincount(group[collected], minlength=n + 1)
+    return canonicalize_labels(np.where(collected & (sizes[group] > k), group, NOISE))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 
 import numpy as np
 
@@ -212,3 +213,83 @@ def full_sort_knn_oracle(x, k_max):
     np.fill_diagonal(masked, np.inf)  # self is never a neighbour
     knn_idx = np.argsort(masked, axis=1, kind="stable")[:, :k_max]
     return knn_idx, np.take_along_axis(masked, knn_idx, axis=1)
+
+
+def make_cluster(index, start, k, visited):
+    """The set-based ISDBSCAN expansion seeded at `start`.
+
+    Returns the empty set when the start entity fails the 2k/3 density
+    guard. Otherwise the start and every transitively pulled-in entity not
+    already in `visited` are collected; collected entities are added to
+    `visited` so no entity is ever expanded twice within a run.
+    """
+    threshold = 2.0 * k / 3.0
+    if len(index.influence_space(start, k)) <= threshold:
+        return set()
+    collected = {start}
+    visited.add(start)
+    worklist = [start]
+    while worklist:
+        entity = worklist.pop()
+        influence = index.influence_space(entity, k)
+        if influence.size <= threshold:
+            continue
+        for member in influence.tolist():
+            if member not in visited:
+                visited.add(member)
+                collected.add(member)
+                worklist.append(member)
+    return collected
+
+
+def isdbscan_worklist_oracle(index, k, seed):
+    """Full ISDBSCAN by a worklist per seeded draw; canonical labels as a list."""
+    n = index.n
+    labels = [-1] * n
+    if k >= n:
+        return labels
+    visited = set()
+    next_id = 0
+    # a seeded permutation, skipping removed entities, is random selection
+    # without replacement from the working set
+    for start in np.random.default_rng(seed).permutation(n).tolist():
+        if start in visited:
+            continue
+        cluster = make_cluster(index, start, k, visited)
+        if len(cluster) > k:
+            for member in cluster:
+                labels[member] = next_id
+            next_id += 1
+        else:
+            # too small: every collected entity (and the failed start) is
+            # noise and leaves the working set for good
+            visited.add(start)
+    return canonicalize_oracle(labels)
+
+
+def dbscan_bfs_oracle(neigh, min_pts, seed):
+    """Full DBSCAN by a breadth-first expansion per seeded draw; canonical labels."""
+    unvisited, noise = -2, -1
+    n = len(neigh)
+    labels = [unvisited] * n
+    next_id = 0
+    for p in np.random.default_rng(seed).permutation(n).tolist():
+        if labels[p] != unvisited:
+            continue
+        if neigh[p].size < min_pts:
+            labels[p] = noise
+            continue
+        cid = next_id
+        next_id += 1
+        labels[p] = cid
+        queue = deque(int(j) for j in neigh[p] if j != p)
+        while queue:
+            q = queue.popleft()
+            if labels[q] == noise:
+                labels[q] = cid  # border entity reached from a core
+            if labels[q] != unvisited:
+                continue
+            labels[q] = cid
+            if neigh[q].size >= min_pts:
+                queue.extend(int(j) for j in neigh[q])
+    return canonicalize_oracle(labels)

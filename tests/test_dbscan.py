@@ -2,15 +2,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import dbscan_bfs_oracle
 from rnncluster import (
     DbscanParams,
     NOISE,
     dbscan,
     epsilon_neighborhood,
+    make_two_moons,
     pairwise_distance_extrema,
+    range_standardize,
 )
-from rnncluster.dbscan import neighborhood_lists
+from rnncluster.dbscan import dbscan_from_neighborhoods, neighborhood_lists
 
 LINE = np.array([[0.0], [1.0], [2.0], [4.0], [8.0]])
 
@@ -94,6 +99,71 @@ def test_neighborhood_lists_match_single_row_scans():
         assert len(lists) == x.shape[0]
         for i, members in enumerate(lists):
             np.testing.assert_array_equal(members, epsilon_neighborhood(x, i, eps))
+
+
+def test_neighborhood_lists_are_symmetric():
+    # the claim pass reads a border entity's own list to find its groups
+    rng = np.random.default_rng(5)
+    tied = np.round(2 * rng.normal(size=(80, 2)))
+    for x, eps in [(rng.normal(size=(700, 9)), 6.0), (tied, 2.0)]:
+        lists = neighborhood_lists(x, eps)
+        pairs = {(i, int(j)) for i, members in enumerate(lists) for j in members}
+        assert pairs == {(j, i) for i, j in pairs}
+
+
+def test_border_entity_goes_to_the_group_drawn_first():
+    # two core groups of five with one border entity (2.0) within eps of both
+    x = np.array([[0.0], [0.25], [0.5], [0.75], [1.0], [2.0], [3.0], [3.25], [3.5], [3.75], [4.0]])
+    neigh = neighborhood_lists(x, 1.0)
+    assert neigh[5].tolist() == [4, 5, 6]  # fewer than min_pts: a border entity
+    sides = set()
+    for seed in range(20):
+        labels = dbscan_from_neighborhoods(neigh, 4, seed).labels
+        assert labels.tolist() == dbscan_bfs_oracle(neigh, 4, seed)
+        assert labels[:5].tolist() == [0] * 5 and labels[6:].tolist() == [1] * 5
+        sides.add(int(labels[5]))
+    assert sides == {0, 1}
+
+
+@st.composite
+def dbscan_cases(draw):
+    """Small data with many exact distance ties and some duplicated rows; eps
+    from 0 (only duplicates are neighbours) to beyond the largest distance."""
+    n = draw(st.integers(1, 40))
+    m = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=(n, m))
+    if draw(st.booleans()):
+        x = np.round(2 * x)  # integer grid: ties everywhere
+    if draw(st.booleans()):
+        x[n // 2 :] = x[: n - n // 2]  # duplicated rows
+    hi = pairwise_distance_extrema(x)[1] if n > 1 else 1.0
+    eps = draw(st.sampled_from([0.0, hi, 2 * hi]) | st.floats(0.0, hi))
+    return x, eps, draw(st.integers(1, 14)), draw(st.integers(0, 50))
+
+
+@given(dbscan_cases())
+@settings(max_examples=150, deadline=None)
+def test_dbscan_matches_bfs_oracle(case):
+    x, eps, min_pts, seed = case
+    neigh = neighborhood_lists(x, eps)
+    got = dbscan_from_neighborhoods(neigh, min_pts, seed).labels
+    assert got.tolist() == dbscan_bfs_oracle(neigh, min_pts, seed)
+
+
+def test_dbscan_memory_stays_near_its_input():
+    # at the largest eps every list holds all n ids; the claim pass keeps a
+    # CSR copy of them and a few same-sized gathers, never per-edge pairs
+    x, _ = range_standardize(make_two_moons().matrix)
+    neigh = neighborhood_lists(x, pairwise_distance_extrema(x)[1])
+    id_bytes = sum(ids.nbytes for ids in neigh)
+    tracemalloc.start()
+    try:
+        dbscan_from_neighborhoods(neigh, 10, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * id_bytes
 
 
 def test_neighborhood_lists_memory_is_bounded():

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import jittered_ring
-from oracles import isdbscan_closure_oracle
+from oracles import isdbscan_closure_oracle, isdbscan_worklist_oracle, make_cluster
 from rnncluster import (
     IsdbscanParams,
     NOISE,
     build_index,
     isdbscan,
-    make_cluster,
     range_standardize,
 )
 
@@ -88,6 +89,10 @@ def test_fixed_seed_reproducible_and_seeds_differ():
     a = isdbscan(x, index, IsdbscanParams(k=5, seed=11))
     b = isdbscan(x, index, IsdbscanParams(k=5, seed=11))
     np.testing.assert_array_equal(a.labels, b.labels)
+    labelings = {
+        isdbscan(x, index, IsdbscanParams(k=5, seed=seed)).labels.tobytes() for seed in range(20)
+    }
+    assert len(labelings) > 1
 
 
 def test_k_beyond_index_capacity_raises():
@@ -95,3 +100,27 @@ def test_k_beyond_index_capacity_raises():
     index = build_index(x, k_max=4)
     with pytest.raises(ValueError, match="k_max"):
         isdbscan(x, index, IsdbscanParams(k=9))
+
+
+@st.composite
+def isdbscan_cases(draw):
+    """Small data with many exact distance ties, some duplicated rows, and
+    k from 1 up to beyond n (the all-noise edge)."""
+    n = draw(st.integers(2, 40))
+    m = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=(n, m))
+    if draw(st.booleans()):
+        x = np.round(2 * x)  # integer grid: ties everywhere
+    if draw(st.booleans()):
+        x[n // 2 :] = x[: n - n // 2]  # duplicated rows
+    return x, draw(st.integers(1, n + 2)), draw(st.integers(0, 50))
+
+
+@given(isdbscan_cases())
+@settings(max_examples=150, deadline=None)
+def test_isdbscan_matches_worklist_oracle(case):
+    x, k, seed = case
+    index = build_index(x, k_max=min(k, x.shape[0] - 1))
+    got = isdbscan(x, index, IsdbscanParams(k=k, seed=seed)).labels
+    assert got.tolist() == isdbscan_worklist_oracle(index, k, seed)
