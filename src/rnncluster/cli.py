@@ -227,7 +227,7 @@ def _cmd_sweep(args) -> int:
         json.dump(result.to_json_dict(), handle, indent=2)
     csv_path = os.path.join(args.out, f"{dataset.name}_{args.algo}_sweep.csv")
     with open(csv_path, "w", encoding="utf-8") as handle:
-        handle.write("params,run,seed,n_clusters,n_noise,dbcv,ari,seconds\n")
+        handle.write("params,run,seed,n_clusters,n_noise,dbcv,ari,cluster_seconds,dbcv_seconds\n")
         for r in result.records:
             params = ";".join(f"{k}={v}" for k, v in sorted(
                 (("epsilon", r.params.epsilon), ("min_pts", r.params.min_pts))
@@ -237,7 +237,7 @@ def _cmd_sweep(args) -> int:
             seed = "" if r.seed is None else r.seed
             handle.write(
                 f"{params},{r.run},{seed},{r.n_clusters},{r.n_noise},"
-                f"{r.dbcv_score:.6f},{ari},{r.seconds:.6f}\n"
+                f"{r.dbcv_score:.6f},{ari},{r.cluster_seconds:.6f},{r.dbcv_seconds:.6f}\n"
             )
     selection = dbcv_selection_summary(result)
     print(f"{len(result.records)} records -> {json_path}")
@@ -253,6 +253,11 @@ def _cmd_report(args) -> int:
     for path in args.results:
         with open(path, encoding="utf-8") as handle:
             payload = json.load(handle)
+        if payload.get("schema_version") != 2:
+            raise SystemExit(
+                f"{path}: sweep JSON schema_version {payload.get('schema_version')!r} "
+                "is not supported; re-run `rnncluster sweep` (schema 2)"
+            )
         records = payload["records"]
         has_truth = all(r["ari"] is not None for r in records)
         deterministic = payload["algorithm"] == "dbscrn"
@@ -262,7 +267,7 @@ def _cmd_report(args) -> int:
             "approximate": False,
             "best_ari": None,
             "dbcv_selected": None,
-            "timing": timing_summary([r["seconds"] for r in records]),
+            "timing": timing_summary([r["cluster_seconds"] for r in records]),
         }
         if has_truth:
             by_params: dict[str, list] = {}

@@ -133,24 +133,31 @@ def _all_points_core_distances(dist: np.ndarray, m: int) -> np.ndarray:
 
 
 def _prim_mst(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dense Prim MST; returns (edges (n-1, 2), edge weights, node degrees)."""
+    """Dense Prim MST; returns (edges (n-1, 2), edge weights, node degrees).
+
+    Grown from node 0: each step adds the node nearest the tree, the lowest
+    index on ties; a node's parent changes only on a strictly smaller
+    distance.
+    """
     nc = weights.shape[0]
-    in_tree = np.zeros(nc, dtype=bool)
-    in_tree[0] = True
+    outside = np.ones(nc, dtype=bool)
+    outside[0] = False
     best = weights[0].copy()
     best[0] = np.inf
     parent = np.zeros(nc, dtype=np.int64)
+    closer = np.empty(nc, dtype=bool)
     edges = np.empty((nc - 1, 2), dtype=np.int64)
     edge_w = np.empty(nc - 1, dtype=np.float64)
     for t in range(nc - 1):
-        j = int(np.argmin(best))
-        edges[t] = (parent[j], j)
+        j = best.argmin()
+        edges[t] = parent[j], j
         edge_w[t] = best[j]
-        in_tree[j] = True
+        outside[j] = False
         best[j] = np.inf
-        closer = weights[j] < best
-        closer &= ~in_tree
-        best[closer] = weights[j][closer]
+        row = weights[j]
+        np.less(row, best, out=closer)
+        closer &= outside
+        np.copyto(best, row, where=closer)
         parent[closer] = j
     degrees = np.bincount(edges.ravel(), minlength=nc)
     return edges, edge_w, degrees

@@ -293,3 +293,27 @@ def dbscan_bfs_oracle(neigh, min_pts, seed):
             if neigh[q].size >= min_pts:
                 queue.extend(int(j) for j in neigh[q])
     return canonicalize_oracle(labels)
+
+
+def prim_mst_oracle(weights):
+    """The replaced dense Prim loop: (edges (n-1, 2), edge weights, node degrees)."""
+    nc = weights.shape[0]
+    in_tree = np.zeros(nc, dtype=bool)
+    in_tree[0] = True
+    best = weights[0].copy()
+    best[0] = np.inf
+    parent = np.zeros(nc, dtype=np.int64)
+    edges = np.empty((nc - 1, 2), dtype=np.int64)
+    edge_w = np.empty(nc - 1, dtype=np.float64)
+    for t in range(nc - 1):
+        j = int(np.argmin(best))
+        edges[t] = (parent[j], j)
+        edge_w[t] = best[j]
+        in_tree[j] = True
+        best[j] = np.inf
+        closer = weights[j] < best
+        closer &= ~in_tree
+        best[closer] = weights[j][closer]
+        parent[closer] = j
+    degrees = np.bincount(edges.ravel(), minlength=nc)
+    return edges, edge_w, degrees

@@ -45,14 +45,21 @@ def test_sweep_then_report(tmp_path, capsys):
     assert code == 0
     sweep_json = next(out.glob("*_sweep.json"))
     payload = json.loads(sweep_json.read_text())
-    assert payload["schema_version"] == 1 and payload["records"]
-    assert next(out.glob("*_sweep.csv")).read_text().startswith("params,run,seed")
+    assert payload["schema_version"] == 2 and payload["records"]
+    assert {"cluster_seconds", "dbcv_seconds"} <= set(payload["records"][0])
+    header = next(out.glob("*_sweep.csv")).read_text().splitlines()[0]
+    assert header == "params,run,seed,n_clusters,n_noise,dbcv,ari,cluster_seconds,dbcv_seconds"
 
     report_out = tmp_path / "report"
     assert main(["report", "--results", str(sweep_json), "--out", str(report_out)]) == 0
     table = (report_out / "best_ari.csv").read_text().splitlines()
     assert table[0] == "dataset,algorithm,mean,std,max"
     assert ",dbscrn,-,-," in table[1]  # deterministic: mean/std rendered as "-"
+
+    old = tmp_path / "old_sweep.json"
+    old.write_text(json.dumps({**payload, "schema_version": 1}))
+    with pytest.raises(SystemExit, match="schema_version 1"):
+        main(["report", "--results", str(old), "--out", str(report_out)])
 
 
 def test_bench_writes_summary(tmp_path, capsys):

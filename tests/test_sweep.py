@@ -18,6 +18,8 @@ from rnncluster import (
     write_labels_csv,
     write_reports,
 )
+import rnncluster.sweep as sweep_module
+from rnncluster import adjusted_rand_index, dbcv, range_standardize
 from rnncluster.clustering import Clustering
 from rnncluster.sweep import build_grid
 
@@ -74,16 +76,52 @@ def test_runs_get_distinct_derived_seeds(small_blobs):
         assert len(set(seeds)) == len(seeds)
 
 
+MEMO_SPECS = [
+    SweepSpec(algorithm="dbscrn"),
+    SweepSpec(algorithm="isdbscan", runs_per_setting=5),
+    SweepSpec(algorithm="dbscan", runs_per_setting=3, eps_step=0.15, min_pts_range=(3, 8)),
+]
+
+
+@pytest.mark.parametrize("spec", MEMO_SPECS, ids=lambda s: s.algorithm)
+def test_memoized_scores_equal_fresh_scores(small_blobs, spec):
+    result = run_sweep(small_blobs, spec)
+    x, _ = range_standardize(small_blobs.matrix)
+    for r in result.records:
+        assert r.dbcv_score == dbcv(x, r.labels).overall
+        assert r.ari == adjusted_rand_index(r.labels, small_blobs.true_labels)
+
+
+@pytest.mark.parametrize("spec", MEMO_SPECS, ids=lambda s: s.algorithm)
+def test_each_distinct_labeling_is_scored_once(small_blobs, spec, monkeypatch):
+    calls = []
+
+    def counting_dbcv(*args, **kwargs):
+        calls.append(args)
+        return dbcv(*args, **kwargs)
+
+    monkeypatch.setattr(sweep_module, "dbcv", counting_dbcv)
+    result = run_sweep(small_blobs, spec)
+    seen = set()
+    for r in result.records:
+        key = r.labels.tobytes()
+        assert (r.dbcv_seconds == 0.0) == (key in seen)
+        seen.add(key)
+    assert len(calls) == len(seen) < len(result.records)
+
+
 def test_parallel_equals_sequential(small_blobs):
-    spec = SweepSpec(algorithm="dbscrn")
-    seq = run_sweep(small_blobs, spec, n_jobs=1)
-    par = run_sweep(small_blobs, spec, n_jobs=3)
-    assert len(seq.records) == len(par.records)
-    for rs, rp in zip(seq.records, par.records):
-        assert rs.params == rp.params
-        np.testing.assert_array_equal(rs.labels, rp.labels)
-        assert rs.dbcv_score == rp.dbcv_score
-        assert rs.ari == rp.ari  # seconds may differ, results may not
+    # each worker keeps its own DBCV/ARI memo; scores may not depend on the split
+    for spec in MEMO_SPECS:
+        seq = run_sweep(small_blobs, spec, n_jobs=1)
+        for n_jobs in (2, 3):
+            par = run_sweep(small_blobs, spec, n_jobs=n_jobs)
+            assert len(seq.records) == len(par.records)
+            for rs, rp in zip(seq.records, par.records):
+                assert rs.params == rp.params and rs.seed == rp.seed
+                np.testing.assert_array_equal(rs.labels, rp.labels)
+                assert rs.dbcv_score == rp.dbcv_score
+                assert rs.ari == rp.ari  # seconds may differ, results may not
 
 
 def test_standardization_happens_inside_the_sweep(small_blobs):
@@ -122,11 +160,13 @@ def test_best_ari_requires_truth():
 def test_sweep_json_schema(small_blobs):
     result = run_sweep(small_blobs, SweepSpec(algorithm="dbscrn"))
     payload = result.to_json_dict()
-    assert payload["schema_version"] == 1
+    assert payload["schema_version"] == 2
     assert payload["algorithm"] == "dbscrn"
     assert len(payload["records"]) == 28
     record = payload["records"][0]
-    assert set(record) >= {"params", "run", "seed", "n_clusters", "dbcv", "ari", "seconds"}
+    assert set(record) >= {"params", "run", "seed", "n_clusters", "dbcv", "ari",
+                           "cluster_seconds", "dbcv_seconds"}
+    assert "seconds" not in record
     json.dumps(payload)  # serializable
 
 

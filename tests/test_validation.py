@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ari_pairs_oracle, dbcv_oracle
+from oracles import ari_pairs_oracle, dbcv_oracle, prim_mst_oracle
 from rnncluster import (
     DbscrnParams,
     adjusted_rand_index,
@@ -15,6 +15,8 @@ from rnncluster import (
     range_standardize,
     select_best,
 )
+from rnncluster.data import pairwise_squared_distances
+from rnncluster.validation import _all_points_core_distances, _prim_mst
 
 
 def test_ari_trivial_cases():
@@ -123,6 +125,31 @@ def test_dbcv_matches_direct_oracle():
         if rng.random() < 0.4:
             labels[rng.random(n) < 0.15] = -1  # sprinkle noise
         assert dbcv(x, labels).overall == pytest.approx(dbcv_oracle(x, labels), abs=1e-9)
+
+
+@st.composite
+def reachability_matrices(draw):
+    """DBCV's mutual-reachability matrix of one cluster on a coarse integer grid.
+
+    Few grid values and rows drawn from a small pool give many equal
+    distances, equal core distances and duplicated rows (core distance 0).
+    """
+    n = draw(st.integers(2, 60))
+    m = draw(st.integers(1, 3))
+    pool = draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.integers(0, draw(st.integers(1, 4)), size=(pool, m)).astype(np.float64)
+    x = rows[rng.integers(0, pool, size=n)]
+    dist = np.sqrt(pairwise_squared_distances(x))
+    core = _all_points_core_distances(dist, m)
+    return np.maximum(dist, np.maximum(core[:, None], core[None, :]))
+
+
+@given(reachability_matrices())
+@settings(max_examples=200, deadline=None)
+def test_prim_matches_the_loop_oracle_on_ties(weights):
+    for got, want in zip(_prim_mst(weights), prim_mst_oracle(weights)):
+        assert np.array_equal(got, want)
 
 
 def test_dbcv_bounds_and_relabeling_invariance():
