@@ -26,7 +26,7 @@ from .data import (
     squared_euclidean,
 )
 from .dbscan import DbscanParams, dbscan, epsilon_neighborhood
-from .dbscrn import DbscrnParams, classify_core, dbscrn, expand_cluster
+from .dbscrn import DbscrnParams, dbscrn
 from .isdbscan import IsdbscanParams, isdbscan
 from .kdtree import KDTree
 from .kmeans import KmeansParams, kmeans, lloyd
@@ -86,14 +86,12 @@ __all__ = [
     "best_ari_summary",
     "build_index",
     "canonicalize_labels",
-    "classify_core",
     "contingency_table",
     "dbcv",
     "dbcv_selection_summary",
     "dbscan",
     "dbscrn",
     "epsilon_neighborhood",
-    "expand_cluster",
     "generate_synthetic",
     "isdbscan",
     "kmeans",

@@ -1,15 +1,18 @@
 """DBSCRN: density-based clustering from reverse-nearest-neighbour counts.
 
 An entity is core iff at least k entities count it among their own k
-nearest (|RNN_k| >= k). Clusters grow by breadth-first traversal over
-reverse-neighbour links among entities whose |RNN_k| exceeds 2k/pi; the
-traversal therefore sweeps out one dense connected region per seed.
-Afterwards each remaining non-core entity joins the cluster of its
-nearest core entity, found by a blocked scan over the core rows.
+nearest (|RNN_k| >= k). Links run from c to every j in RNN_k(c), among
+entities whose |RNN_k| exceeds 2k/pi. Seeds are taken in ascending core
+order and each claims what it reaches that no earlier seed reached, so an
+entity belongs to the smallest core id that reaches it. Two numpy passes
+compute that: every guard-passing entity pulls the smallest label of its k
+nearest, and labels jump to their own label, until nothing changes. Each
+remaining entity then joins the cluster of its nearest core entity: the
+first core in its kNN row, or a blocked scan over the core rows when the
+row holds none.
 
 The single parameter is k; the cluster count emerges. There is no RNG
-anywhere: seeds are taken in ascending entity order, frontier waves are
-id-sorted, and distance ties resolve to the smaller entity id, so two runs
+anywhere, and distance ties resolve to the smaller entity id, so two runs
 on the same input are bit-identical.
 """
 
@@ -24,9 +27,7 @@ from .clustering import Clustering, canonicalize_labels
 from .data import squared_distance_blocks
 from .neighbors import NeighborIndex
 
-__all__ = ["DbscrnParams", "classify_core", "dbscrn", "expand_cluster"]
-
-_UNASSIGNED = -1
+__all__ = ["DbscrnParams", "dbscrn"]
 
 
 @dataclass(frozen=True)
@@ -40,73 +41,46 @@ class DbscrnParams:
             raise ValueError("k must be >= 1")
 
 
-def classify_core(index: NeighborIndex, i: int, k: int) -> bool:
-    """True iff entity i is core: |RNN_k(i)| >= k."""
-    return bool(index.rnn_sizes(k)[i] >= k)
-
-
-def expand_cluster(
-    index: NeighborIndex,
-    start: int,
-    k: int,
-    assignment: np.ndarray,
-    cluster_id: int,
-) -> np.ndarray:
-    """Grow one cluster from a core entity; returns the member ids.
-
-    Breadth-first traversal over reverse-neighbour links. A traversed
-    entity joins the cluster (and contributes its own reverse neighbours
-    to the frontier) only when it passes the 2k/pi density guard itself;
-    sparse entities reachable from the cluster, such as a far outlier
-    sitting in the reverse lists of its nearest dense points, stay
-    unassigned and are handled by the nearest-core pass instead.
-
-    `assignment` doubles as the visited set: an entity enters the frontier
-    at most once, and entities claimed by earlier clusters are neither
-    re-claimed nor traversed again. Mutates `assignment` in place.
-    """
-    offsets, members, sizes = index.rnn_csr(k)
-    threshold = 2.0 * k / math.pi
-    assignment[start] = cluster_id
-    frontier = np.array([start], dtype=np.int64)
-    collected = [frontier]
-    while frontier.size:
-        reached = np.unique(
-            np.concatenate([members[offsets[c] : offsets[c + 1]] for c in frontier])
-        )
-        fresh = reached[(assignment[reached] == _UNASSIGNED) & (sizes[reached] > threshold)]
-        assignment[fresh] = cluster_id
-        collected.append(fresh)
-        frontier = fresh
-    return np.concatenate(collected)
-
-
 def dbscrn(data: np.ndarray, index: NeighborIndex, params: DbscrnParams) -> Clustering:
-    """Cluster `data` with DBSCRN using the prebuilt neighbour index.
+    """Cluster `data` with DBSCRN using the neighbour index built on it.
 
-    Every entity receives a cluster id (no noise output). Raises when no
-    core entity exists, which signals that k is too large for the data.
+    Every entity receives a cluster id (no noise output). Raises when
+    `data` does not have the index's shape, and when no core entity
+    exists, which signals that k is too large for the data.
     """
+    index.check_data(data)
     k = params.k
     n = index.n
     sizes = index.rnn_sizes(k)
     core = sizes >= k
     if not core.any():
         raise ValueError(f"no core entities at k={k}; choose a smaller k for this data")
-    assignment = np.full(n, _UNASSIGNED, dtype=np.int64)
-    next_id = 0
+    # label[j]: the smallest core id known to reach j; n (the sentinel
+    # last slot) when none does. Entities failing the guard never pull,
+    # so they keep n and pass nothing on.
+    guard = np.flatnonzero(sizes > 2.0 * k / math.pi)
+    nearest_k = index.knn_idx[guard, :k]
+    label = np.append(np.where(core, np.arange(n), n), n)
+    while True:
+        pulled = np.minimum(label[guard], label[nearest_k].min(axis=1))
+        if np.array_equal(pulled, label[guard]):
+            break
+        label[guard] = pulled
+        # a label is a core reaching j, and its own label reaches it in turn
+        while not np.array_equal(jumped := label[label], label):
+            label = jumped
+    # rows are sorted by (d2, id), so a row's first core is the nearest
+    # core, ties to the smaller id
+    left = np.flatnonzero(label[:n] == n)
+    rows = index.knn_idx[left]
+    first = core[rows].argmax(axis=1)
+    nearest = rows[np.arange(left.size), first]
+    blind = np.flatnonzero(~core[nearest])  # no core among the k_max nearest
     core_ids = np.flatnonzero(core)
-    for seed in core_ids.tolist():
-        if assignment[seed] != _UNASSIGNED:
-            continue
-        expand_cluster(index, seed, k, assignment, next_id)
-        next_id += 1
-    x = np.asarray(data, dtype=np.float64)
-    left = np.flatnonzero(assignment == _UNASSIGNED)
-    nearest = np.empty(left.size, dtype=np.int64)
-    for start, block in squared_distance_blocks(x[left], x[core_ids]):
+    x = index.data
+    for start, block in squared_distance_blocks(x[left[blind]], x[core_ids]):
         # argmin returns the first minimum; core_ids ascend, so distance
         # ties resolve to the smaller core id
-        nearest[start : start + block.shape[0]] = np.argmin(block, axis=1)
-    assignment[left] = assignment[core_ids[nearest]]
-    return canonicalize_labels(assignment)
+        nearest[blind[start : start + block.shape[0]]] = core_ids[np.argmin(block, axis=1)]
+    label[left] = label[nearest]
+    return canonicalize_labels(label[:n])

@@ -35,13 +35,14 @@ class IsdbscanParams:
 
 
 def isdbscan(data: np.ndarray, index: NeighborIndex, params: IsdbscanParams) -> Clustering:
-    """Cluster `data` using the prebuilt neighbour index.
+    """Cluster `data` using the neighbour index built on it.
 
     Collected sets larger than k become clusters; everything else is
     NOISE. When k >= n no collected set can exceed k, so every entity is
     noise; that case short-circuits since the index cannot serve k >= n
     queries. Reproducible bit-for-bit for a fixed seed.
     """
+    index.check_data(data)
     n = index.n
     k = params.k
     if k >= n:

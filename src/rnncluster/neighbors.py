@@ -47,6 +47,14 @@ class NeighborIndex:
         if not 1 <= k <= self.k_max:
             raise ValueError(f"k={k} outside the supported range 1..{self.k_max}")
 
+    def check_data(self, data) -> None:
+        """Raise unless `data` has the shape of the matrix the index was built on."""
+        if np.shape(data) != self.data.shape:
+            raise ValueError(
+                f"data of shape {np.shape(data)} does not match the index, "
+                f"built on shape {self.data.shape}"
+            )
+
     def knn(self, i: int, k: int) -> np.ndarray:
         """The k nearest entities to entity i, nearest first."""
         self._check_k(k)
@@ -57,7 +65,7 @@ class NeighborIndex:
 
         members[offsets[i]:offsets[i+1]] are the entities that count i
         among their k nearest, in ascending id order. Built once per k and
-        cached. Batch consumers (cluster expansion) read this directly.
+        cached; `rnn` and `rnn_sizes` (DBSCRN's density counts) read it.
         """
         self._check_k(k)
         cached = self._rnn_cache.get(k)

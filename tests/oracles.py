@@ -15,7 +15,8 @@ from collections import deque
 
 import numpy as np
 
-from rnncluster.data import row_squared_distances
+from rnncluster.clustering import canonicalize_labels
+from rnncluster.data import row_squared_distances, squared_distance_blocks
 
 
 def sq_dist(x, a, b):
@@ -317,3 +318,68 @@ def prim_mst_oracle(weights):
         parent[closer] = j
     degrees = np.bincount(edges.ravel(), minlength=nc)
     return edges, edge_w, degrees
+
+
+_UNASSIGNED = -1
+
+
+def classify_core(index, i, k):
+    """True iff entity i is core: |RNN_k(i)| >= k."""
+    return bool(index.rnn_sizes(k)[i] >= k)
+
+
+def expand_cluster(index, start, k, assignment, cluster_id):
+    """Grow one DBSCRN cluster from a core entity; returns the member ids.
+
+    Breadth-first traversal over reverse-neighbour links. A traversed
+    entity joins the cluster (and contributes its own reverse neighbours
+    to the frontier) only when it passes the 2k/pi density guard itself;
+    sparse entities reachable from the cluster, such as a far outlier
+    sitting in the reverse lists of its nearest dense points, stay
+    unassigned and are handled by the nearest-core pass instead.
+
+    `assignment` doubles as the visited set: an entity enters the frontier
+    at most once, and entities claimed by earlier clusters are neither
+    re-claimed nor traversed again. Mutates `assignment` in place.
+    """
+    offsets, members, sizes = index.rnn_csr(k)
+    threshold = 2.0 * k / math.pi
+    assignment[start] = cluster_id
+    frontier = np.array([start], dtype=np.int64)
+    collected = [frontier]
+    while frontier.size:
+        reached = np.unique(
+            np.concatenate([members[offsets[c] : offsets[c + 1]] for c in frontier])
+        )
+        fresh = reached[(assignment[reached] == _UNASSIGNED) & (sizes[reached] > threshold)]
+        assignment[fresh] = cluster_id
+        collected.append(fresh)
+        frontier = fresh
+    return np.concatenate(collected)
+
+
+def dbscrn_wave_oracle(data, index, k):
+    """Full DBSCRN by an id-sorted wave expansion per unclaimed core seed,
+    then a blocked nearest-core scan; canonical labels as an array."""
+    n = index.n
+    sizes = index.rnn_sizes(k)
+    core = sizes >= k
+    if not core.any():
+        raise ValueError(f"no core entities at k={k}; choose a smaller k for this data")
+    assignment = np.full(n, _UNASSIGNED, dtype=np.int64)
+    next_id = 0
+    core_ids = np.flatnonzero(core)
+    for seed in core_ids.tolist():
+        if assignment[seed] != _UNASSIGNED:
+            continue
+        expand_cluster(index, seed, k, assignment, next_id)
+        next_id += 1
+    x = np.asarray(data, dtype=np.float64)
+    left = np.flatnonzero(assignment == _UNASSIGNED)
+    nearest = np.empty(left.size, dtype=np.int64)
+    for start, block in squared_distance_blocks(x[left], x[core_ids]):
+        # argmin returns the first minimum; core_ids ascend, so distance
+        # ties resolve to the smaller core id
+        nearest[start : start + block.shape[0]] = np.argmin(block, axis=1)
+    assignment[left] = assignment[core_ids[nearest]]
+    return canonicalize_labels(assignment).labels

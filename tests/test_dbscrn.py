@@ -1,16 +1,20 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import jittered_ring
-from oracles import dbscrn_expansion_oracle, dbscrn_oracle, rnn_oracle
-from rnncluster import (
-    DbscrnParams,
-    build_index,
+from oracles import (
     classify_core,
-    dbscrn,
+    dbscrn_expansion_oracle,
+    dbscrn_oracle,
+    dbscrn_wave_oracle,
     expand_cluster,
-    range_standardize,
+    rnn_oracle,
 )
+from rnncluster import DbscrnParams, build_index, dbscrn, range_standardize
 
 LINE = np.array([[0.0], [1.0], [2.0], [4.0], [8.0]])
 
@@ -112,3 +116,73 @@ def test_every_cluster_contains_a_core_entity():
 def test_params_validated():
     with pytest.raises(ValueError):
         DbscrnParams(k=0)
+
+
+def test_data_not_matching_the_index_is_rejected():
+    x = np.random.default_rng(4).normal(size=(150, 4))
+    index = build_index(x, k_max=10)
+    with pytest.raises(ValueError, match=r"\(40, 4\).*\(150, 4\)"):
+        dbscrn(x[:40], index, DbscrnParams(k=5))
+
+
+@st.composite
+def dbscrn_cases(draw):
+    """Small data with many exact distance ties and some duplicated rows,
+    k from 1 to n-1 and k_max from k to n-1."""
+    n = draw(st.integers(2, 40))
+    m = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=(n, m))
+    if draw(st.booleans()):
+        x = np.round(2 * x)  # integer grid: ties everywhere
+    if draw(st.booleans()):
+        x[n // 2 :] = x[: n - n // 2]  # duplicated rows
+    k = draw(st.integers(1, n - 1))
+    return x, k, draw(st.integers(k, n - 1))
+
+
+@given(dbscrn_cases())
+@settings(max_examples=150, deadline=None)
+def test_dbscrn_matches_wave_oracle(case):
+    x, k, k_max = case
+    index = build_index(x, k_max=k_max)
+    try:
+        expected = dbscrn_wave_oracle(x, index, k)
+    except ValueError:
+        with pytest.raises(ValueError, match="no core entities"):
+            dbscrn(x, index, DbscrnParams(k=k))
+        return
+    np.testing.assert_array_equal(dbscrn(x, index, DbscrnParams(k=k)).labels, expected)
+
+
+def _chain(name):
+    rng = np.random.default_rng(8)
+    if name == "jittered-line":
+        return (np.arange(10_000) + rng.uniform(-0.1, 0.1, 10_000))[:, None]
+    if name == "squares":
+        return (np.arange(5_000.0) ** 2)[:, None]
+    return (1.5 ** np.arange(1_500.0))[:, None]  # squared gaps overflow to inf
+
+
+@pytest.mark.parametrize("name", ["jittered-line", "squares", "powers-of-1.5"])
+def test_long_chains_match_wave_oracle(name):
+    # reachability runs along one long path, the worst case for label pulls
+    x = _chain(name)
+    index = build_index(x, k_max=10)
+    for k in (1, 3, 10):
+        np.testing.assert_array_equal(
+            dbscrn(x, index, DbscrnParams(k=k)).labels, dbscrn_wave_oracle(x, index, k)
+        )
+
+
+def test_entity_without_a_core_in_its_row_uses_the_blocked_scan():
+    x = np.random.default_rng(2).normal(size=(30, 2))
+    k = 2
+    index = build_index(x, k_max=k)
+    guard = index.rnn_sizes(k) > 2.0 * k / math.pi
+    # entity 13 fails the guard and so does its whole row: nothing reaches
+    # it, and no core is among its k_max nearest
+    assert not guard[13] and not guard[index.knn_idx[13]].any()
+    np.testing.assert_array_equal(
+        dbscrn(x, index, DbscrnParams(k=k)).labels, dbscrn_wave_oracle(x, index, k)
+    )

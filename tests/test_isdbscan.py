@@ -102,6 +102,13 @@ def test_k_beyond_index_capacity_raises():
         isdbscan(x, index, IsdbscanParams(k=9))
 
 
+def test_data_not_matching_the_index_is_rejected():
+    x = np.random.default_rng(4).normal(size=(150, 4))
+    index = build_index(x, k_max=10)
+    with pytest.raises(ValueError, match=r"\(40, 4\).*\(150, 4\)"):
+        isdbscan(x[:40], index, IsdbscanParams(k=5))
+
+
 @st.composite
 def isdbscan_cases(draw):
     """Small data with many exact distance ties, some duplicated rows, and
