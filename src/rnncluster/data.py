@@ -6,10 +6,17 @@ distances; squaring preserves neighbour rankings, so only radius-type
 thresholds change scale, and the sweep grids are expressed in the same
 squared units.
 
-One blocked kernel, `squared_distance_blocks`, serves every all-rows scan
-in O(block * n) memory. It evaluates the same expression as
+One blocked kernel, `squared_distance_blocks`, serves every scan over
+many rows in O(block * n) memory. It evaluates the same expression as
 `row_squared_distances`, so a pair's distance is bit-identical on every
 path, which keeps index tie-breaking exact.
+
+`compact_blocks` orders the rows into spatially compact blocks and gives
+every row a lower bound on its distance to any row of a block (the
+single-axis bound of kd-trees, applied to a block's bounding box). The
+kNN build and the epsilon-lists evaluate the kernel only on the rows a
+bound cannot rule out; the bound never exceeds the kernel's distance, so
+the pruning is exact.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ __all__ = [
     "DataSet",
     "StandardizationReport",
     "as_feature_matrix",
+    "compact_blocks",
     "load_dataset",
     "pairwise_distance_extrema",
     "pairwise_squared_distances",
@@ -34,6 +42,8 @@ __all__ = [
 
 # bytes of difference vectors one block of `squared_distance_blocks` may hold
 _BLOCK_BYTES = 4 * 2**20
+# most rows in one block of `compact_blocks`
+_BLOCK_ROWS = 128
 
 
 def as_feature_matrix(values) -> np.ndarray:
@@ -49,7 +59,11 @@ def as_feature_matrix(values) -> np.ndarray:
     if n < 1 or m < 1:
         raise ValueError(f"feature matrix must be at least 1x1, got {n}x{m}")
     if not np.all(np.isfinite(matrix)):
-        raise ValueError("feature matrix contains NaN or infinite values")
+        i, j = np.argwhere(~np.isfinite(matrix))[0]
+        raise ValueError(
+            f"feature matrix contains NaN or infinite values "
+            f"({matrix[i, j]} at row {i}, column {j})"
+        )
     return matrix
 
 
@@ -139,6 +153,37 @@ def squared_distance_blocks(queries: np.ndarray, refs: np.ndarray):
     rows = max(1, _BLOCK_BYTES // max(1, 8 * r.size))
     for start in range(0, q.shape[0], rows):
         yield start, row_squared_distances(r, q[start : start + rows, None, :])
+
+
+def compact_blocks(data: np.ndarray):
+    """Yield (ids, bound): the rows in spatially compact blocks, with a lower bound.
+
+    The rows are halved at the median of their widest axis, and each half
+    again, until a part holds at most `_BLOCK_ROWS` rows (the leaves of a
+    kd-tree; a 1-D input is just cut in sorted order). Each leaf is a
+    block: `ids` holds its row ids, and every row is in exactly one block.
+
+    bound[j] is max over axes of fl(gap)**2, where gap = max(lo - x[j],
+    x[j] - hi, 0) against the block's bounding box [lo, hi]. Subtraction
+    and squaring round monotonically and the kernel's sum of squares is at
+    least each of its terms, so bound[j] never exceeds the kernel's
+    distance from row j to any row of the block: skipping the rows whose
+    bound exceeds a threshold loses no row at or below it. Rows must be
+    finite.
+    """
+    x = np.asarray(data, dtype=np.float64)
+    parts = [np.arange(x.shape[0])]
+    while parts:
+        ids = parts.pop()
+        box = x[ids]
+        lo, hi = box.min(axis=0), box.max(axis=0)
+        if ids.size <= _BLOCK_ROWS:
+            gap = np.maximum(np.maximum(lo - x, x - hi), 0.0)
+            yield ids, np.square(gap).max(axis=1)
+        else:
+            half = ids.size // 2
+            split = ids[np.argpartition(box[:, np.argmax(hi - lo)], half)]
+            parts += [split[half:], split[:half]]
 
 
 def pairwise_squared_distances(matrix: np.ndarray) -> np.ndarray:

@@ -2,8 +2,11 @@
 
 The epsilon threshold is compared against *squared* distances, like every
 other dissimilarity in this package; sweep grids are produced in the same
-units, and the epsilon-lists stream from the blocked distance kernel in
-O(block * n) memory. Core entities linked by epsilon-neighbourhoods form
+units. The epsilon-lists stream from the blocked distance kernel in
+O(block * n) memory, block by compact block (`data.compact_blocks`): an
+entity whose lower bound to a block exceeds epsilon is never evaluated
+against it, which is exact because the bound never exceeds the kernel's
+distance. Core entities linked by epsilon-neighbourhoods form
 groups; a cluster is a group plus the border entities within epsilon of
 it. A border entity near several groups goes to the one whose first core
 comes first in a seeded draw (`claim_in_draw_order`): core/noise status
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import NOISE, Clustering, canonicalize_labels, claim_in_draw_order
-from .data import row_squared_distances, squared_distance_blocks
+from .data import as_feature_matrix, compact_blocks, row_squared_distances, squared_distance_blocks
 
 __all__ = ["DbscanParams", "dbscan", "epsilon_neighborhood"]
 
@@ -31,7 +34,7 @@ class DbscanParams:
     min_pts: int
 
     def __post_init__(self):
-        if self.epsilon < 0:
+        if not self.epsilon >= 0:
             raise ValueError("epsilon must be nonnegative")
         if self.min_pts < 1:
             raise ValueError("min_pts must be >= 1")
@@ -44,13 +47,22 @@ def epsilon_neighborhood(data: np.ndarray, i: int, epsilon: float) -> np.ndarray
 
 
 def neighborhood_lists(data: np.ndarray, epsilon: float):
-    """Epsilon-neighbourhood of every entity, as a list of ascending id arrays."""
-    x = np.asarray(data, dtype=np.float64)
-    lists = []
-    for _, block in squared_distance_blocks(x, x):
-        within = block <= epsilon
-        ids = np.flatnonzero(within) % x.shape[0]
-        lists.extend(np.split(ids, np.cumsum(np.count_nonzero(within, axis=1))[:-1]))
+    """Epsilon-neighbourhood of every entity, as a list of ascending id arrays.
+
+    Raises ValueError on a non-finite value in `data` and on a negative or
+    NaN epsilon.
+    """
+    x = as_feature_matrix(data)
+    if not epsilon >= 0:
+        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
+    lists = [None] * x.shape[0]
+    for ids, bound in compact_blocks(x):
+        candidates = np.flatnonzero(bound <= epsilon)
+        for start, block in squared_distance_blocks(x[ids], x[candidates]):
+            row, col = np.nonzero(block <= epsilon)  # row-major: ids ascend per row
+            parts = np.split(candidates[col], np.searchsorted(row, np.arange(1, block.shape[0])))
+            for i, part in zip(ids[start : start + len(parts)].tolist(), parts):
+                lists[i] = part
     return lists
 
 

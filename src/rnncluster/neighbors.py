@@ -5,16 +5,20 @@ by (squared distance ascending, entity index ascending). Reverse lists for
 any k <= k_max are derived by inverting the kNN lists in O(n*k) and cached,
 so a parameter sweep over k reuses a single build.
 
-Two construction backends exist and must produce bit-identical lists: a
-brute-force scan of blocked distance rows in O(block * n) memory (the
-default) and an exact kd-tree.
+Two construction backends exist and must produce bit-identical lists: an
+exact scan over the compact blocks of `data.compact_blocks` in
+O(block * n) memory (the default, named "brute"), and an exact kd-tree.
+For each block, the first rows + k_max entities by lower bound give an
+upper bound on every row's k-th distance; only the entities whose lower
+bound is at or below it reach the distance kernel, and they are ranked
+exactly as a scan of all n rows would rank them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .data import squared_distance_blocks
+from .data import as_feature_matrix, compact_blocks, squared_distance_blocks
 from .kdtree import KDTree
 
 __all__ = ["NeighborIndex", "build_index"]
@@ -99,10 +103,12 @@ class NeighborIndex:
 def build_index(data: np.ndarray, k_max: int, backend: str = "brute") -> NeighborIndex:
     """Build the neighbour index for all k <= k_max.
 
-    backend "brute" scans blocked distance rows; "spatial" queries an
-    exact kd-tree. Both produce bit-identical lists.
+    backend "brute" ranks the entities of each compact block's candidate
+    set; "spatial" queries an exact kd-tree. Both produce bit-identical
+    lists. An entity is never its own neighbour, even when distances
+    overflow to inf. Raises ValueError on a non-finite value in `data`.
     """
-    x = np.ascontiguousarray(data, dtype=np.float64)
+    x = as_feature_matrix(data)
     n = x.shape[0]
     if k_max >= n:
         raise ValueError(f"k_max={k_max} must be at most n-1={n - 1}")
@@ -111,18 +117,36 @@ def build_index(data: np.ndarray, k_max: int, backend: str = "brute") -> Neighbo
     knn_idx = np.empty((n, k_max), dtype=np.int64)
     knn_d2 = np.empty((n, k_max), dtype=np.float64)
     if backend == "brute":
-        for start, block in squared_distance_blocks(x, x):
-            np.fill_diagonal(block[:, start:], np.inf)  # self is never a neighbour
-            rows = np.arange(block.shape[0])
-            # rank only the candidates at or below each row's k-th distance,
-            # by (d2, id), so ties straddling the k-th resolve to smaller ids
-            kth = np.partition(block, k_max - 1, axis=1)[:, k_max - 1]
-            row, col = np.nonzero(block <= kth[:, None])  # row-major: row ascends
-            d2 = block[row, col]
-            order = np.lexsort((col, d2, row))
-            take = order[np.searchsorted(row, rows)[:, None] + np.arange(k_max)]
-            knn_idx[start : start + rows.size] = col[take]
-            knn_d2[start : start + rows.size] = d2[take]
+        for ids, bound in compact_blocks(x):
+            candidates = np.arange(n)
+            near = ids.size + k_max
+            if near < n:
+                # a row's own distance is 0, so column k_max of a partition
+                # is its k-th distance to the others, or more when the row
+                # is not among `nearest`: tau bounds every row's k-th distance
+                nearest = np.argpartition(bound, near - 1)[:near]
+                tau = max(
+                    np.partition(block, k_max, axis=1)[:, k_max].max()
+                    for _, block in squared_distance_blocks(x[ids], x[nearest])
+                )
+                candidates = np.flatnonzero(bound <= tau)
+            for start, block in squared_distance_blocks(x[ids], x[candidates]):
+                rows = np.arange(block.shape[0])
+                own = ids[start : start + rows.size]
+                # the candidates hold the row itself and all within its k-th
+                # distance, so column k_max is that distance; rank only the
+                # candidates at or below it, by (d2, id), so ties straddling
+                # the k-th resolve to smaller ids; self is excluded by id, not
+                # by distance, which may overflow to inf like any other
+                kth = np.partition(block, k_max, axis=1)[:, k_max]
+                keep = block <= kth[:, None]
+                keep[rows, np.searchsorted(candidates, own)] = False
+                row, col = np.nonzero(keep)  # row-major: row ascends
+                d2 = block[row, col]
+                order = np.lexsort((col, d2, row))
+                take = order[np.searchsorted(row, rows)[:, None] + np.arange(k_max)]
+                knn_idx[own] = candidates[col[take]]
+                knn_d2[own] = d2[take]
     elif backend == "spatial":
         tree = KDTree(x)
         for i in range(n):

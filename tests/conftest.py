@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+import rnncluster.data
 from rnncluster import DataSet, load_dataset
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "data")
@@ -52,3 +53,18 @@ def two_rings() -> DataSet:
     )
     labels = np.repeat([0, 1], 20)
     return DataSet(points, labels, name="two_rings")
+
+
+@pytest.fixture
+def kernel_pairs(monkeypatch) -> list[int]:
+    """A one-item list counting the pairs the distance kernel evaluates."""
+    counted = [0]
+    kernel = rnncluster.data.row_squared_distances
+
+    def counting(rows, point):
+        out = kernel(rows, point)
+        counted[0] += out.size
+        return out
+
+    monkeypatch.setattr(rnncluster.data, "row_squared_distances", counting)
+    return counted

@@ -208,12 +208,14 @@ def full_sort_knn_oracle(x, k_max):
     compared bit for bit.
     """
     n = x.shape[0]
-    masked = np.empty((n, n), dtype=np.float64)
+    d2 = np.empty((n, n), dtype=np.float64)
     for i in range(n):
-        masked[i] = row_squared_distances(x, x[i])
-    np.fill_diagonal(masked, np.inf)  # self is never a neighbour
-    knn_idx = np.argsort(masked, axis=1, kind="stable")[:, :k_max]
-    return knn_idx, np.take_along_axis(masked, knn_idx, axis=1)
+        d2[i] = row_squared_distances(x, x[i])
+    ranked = np.argsort(d2, axis=1, kind="stable")
+    # self is never a neighbour: dropped by id, so it cannot win a tie at inf
+    others = ranked[ranked != np.arange(n)[:, None]].reshape(n, n - 1)
+    knn_idx = others[:, :k_max]
+    return knn_idx, np.take_along_axis(d2, knn_idx, axis=1)
 
 
 def make_cluster(index, start, k, visited):

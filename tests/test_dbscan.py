@@ -11,6 +11,7 @@ from rnncluster import (
     NOISE,
     dbscan,
     epsilon_neighborhood,
+    make_blobs,
     make_two_moons,
     pairwise_distance_extrema,
     range_standardize,
@@ -45,6 +46,8 @@ def test_everything_within_epsilon_is_one_cluster():
 def test_params_validation():
     with pytest.raises(ValueError):
         DbscanParams(epsilon=-1.0, min_pts=2)
+    with pytest.raises(ValueError):
+        DbscanParams(epsilon=np.nan, min_pts=2)
     with pytest.raises(ValueError):
         DbscanParams(epsilon=0.5, min_pts=0)
 
@@ -99,6 +102,26 @@ def test_neighborhood_lists_match_single_row_scans():
         assert len(lists) == x.shape[0]
         for i, members in enumerate(lists):
             np.testing.assert_array_equal(members, epsilon_neighborhood(x, i, eps))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_neighborhood_lists_reject_non_finite_data(bad):
+    x = np.random.default_rng(2).normal(size=(20, 2))
+    x[7, 1] = bad
+    with pytest.raises(ValueError, match=f"{bad} at row 7, column 1"):
+        neighborhood_lists(x, 1.0)
+
+
+@pytest.mark.parametrize("epsilon", [-1e-9, np.nan])
+def test_neighborhood_lists_reject_a_negative_or_nan_epsilon(epsilon):
+    with pytest.raises(ValueError, match="epsilon"):
+        neighborhood_lists(LINE, epsilon)
+
+
+def test_neighborhood_lists_prune_most_pairs(kernel_pairs):
+    x, _ = range_standardize(make_blobs(7, 500, 0.08).matrix)
+    neighborhood_lists(x, 4e-4)
+    assert 0 < kernel_pairs[0] < x.shape[0] ** 2 / 4
 
 
 def test_neighborhood_lists_are_symmetric():

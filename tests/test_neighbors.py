@@ -2,10 +2,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import full_sort_knn_oracle, influence_oracle, knn_oracle, rnn_oracle
-from rnncluster import KDTree, build_index
-from rnncluster.data import squared_distance_blocks
+from rnncluster import KDTree, build_index, epsilon_neighborhood, make_blobs, range_standardize
+from rnncluster.data import compact_blocks
+from rnncluster.dbscan import neighborhood_lists
 
 LINE = np.array([[0.0], [1.0], [2.0], [4.0], [8.0]])
 
@@ -107,7 +110,7 @@ def test_backends_are_bit_identical():
         if trial % 4 == 2:  # integer grid: many equal distances straddle the k-th
             x = np.round(x / x.std() * 1.5)
         k_max = min(int(rng.integers(1, 11)), n - 1)
-        multi_block += len(list(squared_distance_blocks(x, x))) > 1
+        multi_block += len(list(compact_blocks(x))) > 1
         brute = build_index(x, k_max, backend="brute")
         spatial = build_index(x, k_max, backend="spatial")
         oracle_idx, oracle_d2 = full_sort_knn_oracle(x, k_max)
@@ -115,6 +118,62 @@ def test_backends_are_bit_identical():
             np.testing.assert_array_equal(brute.knn_idx, idx)
             assert np.array_equal(brute.knn_d2.view(np.int64), d2.view(np.int64))
     assert multi_block >= 1
+
+
+def test_self_is_never_a_neighbour_when_distances_overflow():
+    # every squared distance overflows to inf, so only ids can order the rows
+    x = np.array([[0.0], [1e200], [2e200], [3e200]])
+    expected = [[1, 2], [0, 2], [0, 1], [0, 1]]
+    for backend in ("brute", "spatial"):
+        assert build_index(x, 2, backend=backend).knn_idx.tolist() == expected
+    assert full_sort_knn_oracle(x, 2)[0].tolist() == expected
+
+
+@pytest.mark.parametrize("backend", ["brute", "spatial"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_data_is_rejected(backend, bad):
+    x = np.random.default_rng(1).normal(size=(20, 3))
+    x[4, 2] = bad
+    with pytest.raises(ValueError, match=f"{bad} at row 4, column 2"):
+        build_index(x, 5, backend=backend)
+
+
+@st.composite
+def exactness_cases(draw):
+    """Tie-heavy data over several compact blocks, at scales from 1e-150 to
+    1e150, with k from 1 to n-1 and an epsilon equal to some pair's distance."""
+    n = draw(st.integers(2, 450))
+    m = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=(n, m))
+    if draw(st.booleans()):
+        x = np.round(2 * x)  # integer grid: ties everywhere
+    if draw(st.booleans()):
+        x[n // 2 :] = x[: n - n // 2]  # duplicated rows
+    x *= 10.0 ** draw(st.integers(-150, 150))
+    i, j = rng.integers(n, size=2)
+    epsilon = float(np.sum((x[i] - x[j]) ** 2))
+    return x, draw(st.integers(1, n - 1)), epsilon
+
+
+@given(exactness_cases())
+@settings(max_examples=120, deadline=None)
+def test_pruned_scans_match_full_scans(case):
+    x, k_max, epsilon = case
+    index = build_index(x, k_max)
+    oracle_idx, oracle_d2 = full_sort_knn_oracle(x, k_max)
+    np.testing.assert_array_equal(index.knn_idx, oracle_idx)
+    assert np.array_equal(index.knn_d2.view(np.int64), oracle_d2.view(np.int64))
+    lists = neighborhood_lists(x, epsilon)
+    assert len(lists) == x.shape[0]
+    for i, members in enumerate(lists):
+        np.testing.assert_array_equal(members, epsilon_neighborhood(x, i, epsilon))
+
+
+def test_build_prunes_most_pairs(kernel_pairs):
+    x, _ = range_standardize(make_blobs(7, 500, 0.08).matrix)
+    build_index(x, 10)
+    assert 0 < kernel_pairs[0] < x.shape[0] ** 2 / 4
 
 
 def test_rebuild_is_deterministic():
