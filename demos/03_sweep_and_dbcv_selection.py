@@ -48,7 +48,7 @@ rows = [{
     "algorithm": "dbscrn",
     "approximate": True,  # generated stand-in, flagged in every report
     "best_ari": best,
-    "dbcv_selected": selection | {"deterministic": True},
+    "dbcv_selected": selection,
     "timing": None,
 }]
 paths = write_reports(rows, OUT)

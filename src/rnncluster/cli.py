@@ -9,6 +9,12 @@ report   aggregate sweep JSON files into result tables
 bench    sequential wall-clock timing at pinned parameters
 gen      write a labeled synthetic dataset as CSV
 
+The commands hold no clustering or scoring logic of their own: `cluster`
+and `bench` fit through the sweep module's fit path (so k >= n is clamped
+the same way everywhere), the sweep CSV names parameters as the sweep JSON
+does, and `report` computes best-ARI and the DBCV selection with the same
+summaries as `sweep`, DBCV ties going to the smaller parameters.
+
 A config file of KEY=VALUE lines (`--config`) can pin defaults for data
 paths, parameters, seeds and the output directory; explicit flags override
 config values.
@@ -21,18 +27,19 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .data import load_dataset, range_standardize
-from .dbscan import DbscanParams, dbscan
-from .dbscrn import DbscrnParams, dbscrn
-from .isdbscan import IsdbscanParams, isdbscan
+from .dbscan import DbscanParams
+from .dbscrn import DbscrnParams
+from .isdbscan import IsdbscanParams
 from .kmeans import KmeansParams, kmeans
-from .neighbors import build_index
 from .plotting import plot_clustering
 from .sweep import (
     BenchSpec,
     SweepSpec,
+    _fit,
+    _params_dict,
+    _prepare,
+    _sweep_from_json,
     bench,
     best_ari_summary,
     dbcv_selection_summary,
@@ -188,16 +195,10 @@ def _cmd_cluster(args) -> int:
     dataset = _load(args)
     x, _ = range_standardize(dataset.matrix)
     params = _algo_params(args)
-    if args.algo == "dbscan":
-        clustering = dbscan(x, params, seed=args.seed)
-    elif args.algo == "isdbscan":
-        index = build_index(x, k_max=min(params.k, x.shape[0] - 1))
-        clustering = isdbscan(x, index, params)
-    elif args.algo == "dbscrn":
-        index = build_index(x, k_max=min(params.k, x.shape[0] - 1))
-        clustering = dbscrn(x, index, params)
-    else:
+    if args.algo == "kmeans":
         clustering = kmeans(x, params)
+    else:
+        clustering = _fit(x, _prepare(x, params), params, args.seed)
     os.makedirs(args.out, exist_ok=True)
     labels_path = os.path.join(args.out, f"{dataset.name}_{args.algo}_labels.csv")
     write_labels_csv(labels_path, clustering)
@@ -229,10 +230,7 @@ def _cmd_sweep(args) -> int:
     with open(csv_path, "w", encoding="utf-8") as handle:
         handle.write("params,run,seed,n_clusters,n_noise,dbcv,ari,cluster_seconds,dbcv_seconds\n")
         for r in result.records:
-            params = ";".join(f"{k}={v}" for k, v in sorted(
-                (("epsilon", r.params.epsilon), ("min_pts", r.params.min_pts))
-                if args.algo == "dbscan" else (("k", r.params.k),)
-            ))
+            params = ";".join(f"{k}={v}" for k, v in sorted(_params_dict(r.params).items()))
             ari = "" if r.ari is None else f"{r.ari:.6f}"
             seed = "" if r.seed is None else r.seed
             handle.write(
@@ -258,52 +256,16 @@ def _cmd_report(args) -> int:
                 f"{path}: sweep JSON schema_version {payload.get('schema_version')!r} "
                 "is not supported; re-run `rnncluster sweep` (schema 2)"
             )
-        records = payload["records"]
-        has_truth = all(r["ari"] is not None for r in records)
-        deterministic = payload["algorithm"] == "dbscrn"
-        row = {
+        sweep = _sweep_from_json(payload)
+        labeled = all(r.ari is not None for r in sweep.records)
+        rows.append({
             "dataset": payload["dataset"],
             "algorithm": payload["algorithm"],
             "approximate": False,
-            "best_ari": None,
-            "dbcv_selected": None,
-            "timing": timing_summary([r["cluster_seconds"] for r in records]),
-        }
-        if has_truth:
-            by_params: dict[str, list] = {}
-            for r in records:
-                by_params.setdefault(json.dumps(r["params"], sort_keys=True), []).append(r)
-            best = max(by_params.values(), key=lambda rs: max(r["ari"] for r in rs))
-            aris = np.array([r["ari"] for r in best])
-            row["best_ari"] = {
-                "params": best[0]["params"],
-                "mean": None if deterministic else float(aris.mean()),
-                "std": None if deterministic else float(aris.std()),
-                "max": float(aris.max()),
-                "deterministic": deterministic,
-            }
-            runs = sorted({r["run"] for r in records})
-            per_run = []
-            for run in runs:
-                best_key = None
-                chosen = None
-                # records are stored in grid order (ascending parameters),
-                # so position breaks DBCV ties toward smaller parameters
-                for pos, r in enumerate(records):
-                    if r["run"] != run:
-                        continue
-                    key = (-r["dbcv"], pos)
-                    if best_key is None or key < best_key:
-                        best_key, chosen = key, r
-                per_run.append(chosen["ari"])
-            per_run = np.array(per_run)
-            row["dbcv_selected"] = {
-                "mean": None if deterministic else float(per_run.mean()),
-                "std": None if deterministic else float(per_run.std()),
-                "max": float(per_run.max()),
-                "deterministic": deterministic,
-            }
-        rows.append(row)
+            "best_ari": best_ari_summary(sweep) if labeled else None,
+            "dbcv_selected": dbcv_selection_summary(sweep) if labeled else None,
+            "timing": timing_summary([r["cluster_seconds"] for r in payload["records"]]),
+        })
     paths = write_reports(rows, args.out)
     for name, path in paths.items():
         print(f"{name}: {path}")

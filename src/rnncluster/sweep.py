@@ -16,14 +16,22 @@ lists, both streamed from the blocked distance kernel in O(block * n)
 memory, are amortized across the grid by design and timed in neither
 field. `bench` is the rigorous protocol: sequential runs, each timed
 end-to-end including that run's own index build and DBCV evaluation.
+
+Sweeps, `bench` and the CLI's `cluster` share one fit path: `_prepare`
+builds what a fit reads (a kNN index with k_max = min(k, n - 1), or the
+epsilon-lists) and `_fit` runs one fit from it. The summaries read only
+the algorithm and each record's params, run, DBCV score and ARI, so the
+CLI's `report` feeds them the records of a sweep JSON (`_sweep_from_json`).
 """
 
 from __future__ import annotations
 
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -55,7 +63,8 @@ __all__ = [
     "write_reports",
 ]
 
-ALGORITHMS = ("dbscan", "isdbscan", "dbscrn")
+_PARAMS = {"dbscan": DbscanParams, "isdbscan": IsdbscanParams, "dbscrn": DbscrnParams}
+ALGORITHMS = tuple(_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -148,6 +157,17 @@ def _params_dict(params) -> dict:
     return {"k": params.k}
 
 
+def _sweep_from_json(payload: dict) -> SimpleNamespace:
+    """What the summaries read of a sweep JSON: algorithm, params, run, DBCV, ARI."""
+    make_params = _PARAMS[payload["algorithm"]]  # inverts _params_dict
+    records = [
+        SimpleNamespace(params=make_params(**r["params"]), run=r["run"],
+                        dbcv_score=r["dbcv"], ari=r["ari"])
+        for r in payload["records"]
+    ]
+    return SimpleNamespace(algorithm=payload["algorithm"], records=records)
+
+
 def _derived_seed(base_seed: int, point_index: int, run: int) -> int:
     """Machine-independent seed for (grid point, run)."""
     return int(np.random.SeedSequence((base_seed, point_index, run)).generate_state(1)[0])
@@ -165,17 +185,36 @@ def build_grid(spec: SweepSpec, x: np.ndarray) -> list:
             for eps in eps_values
             for min_pts in range(lo_pts, hi_pts + 1)
         ]
-    elif spec.algorithm == "isdbscan":
-        lo_k, hi_k = spec.isdbscan_k_range
-        grid = [IsdbscanParams(k=k) for k in range(lo_k, min(hi_k, n - 1) + 1)]
     else:
-        lo_k, hi_k = spec.dbscrn_k_range
-        grid = [DbscrnParams(k=k) for k in range(lo_k, min(hi_k, n - 1) + 1)]
+        lo_k, hi_k = (
+            spec.isdbscan_k_range if spec.algorithm == "isdbscan" else spec.dbscrn_k_range
+        )
+        grid = [_PARAMS[spec.algorithm](k=k) for k in range(lo_k, min(hi_k, n - 1) + 1)]
     if not grid:
         raise ValueError(
             f"empty parameter grid for {spec.algorithm} on n={n} entities after clamping"
         )
     return grid
+
+
+def _prepare(x, params):
+    """What a fit at `params` reads: the epsilon-lists, or a kNN index.
+
+    The index serves k_max = min(k, n - 1): ISDBSCAN answers k >= n with
+    all noise, and DBSCRN raises ValueError for a k the index cannot serve.
+    """
+    if isinstance(params, DbscanParams):
+        return neighborhood_lists(x, params.epsilon)
+    return build_index(x, k_max=min(params.k, x.shape[0] - 1))
+
+
+def _fit(x, prepared, params, seed) -> Clustering:
+    """One fit from `_prepare`'s output; `seed` drives DBSCAN and ISDBSCAN only."""
+    if isinstance(params, DbscanParams):
+        return dbscan_from_neighborhoods(prepared, params.min_pts, seed)
+    if isinstance(params, IsdbscanParams):
+        return isdbscan(x, prepared, replace(params, seed=seed))
+    return dbscrn(x, prepared, params)
 
 
 def _evaluate_chunk(x, truth, spec, grid, first_point_index):
@@ -184,33 +223,24 @@ def _evaluate_chunk(x, truth, spec, grid, first_point_index):
     # labels bytes -> (DBCV, ARI); x and truth are fixed within the chunk
     scores: dict[bytes, tuple[float, float | None]] = {}
     runs = 1 if spec.algorithm == "dbscrn" else spec.runs_per_setting
-    index = None
-    if spec.algorithm in ("isdbscan", "dbscrn"):
-        k_cap = max(p.k for p in grid)
-        index = build_index(x, k_max=min(k_cap, x.shape[0] - 1))
-
-    neigh_cache_eps = None
-    neigh_cache = None
+    # one index per chunk (for its largest k) and one set of lists per
+    # epsilon, built outside the timed regions: sweep timings cover the fit
+    # and DBCV only (bench times full runs)
+    knn = spec.algorithm != "dbscan"
+    prepared = _prepare(x, max(grid, key=lambda p: p.k)) if knn else None
+    prepared_eps = None
     for offset, params in enumerate(grid):
         point_index = first_point_index + offset
-        # shared per-point structures stay outside the timed regions: sweep
-        # timings cover the fit and DBCV only (bench times full runs)
-        if spec.algorithm == "dbscan" and neigh_cache_eps != params.epsilon:
-            neigh_cache = neighborhood_lists(x, params.epsilon)
-            neigh_cache_eps = params.epsilon
-        elif spec.algorithm in ("isdbscan", "dbscrn"):
-            index.rnn_csr(params.k)
+        if knn:
+            prepared.rnn_csr(params.k)
+        elif prepared_eps != params.epsilon:
+            prepared, prepared_eps = _prepare(x, params), params.epsilon
         for run in range(runs):
             seed = None if spec.algorithm == "dbscrn" else _derived_seed(
                 spec.base_seed, point_index, run
             )
             start = time.perf_counter()
-            if spec.algorithm == "dbscan":
-                clustering = dbscan_from_neighborhoods(neigh_cache, params.min_pts, seed)
-            elif spec.algorithm == "isdbscan":
-                clustering = isdbscan(x, index, replace(params, seed=seed))
-            else:
-                clustering = dbscrn(x, index, params)
+            clustering = _fit(x, prepared, params, seed)
             cluster_seconds = time.perf_counter() - start
             key = clustering.labels.tobytes()
             dbcv_seconds = 0.0
@@ -281,6 +311,7 @@ def best_ari_summary(result: SweepResult) -> dict:
 
     Mirrors the best-possible-recovery protocol: parameters are fixed at
     the ARI-maximizing grid point, statistics are over that point's runs.
+    Reads only `result.algorithm` and each record's params and ARI.
     """
     if not result.records or result.records[0].ari is None:
         raise ValueError("best_ari_summary needs ground-truth labels")
@@ -303,7 +334,9 @@ def dbcv_selection_summary(result: SweepResult) -> dict:
     """ARI of the DBCV-selected clustering, per repetition.
 
     Repetition r selects, among all grid points' run-r records, the one
-    with the highest DBCV score; its ARI is that repetition's outcome.
+    with the highest DBCV score (`select_best`: ties go to the smaller
+    parameters); its ARI is that repetition's outcome. Reads only
+    `result.algorithm` and each record's params, run, DBCV score and ARI.
     """
     runs = sorted({r.run for r in result.records})
     selected = []
@@ -351,6 +384,11 @@ class BenchSpec:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        if not isinstance(self.params, _PARAMS[self.algorithm]):
+            raise ValueError(
+                f"{self.algorithm} needs {_PARAMS[self.algorithm].__name__}, "
+                f"got {type(self.params).__name__}"
+            )
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
 
@@ -377,15 +415,7 @@ def bench(dataset: DataSet, spec: BenchSpec) -> BenchResult:
     for run in range(spec.runs):
         seed = _derived_seed(spec.base_seed, 0, run)
         start = time.perf_counter()
-        if spec.algorithm == "dbscan":
-            neigh = neighborhood_lists(x, spec.params.epsilon)
-            clustering = dbscan_from_neighborhoods(neigh, spec.params.min_pts, seed)
-        elif spec.algorithm == "isdbscan":
-            index = build_index(x, k_max=spec.params.k)
-            clustering = isdbscan(x, index, replace(spec.params, seed=seed))
-        else:
-            index = build_index(x, k_max=spec.params.k)
-            clustering = dbscrn(x, index, spec.params)
+        clustering = _fit(x, _prepare(x, spec.params), spec.params, seed)
         dbcv(x, clustering)
         seconds[run] = time.perf_counter() - start
     return BenchResult(algorithm=spec.algorithm, params=spec.params, seconds=seconds)
@@ -405,72 +435,43 @@ def _fmt(value) -> str:
     return f"{value:.4f}"
 
 
+def _shown_name(row) -> str:
+    return row["dataset"] + ("*" if row.get("approximate") else "")
+
+
+# file name, the row key holding its statistics, and their columns
+_TABLES = (
+    ("best_ari", "best_ari", ("mean", "std", "max")),
+    ("dbcv_selected_ari", "dbcv_selected", ("mean", "std", "max")),
+    ("timing", "timing", ("mean", "std", "max", "min")),
+)
+
+
 def write_reports(reports: list[dict], out_dir) -> dict:
     """Emit machine-readable tables and a text summary from report rows.
 
     Each row is a dict with keys: dataset, algorithm, approximate (bool),
     best_ari (dict or None), dbcv_selected (dict or None), timing (dict or
     None). Produces best_ari.{csv,json}, dbcv_selected_ari.{csv,json},
-    timing.{csv,json} and summary.txt in `out_dir`.
+    timing.{csv,json} and summary.txt in `out_dir`; a table's CSV skips
+    the rows whose statistics are None, its JSON holds every row.
     """
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     paths = {}
-
-    def _dump(name, header, row_fn):
+    for name, key, columns in _TABLES:
         csv_path = os.path.join(out_dir, f"{name}.csv")
         with open(csv_path, "w", encoding="utf-8") as handle:
-            handle.write(",".join(header) + "\n")
+            handle.write(",".join(("dataset", "algorithm") + columns) + "\n")
             for row in reports:
-                cells = row_fn(row)
-                if cells is not None:
-                    handle.write(",".join(cells) + "\n")
+                stats = row.get(key)
+                if stats is not None:
+                    cells = [_shown_name(row), row["algorithm"]]
+                    handle.write(",".join(cells + [_fmt(stats[c]) for c in columns]) + "\n")
         json_path = os.path.join(out_dir, f"{name}.json")
         with open(json_path, "w", encoding="utf-8") as handle:
             json.dump({"schema_version": 1, "kind": name, "rows": reports}, handle,
                       indent=2, default=_json_default)
         paths[name] = csv_path
-
-    def _ari_row(key):
-        def fn(row):
-            stats = row.get(key)
-            if stats is None:
-                return None
-            return [
-                row["dataset"] + ("*" if row.get("approximate") else ""),
-                row["algorithm"],
-                _fmt(stats["mean"]),
-                _fmt(stats["std"]),
-                _fmt(stats["max"]),
-            ]
-
-        return fn
-
-    def _timing_row(row):
-        stats = row.get("timing")
-        if stats is None:
-            return None
-        return [
-            row["dataset"] + ("*" if row.get("approximate") else ""),
-            row["algorithm"],
-            _fmt(stats["mean"]),
-            _fmt(stats["std"]),
-            _fmt(stats["max"]),
-            _fmt(stats["min"]),
-        ]
-
-    _dump("best_ari", ["dataset", "algorithm", "mean", "std", "max"], _ari_row("best_ari"))
-    _dump(
-        "dbcv_selected_ari",
-        ["dataset", "algorithm", "mean", "std", "max"],
-        _ari_row("dbcv_selected"),
-    )
-    _dump(
-        "timing",
-        ["dataset", "algorithm", "mean", "std", "max", "min"],
-        _timing_row,
-    )
 
     summary_path = os.path.join(out_dir, "summary.txt")
     with open(summary_path, "w", encoding="utf-8") as handle:
@@ -480,8 +481,7 @@ def write_reports(reports: list[dict], out_dir) -> dict:
             sel = row.get("dbcv_selected")
             tim = row.get("timing")
             handle.write(
-                f"{row['dataset']}{'*' if row.get('approximate') else ''}  "
-                f"{row['algorithm']}  "
+                f"{_shown_name(row)}  {row['algorithm']}  "
                 f"{_fmt(best['max']) if best else '-'}  "
                 f"{_fmt(sel['max']) if sel else '-'}  "
                 f"{_fmt(tim['mean']) if tim else '-'}\n"

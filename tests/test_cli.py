@@ -1,7 +1,17 @@
 import json
 
+import numpy as np
 import pytest
 
+from rnncluster import (
+    DataSet,
+    SweepSpec,
+    best_ari_summary,
+    dbcv_selection_summary,
+    make_blobs,
+    make_two_moons,
+    run_sweep,
+)
 from rnncluster.cli import main
 
 
@@ -73,6 +83,59 @@ def test_bench_writes_summary(tmp_path, capsys):
     payload = json.loads(next(out.glob("*_bench.json")).read_text())
     assert payload["summary"]["runs"] == 3
     assert len(payload["seconds"]) == 3
+
+
+def test_bench_and_cluster_clamp_k_to_n_minus_one(tmp_path, capsys):
+    data = tmp_path / "blobs20.csv"
+    np.savetxt(data, make_blobs(n_centers=2, points_per_center=10, spread=0.03, seed=1).matrix,
+               delimiter=",")
+    args = ["--data", str(data), "--algo", "isdbscan", "--k", "25", "--out", str(tmp_path)]
+    assert main(["cluster", *args]) == 0
+    assert "clusters: 0  noise: 20" in capsys.readouterr().out
+    assert main(["bench", *args, "--runs", "1"]) == 0
+    payload = json.loads(next(tmp_path.glob("*_bench.json")).read_text())
+    assert payload["summary"]["runs"] == 1
+
+
+def _report(tmp_path, result, records=None):
+    """Write `result` as sweep JSON (optionally with other records), report it."""
+    payload = result.to_json_dict()
+    if records is not None:
+        payload["records"] = records
+    sweep_json = tmp_path / f"{result.algorithm}_sweep.json"
+    sweep_json.write_text(json.dumps(payload))
+    out = tmp_path / "report"
+    assert main(["report", "--results", str(sweep_json), "--out", str(out)]) == 0
+    (row,) = json.loads((out / "best_ari.json").read_text())["rows"]
+    return row, out
+
+
+@pytest.mark.parametrize("spec", [
+    SweepSpec("dbscrn"),
+    SweepSpec("isdbscan", runs_per_setting=2),
+    SweepSpec("dbscan", runs_per_setting=2, eps_step=0.1),
+], ids=lambda s: s.algorithm)
+def test_report_uses_the_library_summaries(tmp_path, spec):
+    result = run_sweep(make_two_moons(n=120, density_ratio=3.0, seed=0), spec)
+    row, out = _report(tmp_path, result)
+    assert row["best_ari"] == best_ari_summary(result)
+    assert row["dbcv_selected"] == dbcv_selection_summary(result)
+    assert len((out / "dbcv_selected_ari.csv").read_text().splitlines()) == 2
+    # DBCV ties go to the smaller parameters, not to the earlier record
+    shuffled = result.to_json_dict()["records"][::-1]
+    row, _ = _report(tmp_path, result, records=shuffled)
+    assert row["dbcv_selected"] == dbcv_selection_summary(result)
+
+
+def test_report_on_an_unlabeled_sweep_writes_only_timing(tmp_path):
+    anon = DataSet(np.random.default_rng(0).normal(size=(30, 2)), name="anon")
+    row, out = _report(tmp_path, run_sweep(anon, SweepSpec("dbscrn")))
+    assert row["best_ari"] is None and row["dbcv_selected"] is None
+    assert (out / "best_ari.csv").read_text() == "dataset,algorithm,mean,std,max\n"
+    assert (out / "dbcv_selected_ari.csv").read_text() == "dataset,algorithm,mean,std,max\n"
+    timing = (out / "timing.csv").read_text().splitlines()
+    assert len(timing) == 2 and timing[1].startswith("anon,dbscrn,")
+    assert "anon  dbscrn  -  -  " in (out / "summary.txt").read_text()
 
 
 def test_config_file_supplies_defaults_and_flags_override(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import json
 import os
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ import pytest
 from rnncluster import (
     BenchSpec,
     DataSet,
+    DbscanParams,
     DbscrnParams,
+    IsdbscanParams,
     SweepSpec,
     bench,
     best_ari_summary,
@@ -238,3 +241,71 @@ def test_spec_validation():
         SweepSpec(algorithm="dbscan", eps_step=0.0)
     with pytest.raises(ValueError):
         BenchSpec(algorithm="kmeans", params=None)
+    with pytest.raises(ValueError, match="dbscan needs DbscanParams, got DbscrnParams"):
+        BenchSpec("dbscan", DbscrnParams(k=5))
+    with pytest.raises(ValueError, match="isdbscan needs IsdbscanParams, got DbscanParams"):
+        BenchSpec("isdbscan", DbscanParams(epsilon=0.1, min_pts=3))
+    with pytest.raises(ValueError, match="dbscrn needs DbscrnParams, got IsdbscanParams"):
+        BenchSpec("dbscrn", IsdbscanParams(k=5))
+
+
+def test_bench_clamps_k_to_n_minus_one():
+    twenty = make_blobs(n_centers=2, points_per_center=10, spread=0.03, seed=1)
+    result = bench(twenty, BenchSpec("isdbscan", IsdbscanParams(k=25), runs=1))
+    assert result.seconds.shape == (1,)
+
+
+# An outside tracer times a sweep's stages by swapping exactly these names in
+# rnncluster.sweep, so sweeps and bench must call the layers through them.
+LAYER_NAMES = ("build_index", "neighborhood_lists", "dbscan_from_neighborhoods", "isdbscan",
+               "dbscrn", "dbcv", "adjusted_rand_index", "select_best")
+FIT_LAYERS = {
+    "dbscan": ("neighborhood_lists", "dbscan_from_neighborhoods"),
+    "isdbscan": ("build_index", "isdbscan"),
+    "dbscrn": ("build_index", "dbscrn"),
+}
+
+
+@pytest.fixture
+def layer_calls(monkeypatch):
+    """name -> list of the kwargs of each call made through that module name."""
+    calls = defaultdict(list)
+    for name in LAYER_NAMES:
+        original = getattr(sweep_module, name)
+        assert original.__module__ != sweep_module.__name__  # the layer's own function
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name].append(kwargs)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(sweep_module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("spec", MEMO_SPECS, ids=lambda s: s.algorithm)
+def test_sweeps_call_the_layers_through_module_names(small_blobs, spec, layer_calls):
+    result = run_sweep(small_blobs, spec)
+    dbcv_selection_summary(result)
+    prepare, fit = FIT_LAYERS[spec.algorithm]
+    structures = len({r.params.epsilon for r in result.records}) if prepare != "build_index" else 1
+    distinct = len({r.labels.tobytes() for r in result.records})
+    assert len(layer_calls[prepare]) == structures
+    assert len(layer_calls[fit]) == len(result.records)
+    assert len(layer_calls["dbcv"]) == len(layer_calls["adjusted_rand_index"]) == distinct
+    assert len(layer_calls["select_best"]) == len({r.run for r in result.records})
+    unused = {name for pair in FIT_LAYERS.values() for name in pair} - {prepare, fit}
+    assert not any(layer_calls[name] for name in unused)
+
+
+@pytest.mark.parametrize("spec", [
+    BenchSpec("dbscan", DbscanParams(epsilon=0.01, min_pts=4), runs=3),
+    BenchSpec("isdbscan", IsdbscanParams(k=7), runs=3),
+    BenchSpec("dbscrn", DbscrnParams(k=7), runs=3),
+], ids=lambda s: s.algorithm)
+def test_bench_calls_the_layers_through_module_names(small_blobs, spec, layer_calls):
+    bench(small_blobs, spec)
+    prepare, fit = FIT_LAYERS[spec.algorithm]
+    assert len(layer_calls[prepare]) == len(layer_calls[fit]) == len(layer_calls["dbcv"]) == 3
+    if prepare == "build_index":
+        # each run builds its own index for exactly k (k < n): the timed protocol
+        assert all(kwargs["k_max"] == 7 for kwargs in layer_calls["build_index"])
