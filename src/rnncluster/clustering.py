@@ -50,10 +50,6 @@ class Clustering:
         return int(self.labels[mask].max()) + 1 if mask.any() else 0
 
     @property
-    def noise_mask(self) -> np.ndarray:
-        return self.labels == NOISE
-
-    @property
     def n_noise(self) -> int:
         return int(np.count_nonzero(self.labels == NOISE))
 

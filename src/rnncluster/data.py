@@ -152,7 +152,11 @@ def squared_distance_blocks(queries: np.ndarray, refs: np.ndarray):
     r = np.asarray(refs, dtype=np.float64)
     rows = max(1, _BLOCK_BYTES // max(1, 8 * r.size))
     for start in range(0, q.shape[0], rows):
-        yield start, row_squared_distances(r, q[start : start + rows, None, :])
+        # far-apart finite rows overflow to an inf distance, which every
+        # scan ranks like any other value, so the warning is noise
+        with np.errstate(over="ignore"):
+            block = row_squared_distances(r, q[start : start + rows, None, :])
+        yield start, block
 
 
 def compact_blocks(data: np.ndarray):
@@ -177,13 +181,17 @@ def compact_blocks(data: np.ndarray):
         ids = parts.pop()
         box = x[ids]
         lo, hi = box.min(axis=0), box.max(axis=0)
-        if ids.size <= _BLOCK_ROWS:
-            gap = np.maximum(np.maximum(lo - x, x - hi), 0.0)
-            yield ids, np.square(gap).max(axis=1)
-        else:
-            half = ids.size // 2
-            split = ids[np.argpartition(box[:, np.argmax(hi - lo)], half)]
-            parts += [split[half:], split[:half]]
+        # a width, gap or bound may overflow to inf like the kernel's
+        # distances; splits and bounds that read inf stay exact, so the
+        # warning is noise
+        with np.errstate(over="ignore"):
+            if ids.size > _BLOCK_ROWS:
+                half = ids.size // 2
+                split = ids[np.argpartition(box[:, np.argmax(hi - lo)], half)]
+                parts += [split[half:], split[:half]]
+                continue
+            bound = np.square(np.maximum(np.maximum(lo - x, x - hi), 0.0)).max(axis=1)
+        yield ids, bound
 
 
 def pairwise_squared_distances(matrix: np.ndarray) -> np.ndarray:

@@ -1,9 +1,11 @@
 """kNN, reverse-kNN and k-influence-space queries over a prebuilt index.
 
 The index stores, for every entity, its k_max nearest other entities sorted
-by (squared distance ascending, entity index ascending). Reverse lists for
-any k <= k_max are derived by inverting the kNN lists in O(n*k) and cached,
-so a parameter sweep over k reuses a single build.
+by (squared distance ascending, entity index ascending). For any k <= k_max
+it derives, in O(n*k) and cached per k, the reverse lists (`rnn_csr`) and
+the k-influence spaces IS_k(i) = NN_k(i) ∩ RNN_k(i) (`influence_csr`), so a
+parameter sweep over k reuses a single build and ISDBSCAN's repeated seeded
+runs at one k reuse one influence graph.
 
 Two construction backends exist and must produce bit-identical lists: an
 exact scan over the compact blocks of `data.compact_blocks` in
@@ -41,7 +43,8 @@ class NeighborIndex:
         self.knn_idx = knn_idx
         self.knn_d2 = knn_d2
         self.backend = backend
-        self._rnn_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        # ("rnn" or "influence", k) -> that k's CSR arrays
+        self._per_k: dict[tuple[str, int], tuple[np.ndarray, ...]] = {}
 
     @property
     def n(self) -> int:
@@ -49,7 +52,7 @@ class NeighborIndex:
 
     def _check_k(self, k: int) -> None:
         if not 1 <= k <= self.k_max:
-            raise ValueError(f"k={k} outside the supported range 1..{self.k_max}")
+            raise ValueError(f"k={k} outside the index's range 1..k_max={self.k_max}")
 
     def check_data(self, data) -> None:
         """Raise unless `data` has the shape of the matrix the index was built on."""
@@ -72,18 +75,15 @@ class NeighborIndex:
         cached; `rnn` and `rnn_sizes` (DBSCRN's density counts) read it.
         """
         self._check_k(k)
-        cached = self._rnn_cache.get(k)
-        if cached is not None:
-            return cached
-        flat = self.knn_idx[:, :k].ravel()
-        sizes = np.bincount(flat, minlength=self.n)
-        offsets = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(sizes, out=offsets[1:])
-        # stable sort keeps positions ascending, so members stay id-sorted
-        members = np.argsort(flat, kind="stable") // k
-        csr = (offsets, members.astype(np.int64), sizes)
-        self._rnn_cache[k] = csr
-        return csr
+        if ("rnn", k) not in self._per_k:
+            flat = self.knn_idx[:, :k].ravel()
+            sizes = np.bincount(flat, minlength=self.n)
+            offsets = np.zeros(self.n + 1, dtype=np.int64)
+            np.cumsum(sizes, out=offsets[1:])
+            # stable sort keeps positions ascending, so members stay id-sorted
+            members = np.argsort(flat, kind="stable") // k
+            self._per_k["rnn", k] = (offsets, members.astype(np.int64), sizes)
+        return self._per_k["rnn", k]
 
     def rnn(self, i: int, k: int) -> np.ndarray:
         """Entities having i among their k nearest; ascending ids, may be empty."""
@@ -94,10 +94,31 @@ class NeighborIndex:
         """|RNN_k(i)| for every entity i."""
         return self.rnn_csr(k)[2]
 
+    def influence_csr(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The influence graph for one k, in CSR form: (offsets, members).
+
+        Row i, members[offsets[i]:offsets[i+1]], is i itself, then IS_k(i)
+        = NN_k(i) ∩ RNN_k(i) in kNN order. The relation is mutual kNN, so
+        the graph is symmetric. Built once per k and cached; ISDBSCAN and
+        `influence_space` read it.
+        """
+        self._check_k(k)
+        if ("influence", k) not in self._per_k:
+            n = self.n
+            # row i is i itself, then NN_k(i); the pairs found both ways are i and IS_k(i)
+            nbrs = np.column_stack([np.arange(n), self.knn_idx[:, :k]]).ravel()
+            ids = np.repeat(np.arange(n), k + 1)
+            keys, reverse = ids * n + nbrs, np.sort(nbrs * n + ids)
+            mutual = reverse[np.minimum(np.searchsorted(reverse, keys), keys.size - 1)] == keys
+            offsets = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(mutual.reshape(n, k + 1).sum(axis=1), out=offsets[1:])
+            self._per_k["influence", k] = (offsets, nbrs[mutual])
+        return self._per_k["influence", k]
+
     def influence_space(self, i: int, k: int) -> np.ndarray:
         """NN_k(i) intersected with RNN_k(i); ascending ids, size <= k."""
-        self._check_k(k)
-        return np.intersect1d(self.knn(i, k), self.rnn(i, k), assume_unique=True)
+        offsets, members = self.influence_csr(k)
+        return np.sort(members[offsets[i] + 1 : offsets[i + 1]])
 
 
 def build_index(data: np.ndarray, k_max: int, backend: str = "brute") -> NeighborIndex:

@@ -21,13 +21,14 @@ _PALETTE = [
     "#c49c94", "#f7b6d2", "#c7c7c7", "#dbdb8d", "#9edae5",
 ]
 _NOISE_COLOR = "#d62728"
+_SIZE = 640  # width and height of the square canvas, in pixels
 
 
 def _f(value: float) -> str:
     return f"{value:.3f}"
 
 
-def render_svg(points: np.ndarray, clustering: Clustering, size: int = 640) -> str:
+def render_svg(points: np.ndarray, clustering: Clustering) -> str:
     """Render a clustering of 2-D points as an SVG document string."""
     x = np.asarray(points, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != 2:
@@ -39,18 +40,18 @@ def render_svg(points: np.ndarray, clustering: Clustering, size: int = 640) -> s
     margin = 40.0
     span = x.max(axis=0) - x.min(axis=0)
     span[span == 0] = 1.0
-    scale = (size - 2 * margin) / span
+    scale = (_SIZE - 2 * margin) / span
     origin = x.min(axis=0)
 
     def to_px(p):
         px = margin + (p[0] - origin[0]) * scale[0]
-        py = size - margin - (p[1] - origin[1]) * scale[1]  # flip y for SVG
+        py = _SIZE - margin - (p[1] - origin[1]) * scale[1]  # flip y for SVG
         return px, py
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE}" height="{_SIZE}" '
+        f'viewBox="0 0 {_SIZE} {_SIZE}">',
+        f'<rect width="{_SIZE}" height="{_SIZE}" fill="white"/>',
     ]
     for i in range(x.shape[0]):
         px, py = to_px(x[i])

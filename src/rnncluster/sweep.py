@@ -14,8 +14,13 @@ partitions have equal bytes, and a repeat reuses the stored scores with
 `dbcv_seconds` 0.0. The shared index and each epsilon's neighbourhood
 lists, both streamed from the blocked distance kernel in O(block * n)
 memory, are amortized across the grid by design and timed in neither
-field. `bench` is the rigorous protocol: sequential runs, each timed
-end-to-end including that run's own index build and DBCV evaluation.
+field; so is each k's reverse-kNN inversion (`rnn_csr`), built before the
+k's first fit whichever kNN algorithm runs. ISDBSCAN's influence graph is
+built by the index on first use and cached per k, so the first run at
+each k pays that one build inside its `cluster_seconds` and the other
+seeded runs reuse it. `bench` is the rigorous protocol: sequential runs,
+each timed end-to-end including that run's own index build (and so its
+own influence graph) and DBCV evaluation.
 
 Sweeps, `bench` and the CLI's `cluster` share one fit path: `_prepare`
 builds what a fit reads (a kNN index with k_max = min(k, n - 1), or the
@@ -65,6 +70,8 @@ __all__ = [
 
 _PARAMS = {"dbscan": DbscanParams, "isdbscan": IsdbscanParams, "dbscrn": DbscrnParams}
 ALGORITHMS = tuple(_PARAMS)
+# the evaluation protocol's fixed k grids, inclusive, clamped to n - 1
+K_RANGES = {"isdbscan": (5, 25), "dbscrn": (3, 30)}
 
 
 @dataclass(frozen=True)
@@ -73,8 +80,8 @@ class SweepSpec:
 
     Defaults follow the evaluation protocol: DBSCAN sweeps MinPts 3..20
     crossed with epsilon from the minimum to the maximum pairwise squared
-    distance in steps of `eps_step`; ISDBSCAN sweeps k 5..25; DBSCRN
-    sweeps k 3..30. k grids are clamped to n-1.
+    distance in steps of `eps_step`; ISDBSCAN and DBSCRN sweep the fixed
+    k grids of `K_RANGES` (5..25 and 3..30), clamped to n-1.
     """
 
     algorithm: str
@@ -83,8 +90,6 @@ class SweepSpec:
     eps_step: float = 0.1
     eps_range: tuple[float, float] | None = None  # default: pairwise extrema
     min_pts_range: tuple[int, int] = (3, 20)
-    isdbscan_k_range: tuple[int, int] = (5, 25)
-    dbscrn_k_range: tuple[int, int] = (3, 30)
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
@@ -121,10 +126,9 @@ class SweepResult:
     standardization: StandardizationReport
     records: list[SweepRecord] = field(default_factory=list)
 
-    def to_json_dict(self, include_labels: bool = False) -> dict:
-        records = []
-        for r in self.records:
-            entry = {
+    def to_json_dict(self) -> dict:
+        records = [
+            {
                 "params": _params_dict(r.params),
                 "run": r.run,
                 "seed": r.seed,
@@ -135,9 +139,8 @@ class SweepResult:
                 "cluster_seconds": r.cluster_seconds,
                 "dbcv_seconds": r.dbcv_seconds,
             }
-            if include_labels:
-                entry["labels"] = r.labels.tolist()
-            records.append(entry)
+            for r in self.records
+        ]
         return {
             "schema_version": 2,
             "kind": "sweep",
@@ -186,9 +189,7 @@ def build_grid(spec: SweepSpec, x: np.ndarray) -> list:
             for min_pts in range(lo_pts, hi_pts + 1)
         ]
     else:
-        lo_k, hi_k = (
-            spec.isdbscan_k_range if spec.algorithm == "isdbscan" else spec.dbscrn_k_range
-        )
+        lo_k, hi_k = K_RANGES[spec.algorithm]
         grid = [_PARAMS[spec.algorithm](k=k) for k in range(lo_k, min(hi_k, n - 1) + 1)]
     if not grid:
         raise ValueError(
@@ -311,14 +312,17 @@ def best_ari_summary(result: SweepResult) -> dict:
 
     Mirrors the best-possible-recovery protocol: parameters are fixed at
     the ARI-maximizing grid point, statistics are over that point's runs.
-    Reads only `result.algorithm` and each record's params and ARI.
+    Points tied on the best ARI resolve to the smaller parameters, as in
+    `select_best`, so record order does not matter. Reads only
+    `result.algorithm` and each record's params and ARI.
     """
     if not result.records or result.records[0].ari is None:
         raise ValueError("best_ari_summary needs ground-truth labels")
     by_point: dict[tuple, list[SweepRecord]] = {}
     for r in result.records:
         by_point.setdefault(tuple(sorted(_params_dict(r.params).items())), []).append(r)
-    best_point = max(by_point.values(), key=lambda rs: max(r.ari for r in rs))
+    scored = [(rs[0].params, rs, max(r.ari for r in rs)) for rs in by_point.values()]
+    _, best_point = select_best(scored)
     aris = np.array([r.ari for r in best_point])
     deterministic = result.algorithm == "dbscrn"
     return {

@@ -121,9 +121,10 @@ def test_report_uses_the_library_summaries(tmp_path, spec):
     assert row["best_ari"] == best_ari_summary(result)
     assert row["dbcv_selected"] == dbcv_selection_summary(result)
     assert len((out / "dbcv_selected_ari.csv").read_text().splitlines()) == 2
-    # DBCV ties go to the smaller parameters, not to the earlier record
+    # ARI and DBCV ties go to the smaller parameters, not to the earlier record
     shuffled = result.to_json_dict()["records"][::-1]
     row, _ = _report(tmp_path, result, records=shuffled)
+    assert row["best_ari"] == best_ari_summary(result)
     assert row["dbcv_selected"] == dbcv_selection_summary(result)
 
 

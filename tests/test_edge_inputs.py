@@ -1,5 +1,7 @@
 """DBSCRN, ISDBSCAN and DBSCAN on degenerate inputs, checked against the oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -44,3 +46,23 @@ def test_degenerate_inputs_match_the_oracles(name):
             for seed in range(3):
                 got = dbscan_from_neighborhoods(neigh, min_pts, seed).labels
                 assert got.tolist() == dbscan_bfs_oracle(neigh, min_pts, seed)
+
+
+# finite rows whose distances, box gaps or box widths overflow float64
+OVERFLOWING = {
+    "powers-of-1.5": (1.5 ** np.arange(1500.0))[:, None],
+    "plus-minus-1e308": np.array([[1e308], [-1e308], [0.0], [1.0], [2.0]]),
+    "plus-minus-1e308-over-blocks": np.r_[1e308, -1e308, np.arange(298.0)][:, None],
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOWING))
+def test_overflowing_distances_raise_no_warning(name):
+    # an overflowed distance is inf by design, so numpy's warning is noise
+    x = OVERFLOWING[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        index = build_index(x, k_max=4)
+        neighborhood_lists(x, 1.0)
+        dbscrn(x, index, DbscrnParams(k=4))
+        pairwise_distance_extrema(x)

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from rnncluster import (
     isdbscan,
     range_standardize,
 )
+from rnncluster.clustering import claim_in_draw_order
 
 
 def test_guard_failure_returns_empty_set():
@@ -93,6 +96,25 @@ def test_fixed_seed_reproducible_and_seeds_differ():
         isdbscan(x, index, IsdbscanParams(k=5, seed=seed)).labels.tobytes() for seed in range(20)
     }
     assert len(labelings) > 1
+
+
+def test_repeated_fits_at_one_k_build_the_influence_graph_once(monkeypatch):
+    x = np.random.default_rng(5).normal(size=(80, 2))
+    index = build_index(x, k_max=6)
+    graphs = []
+
+    def spy(offsets, members, dense, order):
+        graphs.append((offsets, members))
+        return claim_in_draw_order(offsets, members, dense, order)
+
+    # the package exports the function under the module's name
+    monkeypatch.setattr(importlib.import_module("rnncluster.isdbscan"),
+                        "claim_in_draw_order", spy)
+    for seed in range(5):
+        isdbscan(x, index, IsdbscanParams(k=5, seed=seed))
+    offsets, members = index.influence_csr(5)
+    assert len(graphs) == 5
+    assert all(o is offsets and m is members for o, m in graphs)
 
 
 def test_k_beyond_index_capacity_raises():

@@ -95,6 +95,7 @@ def test_matches_plain_loop_oracle():
             assert index.knn(i, k_max).tolist() == knn_oracle(x, i, k_max)
             for k in (1, k_max):
                 assert index.rnn(i, k).tolist() == rnn_oracle(x, i, k)
+            for k in range(1, k_max + 1):
                 assert index.influence_space(i, k).tolist() == influence_oracle(x, i, k)
 
 
