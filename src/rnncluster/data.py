@@ -9,7 +9,11 @@ squared units.
 One blocked kernel, `squared_distance_blocks`, serves every scan over
 many rows in O(block * n) memory. It evaluates the same expression as
 `row_squared_distances`, so a pair's distance is bit-identical on every
-path, which keeps index tie-breaking exact.
+path, which keeps index tie-breaking exact. That expression adds the
+squared feature differences feature by feature over whole arrays, in a
+fixed two-lane order: the order of the numpy einsum the package used
+before, so every distance keeps the einsum's floats, now without a
+per-pair inner-product call and independent of numpy's SIMD dispatch.
 
 `compact_blocks` orders the rows into spatially compact blocks and gives
 every row a lower bound on its distance to any row of a block (the
@@ -22,6 +26,7 @@ the pruning is exact.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +45,7 @@ __all__ = [
     "squared_euclidean",
 ]
 
-# bytes of difference vectors one block of `squared_distance_blocks` may hold
+# bytes of one block of `squared_distance_blocks`, counted as m floats per pair
 _BLOCK_BYTES = 4 * 2**20
 # most rows in one block of `compact_blocks`
 _BLOCK_ROWS = 128
@@ -136,9 +141,50 @@ def row_squared_distances(rows: np.ndarray, point: np.ndarray) -> np.ndarray:
     The package's one distance expression: `squared_distance_blocks`
     broadcasts it over a block of points, so equal pairs always produce
     bit-identical floats and index tie-breaking is exact.
+
+    The squares of the m feature differences are added one feature at a
+    time over whole arrays, in two lanes (even and odd features). While 8
+    or more features remain, lane l adds features pos+6+l, pos+4+l,
+    pos+2+l and pos+l, in that order; the remaining features go to their
+    lane in pairs, and the result is lane 0 + lane 1. This is the order of
+    numpy's two-lane einsum reduction, which the package used before, so
+    the floats are the einsum's; written out, they no longer depend on
+    which SIMD loop numpy dispatches to. A distance that overflows is inf,
+    which every scan ranks like any other value, so the kernel raises no
+    overflow warning.
     """
-    diff = rows - point
-    return np.einsum("...j,...j->...", diff, diff)
+    rows, point = np.asarray(rows), np.asarray(point)
+    with np.errstate(over="ignore"):
+        lane0, lane1 = (_lane_sum(rows, point, features) for features in _lanes(rows.shape[-1]))
+        lane0 += lane1  # lane 0 is a result of this call, never an input
+        return lane0
+
+
+@functools.lru_cache(maxsize=64)
+def _lanes(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The features of each lane of `row_squared_distances`, in the order they are added."""
+    body = m - m % 8
+    return tuple(
+        tuple(
+            [pos + offset + lane for pos in range(0, body, 8) for offset in (6, 4, 2, 0)]
+            + list(range(body + lane, m, 2))
+        )
+        for lane in (0, 1)
+    )
+
+
+def _lane_sum(rows: np.ndarray, point: np.ndarray, features: tuple[int, ...]):
+    """Sum of the squared differences of `features`, added left to right."""
+    total = None
+    for j in features:
+        square = rows[..., j] - point[..., j]
+        square *= square
+        if total is None:
+            total = square
+        else:
+            total += square
+    # an empty lane adds +0.0, which leaves every square unchanged
+    return 0.0 if total is None else total
 
 
 def squared_distance_blocks(queries: np.ndarray, refs: np.ndarray):
@@ -152,11 +198,7 @@ def squared_distance_blocks(queries: np.ndarray, refs: np.ndarray):
     r = np.asarray(refs, dtype=np.float64)
     rows = max(1, _BLOCK_BYTES // max(1, 8 * r.size))
     for start in range(0, q.shape[0], rows):
-        # far-apart finite rows overflow to an inf distance, which every
-        # scan ranks like any other value, so the warning is noise
-        with np.errstate(over="ignore"):
-            block = row_squared_distances(r, q[start : start + rows, None, :])
-        yield start, block
+        yield start, row_squared_distances(r, q[start : start + rows, None, :])
 
 
 def compact_blocks(data: np.ndarray):

@@ -52,7 +52,10 @@ class KDTree:
             self._points[node] = indices
             return node
         coords = self.data[indices]
-        spread = coords.max(axis=0) - coords.min(axis=0)
+        # a spread of far-apart finite rows overflows to inf, which still
+        # names the widest axis, so the warning is noise
+        with np.errstate(over="ignore"):
+            spread = coords.max(axis=0) - coords.min(axis=0)
         axis = int(np.argmax(spread))
         if spread[axis] == 0.0:
             # all points identical: nothing to split on
@@ -78,6 +81,8 @@ class KDTree:
         if k < 1:
             raise ValueError("k must be >= 1")
         point = np.asarray(point, dtype=np.float64)
+        # Python floats overflow to inf without a warning, like the kernel
+        coords = point.tolist()
         # max-heap on (d2, index) via negation; heap[0] is the worst kept
         heap: list[tuple[float, int]] = []
         stack: list[tuple[int, float]] = [(self._root, 0.0)]
@@ -99,7 +104,7 @@ class KDTree:
                 continue
             axis = self._axis[node]
             split = self._split[node]
-            delta = point[axis] - split
+            delta = coords[axis] - split
             if delta <= 0.0:
                 near, far = self._left[node], self._right[node]
             else:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import Clustering, canonicalize_labels
-from .data import row_squared_distances
+from .data import row_squared_distances, squared_distance_blocks
 
 __all__ = ["KmeansParams", "kmeans", "lloyd"]
 
@@ -34,8 +34,11 @@ class KmeansParams:
 
 
 def _assign(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    d2 = np.stack([row_squared_distances(x, c) for c in centroids], axis=1)
-    return np.argmin(d2, axis=1)
+    """Index of each row's nearest centroid; ties go to the smaller index."""
+    labels = np.empty(x.shape[0], dtype=np.int64)
+    for start, block in squared_distance_blocks(x, centroids):
+        labels[start : start + block.shape[0]] = np.argmin(block, axis=1)
+    return labels
 
 
 def _objective(x: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> float:
@@ -65,8 +68,7 @@ def lloyd(
         # reseed empty clusters with the entity farthest from its centroid
         counts = np.bincount(new_labels, minlength=k)
         for empty in np.flatnonzero(counts == 0).tolist():
-            diff = x - centroids[new_labels]
-            residual = np.einsum("ij,ij->i", diff, diff)
+            residual = row_squared_distances(x, centroids[new_labels])
             residual[counts[new_labels] <= 1] = -1.0  # do not empty another cluster
             runaway = int(np.argmax(residual))
             counts[new_labels[runaway]] -= 1

@@ -54,6 +54,10 @@ class NeighborIndex:
         if not 1 <= k <= self.k_max:
             raise ValueError(f"k={k} outside the index's range 1..k_max={self.k_max}")
 
+    def _check_entity(self, i: int) -> None:
+        if not 0 <= i < self.n:
+            raise ValueError(f"entity i={i} outside the index's range 0..n-1 (n={self.n})")
+
     def check_data(self, data) -> None:
         """Raise unless `data` has the shape of the matrix the index was built on."""
         if np.shape(data) != self.data.shape:
@@ -64,6 +68,7 @@ class NeighborIndex:
 
     def knn(self, i: int, k: int) -> np.ndarray:
         """The k nearest entities to entity i, nearest first."""
+        self._check_entity(i)
         self._check_k(k)
         return self.knn_idx[i, :k]
 
@@ -87,6 +92,7 @@ class NeighborIndex:
 
     def rnn(self, i: int, k: int) -> np.ndarray:
         """Entities having i among their k nearest; ascending ids, may be empty."""
+        self._check_entity(i)
         offsets, members, _ = self.rnn_csr(k)
         return members[offsets[i] : offsets[i + 1]]
 
@@ -117,6 +123,7 @@ class NeighborIndex:
 
     def influence_space(self, i: int, k: int) -> np.ndarray:
         """NN_k(i) intersected with RNN_k(i); ascending ids, size <= k."""
+        self._check_entity(i)
         offsets, members = self.influence_csr(k)
         return np.sort(members[offsets[i] + 1 : offsets[i + 1]])
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import einsum_squared_distances_oracle
 from rnncluster import (
     DataSet,
     load_dataset,
@@ -94,6 +95,56 @@ def test_distance_blocks_match_the_row_kernel_bitwise():
         for start, block in blocks:
             want = [row_squared_distances(refs, q) for q in queries[start : start + len(block)]]
             assert np.array_equal(block.view(np.int64), np.array(want).view(np.int64))
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+@st.composite
+def kernel_rows(draw):
+    """Rows of 1..40 features: normal, or on an integer grid with duplicated
+    rows, scaled by powers of ten from 1e-170 to 1e170 (one for all entries,
+    one per row or one per entry), so squares overflow to inf and underflow
+    to 0."""
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=(n, m))
+    if draw(st.booleans()):
+        x = np.round(3 * x)
+        x[n // 2 :] = x[: n - n // 2]
+    shape = draw(st.sampled_from([(1, 1), (n, 1), (n, m)]))
+    return x * 10.0 ** rng.integers(-170, 171, size=shape)
+
+
+@given(kernel_rows())
+@example(np.array([[1e160] * 9, [-1e160] * 9, [1.0] * 9]))  # every square overflows
+@example(np.array([[1e-170] * 9, [0.0] * 9, [3e-160] * 9]))  # squares underflow to 0
+@settings(max_examples=300, deadline=None)
+def test_kernel_keeps_the_einsum_floats(x):
+    # the lane order reproduces the replaced einsum kernel bit for bit, at
+    # every feature count: the unrolled body (m >= 8) and odd tails
+    scalar = row_squared_distances(x[0], x[-1])
+    assert np.ndim(scalar) == 0
+    assert _bits(scalar) == _bits(einsum_squared_distances_oracle(x[0], x[-1]))
+    for rows, point in [(x, x[-1]), (x, x[:, None, :]), (x[:1], x[:, None, :])]:
+        got = row_squared_distances(rows, point)
+        want = einsum_squared_distances_oracle(rows, point)
+        assert got.shape == want.shape
+        assert np.array_equal(_bits(got), _bits(want))
+    queries = x[::-1]
+    blocks = np.concatenate([block for _, block in squared_distance_blocks(queries, x)])
+    want = einsum_squared_distances_oracle(x, queries[:, None, :])
+    assert np.array_equal(_bits(blocks), _bits(want))
+
+
+def test_kernel_pairs_fixture_counts_every_pair(kernel_pairs):
+    # the prune tests rest on this count; it must see the blocks' kernel calls
+    rng = np.random.default_rng(9)
+    queries, refs = rng.normal(size=(700, 9)), rng.normal(size=(300, 9))
+    assert len(list(squared_distance_blocks(queries, refs))) > 1
+    assert kernel_pairs[0] == len(queries) * len(refs)
 
 
 def test_pairwise_distance_extrema_examples():

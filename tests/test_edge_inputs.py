@@ -16,7 +16,7 @@ from rnncluster import (
     pairwise_distance_extrema,
     range_standardize,
 )
-from rnncluster.dbscan import dbscan_from_neighborhoods, neighborhood_lists
+from rnncluster.dbscan import dbscan_from_neighborhoods, epsilon_neighborhood, neighborhood_lists
 
 _rng = np.random.default_rng(17)
 K = 5
@@ -63,6 +63,8 @@ def test_overflowing_distances_raise_no_warning(name):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         index = build_index(x, k_max=4)
+        build_index(x, 2, backend="spatial")
+        epsilon_neighborhood(x, 0, 1.0)
         neighborhood_lists(x, 1.0)
         dbscrn(x, index, DbscrnParams(k=4))
         pairwise_distance_extrema(x)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from oracles import einsum_squared_distances_oracle
 from rnncluster import KmeansParams, kmeans, lloyd
+from rnncluster.kmeans import _assign
 
 
 def test_k_equals_n_gives_singletons_and_zero_objective():
@@ -51,3 +53,14 @@ def test_k_larger_than_n_rejected():
     x = np.zeros((3, 2))
     with pytest.raises(ValueError):
         kmeans(x, KmeansParams(k_clusters=4, restarts=1, seed=0))
+
+
+def test_assign_matches_the_stacked_per_centroid_form():
+    # integer grids put many rows at equal distance from two centroids (and
+    # a repeated centroid ties everywhere): the smaller centroid index wins
+    rng = np.random.default_rng(5)
+    for m in (2, 4, 9):
+        x = rng.integers(-3, 4, size=(300, m)).astype(np.float64)
+        for centroids in (x[:6], np.round(rng.normal(size=(5, m))), np.repeat(x[:3], 2, axis=0)):
+            stacked = np.stack([einsum_squared_distances_oracle(x, c) for c in centroids], axis=1)
+            assert _assign(x, centroids).tolist() == np.argmin(stacked, axis=1).tolist()

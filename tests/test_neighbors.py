@@ -56,6 +56,16 @@ def test_k_bounds_are_enforced():
         build_index(LINE, k_max=0)
 
 
+@pytest.mark.parametrize("query", ["knn", "rnn", "influence_space"])
+@pytest.mark.parametrize("i", [-1, 5])
+def test_entity_bounds_are_enforced(query, i):
+    index = build_index(LINE, k_max=2)
+    with pytest.raises(ValueError, match=rf"i={i}\b.*n=5"):
+        getattr(index, query)(i, 2)
+    getattr(index, query)(0, 2)  # the first and last entities are in range
+    getattr(index, query)(4, 2)
+
+
 def _random_dataset(rng):
     n = int(rng.integers(5, 60))
     m = int(rng.integers(1, 5))
