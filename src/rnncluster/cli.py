@@ -213,6 +213,21 @@ def _cmd_cluster(args) -> int:
     return 0
 
 
+def _warn_if_degenerate_eps_grid(algorithm: str, n_clusters: list[int], source) -> None:
+    """Warn on stderr when no grid point of a DBSCAN sweep found two clusters.
+
+    Then every labeling is all noise or one cluster, ARI and DBCV cannot
+    tell the grid points apart, and the epsilon grid is most likely coarser
+    than the band of useful radii.
+    """
+    if algorithm == "dbscan" and n_clusters and max(n_clusters) <= 1:
+        print(
+            f"warning: {source}: every DBSCAN grid point gives at most one cluster; "
+            "the epsilon grid may step over the useful radii, try a smaller --eps-step",
+            file=sys.stderr,
+        )
+
+
 def _cmd_sweep(args) -> int:
     dataset = _load(args)
     spec = SweepSpec(
@@ -237,6 +252,7 @@ def _cmd_sweep(args) -> int:
                 f"{params},{r.run},{seed},{r.n_clusters},{r.n_noise},"
                 f"{r.dbcv_score:.6f},{ari},{r.cluster_seconds:.6f},{r.dbcv_seconds:.6f}\n"
             )
+    _warn_if_degenerate_eps_grid(args.algo, [r.n_clusters for r in result.records], json_path)
     selection = dbcv_selection_summary(result)
     print(f"{len(result.records)} records -> {json_path}")
     print(f"DBCV-selected params: {selection['selected_params'][0]}")
@@ -256,6 +272,9 @@ def _cmd_report(args) -> int:
                 f"{path}: sweep JSON schema_version {payload.get('schema_version')!r} "
                 "is not supported; re-run `rnncluster sweep` (schema 2)"
             )
+        _warn_if_degenerate_eps_grid(
+            payload["algorithm"], [r["n_clusters"] for r in payload["records"]], path
+        )
         sweep = _sweep_from_json(payload)
         labeled = all(r.ari is not None for r in sweep.records)
         rows.append({

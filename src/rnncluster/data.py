@@ -47,7 +47,8 @@ __all__ = [
 
 # bytes of one block of `squared_distance_blocks`, counted as m floats per pair
 _BLOCK_BYTES = 4 * 2**20
-# most rows in one block of `compact_blocks`
+# most rows in one block of `compact_blocks`, and in one chunk of DBCV's
+# within-cluster rows (`validation._cluster_terms`)
 _BLOCK_ROWS = 128
 
 

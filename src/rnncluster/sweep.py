@@ -11,7 +11,11 @@ Each record times its fit (`cluster_seconds`) apart from its DBCV call
 (`dbcv_seconds`). Within one evaluated chunk of the grid, DBCV and ARI are
 computed once per distinct labeling: labels are canonical, so equal
 partitions have equal bytes, and a repeat reuses the stored scores with
-`dbcv_seconds` 0.0. The shared index and each epsilon's neighbourhood
+`dbcv_seconds` 0.0. DBCV's per-cluster terms are kept for the chunk too
+(the `cluster_terms` memo of `dbcv`, keyed by member ids), so a cluster
+that recurs inside a different labeling is built once, and
+`dbcv_seconds` leaves out the terms of clusters the chunk has already
+scored. The shared index and each epsilon's neighbourhood
 lists, both streamed from the blocked distance kernel in O(block * n)
 memory, are amortized across the grid by design and timed in neither
 field; so is each k's reverse-kNN inversion (`rnn_csr`), built before the
@@ -221,8 +225,10 @@ def _fit(x, prepared, params, seed) -> Clustering:
 def _evaluate_chunk(x, truth, spec, grid, first_point_index):
     """Evaluate a slice of the grid; deterministic given its arguments."""
     records: list[SweepRecord] = []
-    # labels bytes -> (DBCV, ARI); x and truth are fixed within the chunk
+    # labels bytes -> (DBCV, ARI); x and truth are fixed within the chunk,
+    # so DBCV's per-cluster memo (member ids -> terms) is valid for it too
     scores: dict[bytes, tuple[float, float | None]] = {}
+    cluster_terms: dict = {}
     runs = 1 if spec.algorithm == "dbscrn" else spec.runs_per_setting
     # one index per chunk (for its largest k) and one set of lists per
     # epsilon, built outside the timed regions: sweep timings cover the fit
@@ -247,7 +253,7 @@ def _evaluate_chunk(x, truth, spec, grid, first_point_index):
             dbcv_seconds = 0.0
             if key not in scores:
                 start = time.perf_counter()
-                score = dbcv(x, clustering).overall
+                score = dbcv(x, clustering, cluster_terms=cluster_terms).overall
                 dbcv_seconds = time.perf_counter() - start
                 ari = None if truth is None else adjusted_rand_index(clustering, truth)
                 scores[key] = score, ari
@@ -274,7 +280,10 @@ def run_sweep(dataset: DataSet, spec: SweepSpec, n_jobs: int = 1) -> SweepResult
 
     With n_jobs > 1 the grid is split across a process pool; records are
     merged in grid order, so results equal the sequential run except for
-    wall-clock fields. Each worker keeps its own DBCV/ARI memo.
+    wall-clock fields. Each worker keeps its own memos: DBCV/ARI per
+    distinct labeling, and DBCV's terms per distinct cluster, so a
+    record's `dbcv_seconds` excludes the terms of clusters its chunk
+    scored before. No memo outlives the call.
     """
     x, report = range_standardize(dataset.matrix)
     grid = build_grid(spec, x)

@@ -8,6 +8,15 @@ parameter selection via `select_best`.
 
 DBCV works on plain (non-squared) Euclidean distances, unlike the
 clustering algorithms; the two scales never mix.
+
+DBCV has two parts. Each cluster's terms (core distances, sparseness and
+the pool of internal MST nodes, `_cluster_terms`) depend only on its own
+members, and are built over one n_c x n_c array at a time. The
+separations then take one blocked distance pass per cluster, from its
+pool to the pools of every later cluster. A caller that scores many
+labelings of one dataset, as a sweep does, can pass a `cluster_terms`
+dict to `dbcv` so that a cluster recurring in another labeling is not
+rebuilt; the report is bit-identical either way.
 """
 
 from __future__ import annotations
@@ -17,8 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import data as _data
 from .clustering import NOISE, Clustering
-from .data import pairwise_squared_distances, squared_distance_blocks
+from .data import as_feature_matrix, row_squared_distances, squared_distance_blocks
 
 __all__ = [
     "DbcvReport",
@@ -30,9 +40,19 @@ __all__ = [
 
 
 def _labels_of(clustering) -> np.ndarray:
+    """A Clustering's labels, or a 1-D integral array as int64; else ValueError."""
     if isinstance(clustering, Clustering):
         return clustering.labels
-    return np.asarray(clustering, dtype=np.int64)
+    labels = np.asarray(clustering)
+    if labels.ndim != 1:
+        raise ValueError(f"labels must be 1-D, got shape {labels.shape}")
+    if labels.dtype.kind == "f":
+        bad = np.flatnonzero(~np.isfinite(labels) | (labels != np.trunc(labels)))
+        if bad.size:
+            raise ValueError(f"labels must be integers, got {labels[bad[0]]} at position {bad[0]}")
+    elif labels.dtype.kind not in "biu":
+        raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
+    return labels.astype(np.int64)
 
 
 def _spread_noise(labels: np.ndarray, policy: str) -> np.ndarray:
@@ -58,8 +78,7 @@ def _spread_noise(labels: np.ndarray, policy: str) -> np.ndarray:
 
 def contingency_table(pred, truth) -> np.ndarray:
     """Cross-tabulation of two labelings (rows: pred, columns: truth)."""
-    pred = np.asarray(pred, dtype=np.int64)
-    truth = np.asarray(truth, dtype=np.int64)
+    pred, truth = _labels_of(pred), _labels_of(truth)
     if pred.shape != truth.shape:
         raise ValueError(f"label arrays differ in length: {pred.shape} vs {truth.shape}")
     _, pi = np.unique(pred, return_inverse=True)
@@ -83,9 +102,7 @@ def adjusted_rand_index(pred, truth, noise: str = "singletons") -> float:
     chance-correction denominator vanishes, which only happens when both
     partitions are trivial in the same way.
     """
-    pred = _spread_noise(_labels_of(pred), noise)
-    truth = _labels_of(truth)
-    table = contingency_table(pred, truth)
+    table = contingency_table(_spread_noise(_labels_of(pred), noise), truth)
     n = table.sum()
     index = _comb2(table).sum()
     a = _comb2(table.sum(axis=1)).sum()
@@ -121,14 +138,20 @@ def _all_points_core_distances(dist: np.ndarray, m: int) -> np.ndarray:
 
     ((sum over same-cluster others of (1/d)^m) / (n_c - 1)) ** (-1/m),
     with m the feature count. Duplicate points (d = 0) push the sum to
-    infinity and the core distance to 0.
+    infinity and the core distance to 0. Rows are summed `data._BLOCK_ROWS`
+    at a time, so `dist` is the only n_c x n_c array held; a row's sum is
+    the same reduction in a chunk of rows as in the full matrix.
     """
     nc = dist.shape[0]
+    total = np.empty(nc)
     with np.errstate(divide="ignore", over="ignore"):
-        inv = 1.0 / dist
-        np.fill_diagonal(inv, 0.0)
-        powered = inv**m
-        total = powered.sum(axis=1) / (nc - 1)
+        for lo in range(0, nc, _data._BLOCK_ROWS):
+            rows = slice(lo, lo + _data._BLOCK_ROWS)
+            inv = np.divide(1.0, dist[rows])
+            np.fill_diagonal(inv[:, lo:], 0.0)
+            inv **= m
+            inv.sum(axis=1, out=total[rows])
+        total /= nc - 1
         return total ** (-1.0 / m)
 
 
@@ -163,16 +186,84 @@ def _prim_mst(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return edges, edge_w, degrees
 
 
-def dbcv(data: np.ndarray, clustering, count_noise_in_weight: bool = True) -> DbcvReport:
+def _cluster_terms(points: np.ndarray, m: int) -> tuple[np.ndarray, float, np.ndarray]:
+    """(core distances, sparseness, pool) of one cluster of >= 2 `points`.
+
+    The within-cluster distances come from the package kernel,
+    `data._BLOCK_ROWS` rows at a time: the temporaries stay a small,
+    cache-sized fraction of the one n_c x n_c array, and are reused from
+    chunk to chunk instead of being mapped afresh for every cluster. The
+    mutual-reachability matrix is built in place over them, and its Prim
+    MST gives the sparseness (the largest internal edge, or the largest
+    edge when no edge is internal). The pool holds the local positions of
+    the internal MST nodes, or of every member when no node is internal:
+    separations are measured between pools.
+    """
+    dist = np.empty((points.shape[0], points.shape[0]))
+    for lo in range(0, points.shape[0], _data._BLOCK_ROWS):
+        rows = slice(lo, lo + _data._BLOCK_ROWS)
+        np.sqrt(row_squared_distances(points, points[rows, None, :]), out=dist[rows])
+    core = _all_points_core_distances(dist, m)
+    np.maximum(dist, core[:, None], out=dist)
+    np.maximum(dist, core[None, :], out=dist)
+    edges, edge_w, degrees = _prim_mst(dist)
+    internal_edge = (degrees[edges[:, 0]] > 1) & (degrees[edges[:, 1]] > 1)
+    sparseness = float(edge_w[internal_edge].max() if internal_edge.any() else edge_w.max())
+    internal_nodes = np.flatnonzero(degrees > 1)
+    pool = internal_nodes if internal_nodes.size else np.arange(points.shape[0])
+    return core, sparseness, pool
+
+
+def _separations(points: np.ndarray, core: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """Minimum density separation of each pool to any other pool.
+
+    The pools are concatenated in `points` and `core`; pool c spans
+    cuts[c]:cuts[c + 1]. For each pool a, one blocked pass reaches every
+    later pool: max(d, core_a, core_b) over the pass, then a minimum per
+    pool (`np.minimum.reduceat` on the column cuts) and over rows gives
+    each pair (a, b) its separation. A minimum is exact in any order, so
+    every pair gets the float a pass over that pair alone would give.
+    """
+    n_pools = cuts.size - 1
+    separation = np.full(n_pools, np.inf)
+    for a in range(n_pools - 1):
+        lo, mid = cuts[a], cuts[a + 1]
+        later = np.full(n_pools - a - 1, np.inf)
+        for start, d2 in squared_distance_blocks(points[lo:mid], points[mid:]):
+            np.sqrt(d2, out=d2)
+            np.maximum(d2, core[lo + start : lo + start + d2.shape[0], None], out=d2)
+            np.maximum(d2, core[mid:], out=d2)
+            per_pool = np.minimum.reduceat(d2, cuts[a + 1 : -1] - mid, axis=1)
+            np.minimum(later, per_pool.min(axis=0), out=later)
+        separation[a] = min(separation[a], later.min())
+        np.minimum(separation[a + 1 :], later, out=separation[a + 1 :])
+    return separation
+
+
+def dbcv(
+    data: np.ndarray,
+    clustering,
+    count_noise_in_weight: bool = True,
+    *,
+    cluster_terms: dict | None = None,
+) -> DbcvReport:
     """Density-based clustering validation score of a clustering on `data`.
 
     Degenerate inputs (fewer than two clusters with >= 2 members) score 0.
     Noise entities take part only through the weighting denominator, so a
     clustering that declares most entities noise scores near 0 even when
-    its few clusters are clean.
+    its few clusters are clean. `data` must be a finite 2-D matrix and the
+    labels 1-D integers, one per row; otherwise ValueError.
+
+    `cluster_terms` is an optional memo that the caller owns: a dict from
+    a cluster's member ids (the bytes of its ascending int64 entity ids)
+    to its `_cluster_terms`. A cluster already in it is not rebuilt, so a
+    caller that scores many labelings of the same data pays for each
+    distinct cluster once. The entries depend on `data`, so one dict must
+    only ever see one dataset. The report is the same with or without it.
     """
     labels = _labels_of(clustering)
-    x = np.asarray(data, dtype=np.float64)
+    x = as_feature_matrix(data)
     if labels.shape[0] != x.shape[0]:
         raise ValueError("clustering and data disagree on the number of entities")
     n_total = labels.shape[0] if count_noise_in_weight else int((labels != NOISE).sum())
@@ -182,37 +273,22 @@ def dbcv(data: np.ndarray, clustering, count_noise_in_weight: bool = True) -> Db
     if scored.size < 2:
         return DbcvReport(scored, empty, empty, empty, overall=0.0)
 
+    if cluster_terms is None:
+        cluster_terms = {}
     m = x.shape[1]
-    members: list[np.ndarray] = []
-    apts: list[np.ndarray] = []
     sparseness = np.empty(scored.size)
-    pools: list[np.ndarray] = []  # internal MST nodes (local positions)
+    pool_ids: list[np.ndarray] = []  # each cluster's pool, as entity ids
+    pool_core: list[np.ndarray] = []
     for c, cid in enumerate(scored):
         idx = np.flatnonzero(labels == cid)
-        dist = pairwise_squared_distances(x[idx])
-        np.sqrt(dist, out=dist)
-        core = _all_points_core_distances(dist, m)
-        reach = np.maximum(dist, np.maximum(core[:, None], core[None, :]))
-        edges, edge_w, degrees = _prim_mst(reach)
-        internal_edge = (degrees[edges[:, 0]] > 1) & (degrees[edges[:, 1]] > 1)
-        sparseness[c] = edge_w[internal_edge].max() if internal_edge.any() else edge_w.max()
-        internal_nodes = np.flatnonzero(degrees > 1)
-        pools.append(internal_nodes if internal_nodes.size else np.arange(idx.size))
-        members.append(idx)
-        apts.append(core)
-
-    separation = np.full(scored.size, np.inf)
-    for a in range(scored.size):
-        for b in range(a + 1, scored.size):
-            pa, pb = pools[a], pools[b]
-            core_a, core_b = apts[a][pa], apts[b][pb]
-            blocks = squared_distance_blocks(x[members[a][pa]], x[members[b][pb]])
-            dspc = float(np.min([
-                np.maximum(np.sqrt(d2), np.maximum(core_a[s : s + len(d2), None], core_b)).min()
-                for s, d2 in blocks
-            ]))
-            separation[a] = min(separation[a], dspc)
-            separation[b] = min(separation[b], dspc)
+        key = idx.tobytes()
+        if key not in cluster_terms:
+            cluster_terms[key] = _cluster_terms(x[idx], m)
+        core, sparseness[c], pool = cluster_terms[key]
+        pool_ids.append(idx[pool])
+        pool_core.append(core[pool])
+    cuts = np.cumsum([0] + [p.size for p in pool_ids])
+    separation = _separations(x[np.concatenate(pool_ids)], np.concatenate(pool_core), cuts)
 
     validity = np.zeros(scored.size)
     for c in range(scored.size):

@@ -395,3 +395,71 @@ def einsum_squared_distances_oracle(rows, point):
     diff = rows - point
     with np.errstate(over="ignore"):
         return np.einsum("...j,...j->...", diff, diff)
+
+
+def dbcv_report_oracle(x, labels, count_noise_in_weight=True):
+    """The replaced `dbcv`: every cluster's terms per call, one blocked pass per pair.
+
+    Returns (cluster_ids, sparseness, separation, validity, overall), which
+    `dbcv`'s report must match bit for bit. `labels` is an int64 array.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    n_total = labels.shape[0] if count_noise_in_weight else int((labels != -1).sum())
+    ids, counts = np.unique(labels[labels >= 0], return_counts=True)
+    scored = ids[counts >= 2]
+    empty = np.array([], dtype=np.float64)
+    if scored.size < 2:
+        return scored, empty, empty, empty, 0.0
+
+    m = x.shape[1]
+    members, apts, pools = [], [], []
+    sparseness = np.empty(scored.size)
+    for c, cid in enumerate(scored):
+        idx = np.flatnonzero(labels == cid)
+        dist = np.empty((idx.size, idx.size))
+        for start, block in squared_distance_blocks(x[idx], x[idx]):
+            dist[start : start + block.shape[0]] = block
+        np.sqrt(dist, out=dist)
+        with np.errstate(divide="ignore", over="ignore"):
+            inv = 1.0 / dist
+            np.fill_diagonal(inv, 0.0)
+            core = ((inv**m).sum(axis=1) / (idx.size - 1)) ** (-1.0 / m)
+        reach = np.maximum(dist, np.maximum(core[:, None], core[None, :]))
+        edges, edge_w, degrees = prim_mst_oracle(reach)
+        internal_edge = (degrees[edges[:, 0]] > 1) & (degrees[edges[:, 1]] > 1)
+        sparseness[c] = edge_w[internal_edge].max() if internal_edge.any() else edge_w.max()
+        internal_nodes = np.flatnonzero(degrees > 1)
+        pools.append(internal_nodes if internal_nodes.size else np.arange(idx.size))
+        members.append(idx)
+        apts.append(core)
+
+    separation = np.full(scored.size, np.inf)
+    for a in range(scored.size):
+        for b in range(a + 1, scored.size):
+            pa, pb = pools[a], pools[b]
+            core_a, core_b = apts[a][pa], apts[b][pb]
+            blocks = squared_distance_blocks(x[members[a][pa]], x[members[b][pb]])
+            dspc = float(np.min([
+                np.maximum(np.sqrt(d2), np.maximum(core_a[s : s + len(d2), None], core_b)).min()
+                for s, d2 in blocks
+            ]))
+            separation[a] = min(separation[a], dspc)
+            separation[b] = min(separation[b], dspc)
+
+    validity = np.zeros(scored.size)
+    for c in range(scored.size):
+        sep, spa = separation[c], sparseness[c]
+        if np.isinf(sep) and np.isinf(spa):
+            validity[c] = 0.0
+        elif np.isinf(sep):
+            validity[c] = 1.0
+        elif np.isinf(spa):
+            validity[c] = -1.0
+        else:
+            denom = max(sep, spa)
+            validity[c] = (sep - spa) / denom if denom > 0 else 0.0
+
+    sizes = counts[counts >= 2].astype(np.float64)
+    overall = float(np.sum(sizes / n_total * validity))
+    return scored, sparseness, separation, validity, overall

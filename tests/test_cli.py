@@ -72,6 +72,25 @@ def test_sweep_then_report(tmp_path, capsys):
         main(["report", "--results", str(old), "--out", str(report_out)])
 
 
+def test_sweep_and_report_warn_about_a_degenerate_eps_grid(tmp_path, capsys):
+    moons = make_two_moons(n=120, density_ratio=3.0, seed=0)
+    data = tmp_path / "moons.csv"
+    np.savetxt(data, np.column_stack([moons.matrix, moons.true_labels]), delimiter=",")
+    out = tmp_path / "sweep"
+    args = ["--label-col", "-1", "--algo", "dbscan", "--runs", "1"]
+    assert main(["sweep", "--data", str(data), *args, "--out", str(out)]) == 0
+    sweep_json = next(out.glob("*_sweep.json"))
+    # the default eps step on two moons: every grid point is all noise or one cluster
+    assert max(r["n_clusters"] for r in json.loads(sweep_json.read_text())["records"]) <= 1
+    assert "--eps-step" in capsys.readouterr().err
+    assert main(["report", "--results", str(sweep_json), "--out", str(tmp_path / "report")]) == 0
+    assert "--eps-step" in capsys.readouterr().err
+    # separated blobs: the same grid finds both clusters, and nothing is printed
+    blobs = _gen(tmp_path)
+    assert main(["sweep", "--data", str(blobs), *args, "--out", str(tmp_path / "blobs")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_bench_writes_summary(tmp_path, capsys):
     data = _gen(tmp_path, kind="blobs", seed=1)
     out = tmp_path / "bench"

@@ -1,4 +1,5 @@
-"""DBSCRN, ISDBSCAN and DBSCAN on degenerate inputs, checked against the oracles."""
+"""Degenerate inputs: the clustering algorithms against the oracles, and the
+validation indices' refusal of inputs they cannot score."""
 
 import warnings
 
@@ -9,8 +10,10 @@ from oracles import dbscan_bfs_oracle, dbscrn_oracle, isdbscan_worklist_oracle
 from rnncluster import (
     DbscrnParams,
     IsdbscanParams,
+    adjusted_rand_index,
     build_index,
     canonicalize_labels,
+    dbcv,
     dbscrn,
     isdbscan,
     pairwise_distance_extrema,
@@ -68,3 +71,36 @@ def test_overflowing_distances_raise_no_warning(name):
         neighborhood_lists(x, 1.0)
         dbscrn(x, index, DbscrnParams(k=4))
         pairwise_distance_extrema(x)
+
+
+_x = _rng.normal(size=(10, 2))
+_labels = np.repeat([0, 1], 5)
+_one_cell = np.zeros((10, 2), dtype=bool)
+_one_cell[3, 1] = True
+# each of these once scored, warned or failed deep inside DBCV
+UNSCORABLE = {
+    "nan-feature": (np.where(_one_cell, np.nan, _x), _labels, "NaN or infinite"),
+    "inf-feature": (np.where(_one_cell, np.inf, _x), _labels, "NaN or infinite"),
+    "1-d-data": (_x[:, 0], _labels, "2-D"),
+    "fractional-labels": (_x, _labels + 0.5, "integers, got 0.5"),
+    "2-d-labels": (_x, _labels[:, None], "1-D"),
+    "text-labels": (_x, _labels.astype(str), "integers"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNSCORABLE))
+def test_dbcv_rejects_unscorable_input_with_a_message(name):
+    data, labels, message = UNSCORABLE[name]
+    with pytest.raises(ValueError, match=message):
+        dbcv(data, labels)
+
+
+def test_ari_rejects_labels_that_are_not_1d_integers():
+    with pytest.raises(ValueError, match="integers, got 1.5"):
+        adjusted_rand_index([0, 1.5], [0, 1])
+    with pytest.raises(ValueError, match="integers, got nan"):
+        adjusted_rand_index([0, 1], [0.0, np.nan])
+    with pytest.raises(ValueError, match="1-D"):
+        adjusted_rand_index([[0], [1]], [0, 1])
+    assert adjusted_rand_index([0.0, 1.0], [1, 0]) == 1.0  # integral floats are labels
+    assert dbcv(_x, _labels.astype(float)).overall == dbcv(_x, _labels).overall

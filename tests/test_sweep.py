@@ -22,6 +22,7 @@ from rnncluster import (
     write_reports,
 )
 import rnncluster.sweep as sweep_module
+import rnncluster.validation as validation_module
 from rnncluster import adjusted_rand_index, dbcv, range_standardize
 from rnncluster.clustering import Clustering
 from rnncluster.sweep import build_grid
@@ -88,6 +89,7 @@ MEMO_SPECS = [
 
 @pytest.mark.parametrize("spec", MEMO_SPECS, ids=lambda s: s.algorithm)
 def test_memoized_scores_equal_fresh_scores(small_blobs, spec):
+    # both memos at once: repeated labelings, and clusters shared by distinct ones
     result = run_sweep(small_blobs, spec)
     x, _ = range_standardize(small_blobs.matrix)
     for r in result.records:
@@ -111,6 +113,26 @@ def test_each_distinct_labeling_is_scored_once(small_blobs, spec, monkeypatch):
         assert (r.dbcv_seconds == 0.0) == (key in seen)
         seen.add(key)
     assert len(calls) == len(seen) < len(result.records)
+
+
+@pytest.mark.parametrize("spec", MEMO_SPECS[:2], ids=lambda s: s.algorithm)
+def test_each_distinct_cluster_is_built_once_per_sweep(small_blobs, spec, monkeypatch):
+    built = []
+
+    def counting_terms(points, m, _original=validation_module._cluster_terms):
+        built.append(points.shape[0])
+        return _original(points, m)
+
+    monkeypatch.setattr(validation_module, "_cluster_terms", counting_terms)
+    result = run_sweep(small_blobs, spec)
+    distinct, scored = set(), 0
+    for labels in {r.labels.tobytes(): r.labels for r in result.records}.values():
+        ids, counts = np.unique(labels[labels >= 0], return_counts=True)
+        if np.count_nonzero(counts >= 2) >= 2:  # else DBCV returns before any terms
+            for cid in ids[counts >= 2]:
+                distinct.add(np.flatnonzero(labels == cid).tobytes())
+                scored += 1
+    assert len(built) == len(distinct) < scored
 
 
 def test_parallel_equals_sequential(small_blobs):

@@ -1,17 +1,24 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ari_pairs_oracle, dbcv_oracle, prim_mst_oracle
+import rnncluster.data
+from oracles import ari_pairs_oracle, dbcv_oracle, dbcv_report_oracle, prim_mst_oracle
 from rnncluster import (
     DbscrnParams,
+    IsdbscanParams,
     adjusted_rand_index,
     build_index,
     canonicalize_labels,
     contingency_table,
     dbcv,
     dbscrn,
+    isdbscan,
+    make_blobs,
+    make_two_moons,
     range_standardize,
     select_best,
 )
@@ -150,6 +157,94 @@ def reachability_matrices(draw):
 def test_prim_matches_the_loop_oracle_on_ties(weights):
     for got, want in zip(_prim_mst(weights), prim_mst_oracle(weights)):
         assert np.array_equal(got, want)
+
+
+_REPORT_FIELDS = ("cluster_ids", "sparseness", "separation", "validity", "overall")
+
+
+def _report_bits(fields):
+    """Each report field as int64 bits, so equal means bit-identical."""
+    return [np.atleast_1d(np.asarray(f)).view(np.int64).tolist() for f in fields]
+
+
+def assert_same_report(report, expected):
+    got = [getattr(report, name) for name in _REPORT_FIELDS]
+    assert _report_bits(got) == _report_bits(expected)
+
+
+@st.composite
+def dbcv_inputs(draw):
+    """Data and labels with noise, singletons, duplicate rows and many small clusters.
+
+    A coarse integer grid gives duplicate rows (core distance 0) and exact
+    ties; up to 25 label ids on at most 80 entities give clusters of one
+    or two members, where no MST node is internal.
+    """
+    n = draw(st.integers(2, 80))
+    m = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        x = rng.integers(0, draw(st.integers(1, 5)), size=(n, m)).astype(np.float64)
+    else:
+        x = rng.normal(size=(n, m))
+    labels = rng.integers(-1, draw(st.integers(1, 25)), size=n)
+    return x, labels, draw(st.booleans())
+
+
+@given(dbcv_inputs())
+@settings(max_examples=150, deadline=None)
+def test_dbcv_report_matches_the_replaced_implementation(case):
+    x, labels, count_noise = case
+    assert_same_report(
+        dbcv(x, labels, count_noise_in_weight=count_noise),
+        dbcv_report_oracle(x, labels, count_noise_in_weight=count_noise),
+    )
+
+
+def test_dbcv_report_is_the_same_when_separations_span_many_blocks(monkeypatch):
+    blobs = make_blobs(n_centers=5, points_per_center=30, spread=0.1, seed=2)
+    x, _ = range_standardize(blobs.matrix)
+    rng = np.random.default_rng(6)
+    labelings = [blobs.true_labels, rng.integers(-1, 8, size=blobs.n)]
+    expected = [dbcv_report_oracle(x, labels) for labels in labelings]
+    # a few rows per block: every separation pass, every cluster's distance
+    # rows and every chunk of core-distance sums is split
+    monkeypatch.setattr(rnncluster.data, "_BLOCK_BYTES", 8 * 2 * 40)
+    monkeypatch.setattr(rnncluster.data, "_BLOCK_ROWS", 7)
+    for labels, want in zip(labelings, expected):
+        assert_same_report(dbcv(x, labels), want)
+
+
+def test_a_shared_cluster_terms_memo_gives_the_fresh_reports():
+    moons = make_two_moons(n=372, density_ratio=3.0, seed=0)
+    x, _ = range_standardize(moons.matrix)
+    index = build_index(x, k_max=12)
+    labelings = [isdbscan(x, index, IsdbscanParams(k=k, seed=seed)).labels
+                 for k in (6, 9, 12) for seed in range(3)]
+    memo: dict = {}
+    clusters = 0
+    for labels in labelings:
+        fresh = dbcv(x, labels)
+        assert_same_report(dbcv(x, labels, cluster_terms=memo),
+                           [getattr(fresh, name) for name in _REPORT_FIELDS])
+        clusters += fresh.cluster_ids.size
+    assert 0 < len(memo) < clusters  # some clusters recur across the labelings
+
+
+def test_dbcv_holds_one_cluster_matrix_at_a_time():
+    rng = np.random.default_rng(0)
+    x = np.vstack([rng.normal(0, 0.1, size=(1500, 2)), rng.normal(0, 0.1, size=(1500, 2)) + 5.0])
+    labels = np.repeat([0, 1], 1500)
+    tracemalloc.start()
+    try:
+        dbcv(x, labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one 1,500 x 1,500 float64 matrix is 17.2 MB, and the row chunks add
+    # about 3 MB; distances, reciprocals, their powers and the reach matrix
+    # held at once came to 68.8 MB
+    assert peak < 22 * 2**20
 
 
 def test_dbcv_bounds_and_relabeling_invariance():
