@@ -21,7 +21,6 @@ from .data import (
     as_feature_matrix,
     load_dataset,
     pairwise_distance_extrema,
-    pairwise_squared_distances,
     range_standardize,
     squared_euclidean,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "make_spirals",
     "make_two_moons",
     "pairwise_distance_extrema",
-    "pairwise_squared_distances",
     "plot_clustering",
     "range_standardize",
     "render_svg",

@@ -80,10 +80,12 @@ def canonicalize_labels(labels: np.ndarray) -> Clustering:
 def claim_in_draw_order(offsets, members, dense, order):
     """Claim each entity for the earliest-drawn dense group linked to it.
 
-    The graph is symmetric and in CSR form: row i, members[offsets[i]:
-    offsets[i+1]], holds i itself and every j whose row holds i. Dense
-    entities joined by an edge form a group, drawn at the first position
-    in `order` (a permutation of the n entities) that any member takes.
+    The graph is symmetric and in CSR form (offsets, members), the
+    package's one graph format (`rnn_csr` shares it, without symmetry):
+    row i, members[offsets[i]:offsets[i+1]], holds i itself and every j
+    whose row holds i. Dense entities joined by an edge form a group,
+    drawn at the first position in `order` (a permutation of the n
+    entities) that any member takes.
 
     Returns (group, drawn): group[i] is the draw position of the earliest
     group in row i, which names that group, or n when the row has none;

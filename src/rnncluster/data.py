@@ -38,7 +38,6 @@ __all__ = [
     "compact_blocks",
     "load_dataset",
     "pairwise_distance_extrema",
-    "pairwise_squared_distances",
     "range_standardize",
     "row_squared_distances",
     "squared_distance_blocks",
@@ -235,15 +234,6 @@ def compact_blocks(data: np.ndarray):
                 continue
             bound = np.square(np.maximum(np.maximum(lo - x, x - hi), 0.0)).max(axis=1)
         yield ids, bound
-
-
-def pairwise_squared_distances(matrix: np.ndarray) -> np.ndarray:
-    """Full (n, n) matrix of squared Euclidean distances."""
-    x = np.asarray(matrix, dtype=np.float64)
-    out = np.empty((x.shape[0], x.shape[0]), dtype=np.float64)
-    for start, block in squared_distance_blocks(x, x):
-        out[start : start + block.shape[0]] = block
-    return out
 
 
 def range_standardize(matrix: np.ndarray) -> tuple[np.ndarray, StandardizationReport]:

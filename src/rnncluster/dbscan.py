@@ -2,16 +2,16 @@
 
 The epsilon threshold is compared against *squared* distances, like every
 other dissimilarity in this package; sweep grids are produced in the same
-units. The epsilon-lists stream from the blocked distance kernel in
-O(block * n) memory, block by compact block (`data.compact_blocks`): an
-entity whose lower bound to a block exceeds epsilon is never evaluated
-against it, which is exact because the bound never exceeds the kernel's
-distance. Core entities linked by epsilon-neighbourhoods form
-groups; a cluster is a group plus the border entities within epsilon of
-it. A border entity near several groups goes to the one whose first core
-comes first in a seeded draw (`claim_in_draw_order`): core/noise status
-never depends on the seed, but which cluster claims a shared border
-entity does, which is exactly the non-determinism DBSCAN is known for.
+units. The epsilon-lists, one symmetric CSR graph, stream from the blocked
+distance kernel in O(block * n) memory, block by compact block
+(`data.compact_blocks`): an entity whose lower bound to a block exceeds
+epsilon is never evaluated against it, which is exact because the bound
+never exceeds the kernel's distance. Core entities linked in the graph form
+groups; a cluster is a group plus the border entities within epsilon of it.
+A border entity near several groups goes to the one whose first core comes
+first in a seeded draw (`claim_in_draw_order`): core/noise status never
+depends on the seed, but which cluster claims a shared border entity does,
+which is exactly the non-determinism DBSCAN is known for.
 """
 
 from __future__ import annotations
@@ -41,29 +41,46 @@ class DbscanParams:
 
 
 def epsilon_neighborhood(data: np.ndarray, i: int, epsilon: float) -> np.ndarray:
-    """All entities within squared distance epsilon of entity i, i included."""
-    x = np.asarray(data, dtype=np.float64)
-    return np.flatnonzero(row_squared_distances(x, x[i]) <= epsilon)
+    """All entities within squared distance epsilon of entity i, i included.
 
-
-def neighborhood_lists(data: np.ndarray, epsilon: float):
-    """Epsilon-neighbourhood of every entity, as a list of ascending id arrays.
-
-    Raises ValueError on a non-finite value in `data` and on a negative or
-    NaN epsilon.
+    Raises ValueError on non-finite data, a negative or NaN epsilon, or an i outside 0..n-1.
     """
     x = as_feature_matrix(data)
     if not epsilon >= 0:
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
-    lists = [None] * x.shape[0]
+    if not 0 <= i < x.shape[0]:
+        raise ValueError(f"entity i={i} outside the range 0..n-1 (n={x.shape[0]})")
+    return np.flatnonzero(row_squared_distances(x, x[i]) <= epsilon)
+
+
+def neighborhood_lists(data: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+    """Epsilon-neighbourhood of every entity, in CSR form: (offsets, members).
+
+    Row i, members[offsets[i]:offsets[i+1]], holds the ids within squared
+    distance epsilon of i, i included, ascending; the graph is symmetric.
+    Raises ValueError on non-finite data or a negative or NaN epsilon.
+    """
+    x = as_feature_matrix(data)
+    if not epsilon >= 0:
+        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
+    own, counts, found = [], [], []
     for ids, bound in compact_blocks(x):
         candidates = np.flatnonzero(bound <= epsilon)
         for start, block in squared_distance_blocks(x[ids], x[candidates]):
             row, col = np.nonzero(block <= epsilon)  # row-major: ids ascend per row
-            parts = np.split(candidates[col], np.searchsorted(row, np.arange(1, block.shape[0])))
-            for i, part in zip(ids[start : start + len(parts)].tolist(), parts):
-                lists[i] = part
-    return lists
+            own.append(ids[start : start + block.shape[0]])
+            counts.append(np.bincount(row, minlength=block.shape[0]))
+            found.append(candidates[col])
+    own, counts, found = np.concatenate(own), np.concatenate(counts), np.concatenate(found)
+    offsets = np.zeros(x.shape[0] + 1, dtype=np.int64)
+    offsets[own + 1] = counts
+    np.cumsum(offsets, out=offsets)
+    # each entity's row is one run of `found`: gather the runs in id order
+    first = np.empty(x.shape[0], dtype=np.int64)
+    first[own] = np.cumsum(counts) - counts
+    gather = np.repeat(first - offsets[:-1], np.diff(offsets))
+    gather += np.arange(found.size)
+    return offsets, found[gather]
 
 
 def dbscan(data: np.ndarray, params: DbscanParams, seed: int = 0) -> Clustering:
@@ -80,15 +97,14 @@ def dbscan(data: np.ndarray, params: DbscanParams, seed: int = 0) -> Clustering:
 
 
 def dbscan_from_neighborhoods(neigh, min_pts: int, seed: int = 0) -> Clustering:
-    """DBSCAN given precomputed neighbourhood lists (sweeps reuse these).
+    """DBSCAN given precomputed epsilon-neighbourhoods (sweeps reuse these).
 
-    Each list must hold its own entity and be symmetric (j in neigh[i]
-    iff i in neigh[j]), as `neighborhood_lists` returns them.
+    `neigh` is the CSR pair (offsets, members) of `neighborhood_lists`, read
+    in place: each row holds its own entity, and j is in row i iff i is in j.
     """
-    n = len(neigh)
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum([ids.size for ids in neigh], out=offsets[1:])
+    offsets, members = neigh
+    n = offsets.size - 1
     core = np.diff(offsets) >= min_pts
     order = np.random.default_rng(seed).permutation(n)
-    group, _ = claim_in_draw_order(offsets, np.concatenate(neigh), core, order)
+    group, _ = claim_in_draw_order(offsets, members, core, order)
     return canonicalize_labels(np.where(group < n, group, NOISE))

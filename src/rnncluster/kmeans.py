@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import Clustering, canonicalize_labels
-from .data import row_squared_distances, squared_distance_blocks
+from .data import as_feature_matrix, row_squared_distances, squared_distance_blocks
 
 __all__ = ["KmeansParams", "kmeans", "lloyd"]
 
@@ -86,14 +86,10 @@ def lloyd(
 
 
 def kmeans(data: np.ndarray, params: KmeansParams) -> Clustering:
-    """Best-of-restarts k-means clustering (lowest objective wins)."""
-    x = np.asarray(data, dtype=np.float64)
+    """Best-of-restarts k-means clustering (lowest objective wins, first on ties)."""
+    x = as_feature_matrix(data)
     rng = np.random.default_rng(params.seed)
-    best_labels = None
-    best_objective = np.inf
-    for _ in range(params.restarts):
-        labels, objective = lloyd(x, params.k_clusters, rng, params.max_iters)
-        if objective < best_objective:
-            best_objective = objective
-            best_labels = labels
-    return canonicalize_labels(best_labels)
+    runs = (lloyd(x, params.k_clusters, rng, params.max_iters) for _ in range(params.restarts))
+    # min keeps the first best run, also when every objective overflows to inf
+    labels, _ = min(runs, key=lambda run: run[1])
+    return canonicalize_labels(labels)

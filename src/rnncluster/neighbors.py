@@ -43,8 +43,8 @@ class NeighborIndex:
         self.knn_idx = knn_idx
         self.knn_d2 = knn_d2
         self.backend = backend
-        # ("rnn" or "influence", k) -> that k's CSR arrays
-        self._per_k: dict[tuple[str, int], tuple[np.ndarray, ...]] = {}
+        # ("rnn" or "influence", k) -> that k's CSR pair (offsets, members)
+        self._per_k: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]] = {}
 
     @property
     def n(self) -> int:
@@ -72,33 +72,32 @@ class NeighborIndex:
         self._check_k(k)
         return self.knn_idx[i, :k]
 
-    def rnn_csr(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Inverted lists for one k, in CSR form: (offsets, members, sizes).
+    def rnn_csr(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Inverted lists for one k, in CSR form (offsets, members), as `influence_csr`.
 
         members[offsets[i]:offsets[i+1]] are the entities that count i
-        among their k nearest, in ascending id order. Built once per k and
-        cached; `rnn` and `rnn_sizes` (DBSCRN's density counts) read it.
+        among their k nearest, in ascending id order (never i; may be none).
+        Built once per k and cached; `rnn` and `rnn_sizes` (DBSCRN's
+        density counts) read it.
         """
         self._check_k(k)
         if ("rnn", k) not in self._per_k:
             flat = self.knn_idx[:, :k].ravel()
-            sizes = np.bincount(flat, minlength=self.n)
             offsets = np.zeros(self.n + 1, dtype=np.int64)
-            np.cumsum(sizes, out=offsets[1:])
+            np.cumsum(np.bincount(flat, minlength=self.n), out=offsets[1:])
             # stable sort keeps positions ascending, so members stay id-sorted
-            members = np.argsort(flat, kind="stable") // k
-            self._per_k["rnn", k] = (offsets, members.astype(np.int64), sizes)
+            self._per_k["rnn", k] = (offsets, np.argsort(flat, kind="stable") // k)
         return self._per_k["rnn", k]
 
     def rnn(self, i: int, k: int) -> np.ndarray:
         """Entities having i among their k nearest; ascending ids, may be empty."""
         self._check_entity(i)
-        offsets, members, _ = self.rnn_csr(k)
+        offsets, members = self.rnn_csr(k)
         return members[offsets[i] : offsets[i + 1]]
 
     def rnn_sizes(self, k: int) -> np.ndarray:
         """|RNN_k(i)| for every entity i."""
-        return self.rnn_csr(k)[2]
+        return np.diff(self.rnn_csr(k)[0])
 
     def influence_csr(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """The influence graph for one k, in CSR form: (offsets, members).

@@ -16,15 +16,15 @@ partitions have equal bytes, and a repeat reuses the stored scores with
 that recurs inside a different labeling is built once, and
 `dbcv_seconds` leaves out the terms of clusters the chunk has already
 scored. The shared index and each epsilon's neighbourhood
-lists, both streamed from the blocked distance kernel in O(block * n)
+graph, both streamed from the blocked distance kernel in O(block * n)
 memory, are amortized across the grid by design and timed in neither
-field; so is each k's reverse-kNN inversion (`rnn_csr`), built before the
-k's first fit whichever kNN algorithm runs. ISDBSCAN's influence graph is
-built by the index on first use and cached per k, so the first run at
-each k pays that one build inside its `cluster_seconds` and the other
-seeded runs reuse it. `bench` is the rigorous protocol: sequential runs,
-each timed end-to-end including that run's own index build (and so its
-own influence graph) and DBCV evaluation.
+field. The per-k graph a kNN algorithm reads (DBSCRN's reverse lists,
+`rnn_csr`; ISDBSCAN's influence graph, `influence_csr`) is built by the
+index on first use and cached per k, so the first fit at each k pays that
+one build inside its `cluster_seconds` and ISDBSCAN's other seeded runs
+reuse it. `bench` is the rigorous protocol: sequential runs, each timed
+end-to-end including that run's own index build (and so its own per-k
+graph) and DBCV evaluation.
 
 Sweeps, `bench` and the CLI's `cluster` share one fit path: `_prepare`
 builds what a fit reads (a kNN index with k_max = min(k, n - 1), or the
@@ -238,9 +238,7 @@ def _evaluate_chunk(x, truth, spec, grid, first_point_index):
     prepared_eps = None
     for offset, params in enumerate(grid):
         point_index = first_point_index + offset
-        if knn:
-            prepared.rnn_csr(params.k)
-        elif prepared_eps != params.epsilon:
+        if not knn and prepared_eps != params.epsilon:
             prepared, prepared_eps = _prepare(x, params), params.epsilon
         for run in range(runs):
             seed = None if spec.algorithm == "dbscrn" else _derived_seed(

@@ -16,7 +16,7 @@ from collections import deque
 import numpy as np
 
 from rnncluster.clustering import canonicalize_labels
-from rnncluster.data import row_squared_distances, squared_distance_blocks
+from rnncluster.data import compact_blocks, row_squared_distances, squared_distance_blocks
 
 
 def sq_dist(x, a, b):
@@ -271,9 +271,14 @@ def isdbscan_worklist_oracle(index, k, seed):
 
 
 def dbscan_bfs_oracle(neigh, min_pts, seed):
-    """Full DBSCAN by a breadth-first expansion per seeded draw; canonical labels."""
+    """Full DBSCAN by a breadth-first expansion per seeded draw; canonical labels.
+
+    `neigh` is the CSR pair (offsets, members) of `neighborhood_lists`.
+    """
     unvisited, noise = -2, -1
-    n = len(neigh)
+    offsets, members = neigh
+    n = offsets.size - 1
+    neigh = [members[offsets[i] : offsets[i + 1]] for i in range(n)]
     labels = [unvisited] * n
     next_id = 0
     for p in np.random.default_rng(seed).permutation(n).tolist():
@@ -344,7 +349,8 @@ def expand_cluster(index, start, k, assignment, cluster_id):
     at most once, and entities claimed by earlier clusters are neither
     re-claimed nor traversed again. Mutates `assignment` in place.
     """
-    offsets, members, sizes = index.rnn_csr(k)
+    offsets, members = index.rnn_csr(k)
+    sizes = index.rnn_sizes(k)
     threshold = 2.0 * k / math.pi
     assignment[start] = cluster_id
     frontier = np.array([start], dtype=np.int64)
@@ -385,6 +391,32 @@ def dbscrn_wave_oracle(data, index, k):
         nearest[start : start + block.shape[0]] = np.argmin(block, axis=1)
     assignment[left] = assignment[core_ids[nearest]]
     return canonicalize_labels(assignment).labels
+
+
+def pairwise_squared_distances(x):
+    """The full (n, n) matrix of squared distances, from the package's blocked kernel."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty((x.shape[0], x.shape[0]), dtype=np.float64)
+    for start, block in squared_distance_blocks(x, x):
+        out[start : start + block.shape[0]] = block
+    return out
+
+
+def neighborhood_lists_oracle(x, epsilon):
+    """The replaced epsilon-lists: one ascending id array per entity.
+
+    Row i of `neighborhood_lists`' CSR pair must equal entry i bit for bit.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    lists = [None] * x.shape[0]
+    for ids, bound in compact_blocks(x):
+        candidates = np.flatnonzero(bound <= epsilon)
+        for start, block in squared_distance_blocks(x[ids], x[candidates]):
+            row, col = np.nonzero(block <= epsilon)  # row-major: ids ascend per row
+            parts = np.split(candidates[col], np.searchsorted(row, np.arange(1, block.shape[0])))
+            for i, part in zip(ids[start : start + len(parts)].tolist(), parts):
+                lists[i] = part
+    return lists
 
 
 def einsum_squared_distances_oracle(rows, point):

@@ -3,12 +3,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import einsum_squared_distances_oracle
+from oracles import einsum_squared_distances_oracle, pairwise_squared_distances
 from rnncluster import (
     DataSet,
     load_dataset,
     pairwise_distance_extrema,
-    pairwise_squared_distances,
     range_standardize,
     squared_euclidean,
 )

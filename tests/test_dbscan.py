@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dbscan_bfs_oracle
+from oracles import dbscan_bfs_oracle, neighborhood_lists_oracle
 from rnncluster import (
     DbscanParams,
     NOISE,
@@ -98,10 +98,12 @@ def test_raising_epsilon_never_adds_noise():
 def test_neighborhood_lists_match_single_row_scans():
     rng = np.random.default_rng(4)
     for x, eps in [(rng.normal(size=(700, 9)), 6.0), (np.round(rng.normal(size=(60, 2))), 1.0)]:
-        lists = neighborhood_lists(x, eps)
-        assert len(lists) == x.shape[0]
-        for i, members in enumerate(lists):
-            np.testing.assert_array_equal(members, epsilon_neighborhood(x, i, eps))
+        offsets, members = neighborhood_lists(x, eps)
+        assert offsets.size == x.shape[0] + 1
+        for i, oracle in enumerate(neighborhood_lists_oracle(x, eps)):
+            row = members[offsets[i] : offsets[i + 1]]
+            np.testing.assert_array_equal(row, epsilon_neighborhood(x, i, eps))
+            np.testing.assert_array_equal(row, oracle)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -129,8 +131,9 @@ def test_neighborhood_lists_are_symmetric():
     rng = np.random.default_rng(5)
     tied = np.round(2 * rng.normal(size=(80, 2)))
     for x, eps in [(rng.normal(size=(700, 9)), 6.0), (tied, 2.0)]:
-        lists = neighborhood_lists(x, eps)
-        pairs = {(i, int(j)) for i, members in enumerate(lists) for j in members}
+        offsets, members = neighborhood_lists(x, eps)
+        owners = np.repeat(np.arange(x.shape[0]), np.diff(offsets))
+        pairs = set(zip(owners.tolist(), members.tolist()))
         assert pairs == {(j, i) for i, j in pairs}
 
 
@@ -138,7 +141,9 @@ def test_border_entity_goes_to_the_group_drawn_first():
     # two core groups of five with one border entity (2.0) within eps of both
     x = np.array([[0.0], [0.25], [0.5], [0.75], [1.0], [2.0], [3.0], [3.25], [3.5], [3.75], [4.0]])
     neigh = neighborhood_lists(x, 1.0)
-    assert neigh[5].tolist() == [4, 5, 6]  # fewer than min_pts: a border entity
+    offsets, members = neigh
+    # fewer than min_pts: a border entity
+    assert members[offsets[5] : offsets[6]].tolist() == [4, 5, 6]
     sides = set()
     for seed in range(20):
         labels = dbscan_from_neighborhoods(neigh, 4, seed).labels
@@ -175,18 +180,19 @@ def test_dbscan_matches_bfs_oracle(case):
 
 
 def test_dbscan_memory_stays_near_its_input():
-    # at the largest eps every list holds all n ids; the claim pass keeps a
-    # CSR copy of them and a few same-sized gathers, never per-edge pairs
+    # at the largest eps every row holds all n ids; the claim pass reads the
+    # CSR pair in place and holds one same-sized gather at a time, never a
+    # copy of the graph or per-edge pairs
     x, _ = range_standardize(make_two_moons().matrix)
     neigh = neighborhood_lists(x, pairwise_distance_extrema(x)[1])
-    id_bytes = sum(ids.nbytes for ids in neigh)
+    graph_bytes = neigh[0].nbytes + neigh[1].nbytes
     tracemalloc.start()
     try:
         dbscan_from_neighborhoods(neigh, 10, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * id_bytes
+    assert peak <= 1.5 * graph_bytes
 
 
 def test_neighborhood_lists_memory_is_bounded():
@@ -194,9 +200,9 @@ def test_neighborhood_lists_memory_is_bounded():
     x = np.random.default_rng(6).uniform(size=(6000, 2))
     tracemalloc.start()
     try:
-        lists = neighborhood_lists(x, 5e-4)
+        offsets, _ = neighborhood_lists(x, 5e-4)
         peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
     assert peak_mb < 64
-    assert len(lists) == 6000
+    assert offsets.size == 6001

@@ -10,12 +10,14 @@ from oracles import dbscan_bfs_oracle, dbscrn_oracle, isdbscan_worklist_oracle
 from rnncluster import (
     DbscrnParams,
     IsdbscanParams,
+    KmeansParams,
     adjusted_rand_index,
     build_index,
     canonicalize_labels,
     dbcv,
     dbscrn,
     isdbscan,
+    kmeans,
     pairwise_distance_extrema,
     range_standardize,
 )
@@ -71,6 +73,7 @@ def test_overflowing_distances_raise_no_warning(name):
         neighborhood_lists(x, 1.0)
         dbscrn(x, index, DbscrnParams(k=4))
         pairwise_distance_extrema(x)
+        kmeans(x, KmeansParams(k_clusters=2, restarts=2))  # objectives overflow to inf
 
 
 _x = _rng.normal(size=(10, 2))
@@ -93,6 +96,32 @@ def test_dbcv_rejects_unscorable_input_with_a_message(name):
     data, labels, message = UNSCORABLE[name]
     with pytest.raises(ValueError, match=message):
         dbcv(data, labels)
+
+
+@pytest.mark.parametrize("name", ["nan-feature", "inf-feature", "1-d-data"])
+def test_kmeans_rejects_unusable_data_with_a_message(name):
+    # NaN data once left every restart's objective at inf, with no labels
+    data, _, message = UNSCORABLE[name]
+    with pytest.raises(ValueError, match=message):
+        kmeans(data, KmeansParams(k_clusters=2, restarts=2))
+
+
+_line = np.array([[0.0], [1.0], [2.0], [5.0]])
+# once: the last row's neighbourhood, an empty one, or a NaN row nobody reached
+BAD_NEIGHBORHOOD_QUERIES = {
+    "negative-i": (_line, -1, 1.0, "i=-1"),
+    "i-is-n": (_line, 4, 1.0, "i=4"),
+    "negative-epsilon": (_line, 0, -1.0, "got -1.0"),
+    "nan-epsilon": (_line, 0, np.nan, "got nan"),
+    "nan-row": (np.where(np.arange(4)[:, None] == 2, np.nan, _line), 0, 1.0, "nan at row 2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_NEIGHBORHOOD_QUERIES))
+def test_epsilon_neighborhood_rejects_bad_queries_with_a_message(name):
+    data, i, epsilon, message = BAD_NEIGHBORHOOD_QUERIES[name]
+    with pytest.raises(ValueError, match=message):
+        epsilon_neighborhood(data, i, epsilon)
 
 
 def test_ari_rejects_labels_that_are_not_1d_integers():

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import full_sort_knn_oracle, influence_oracle, knn_oracle, rnn_oracle
+from oracles import (
+    full_sort_knn_oracle,
+    influence_oracle,
+    knn_oracle,
+    neighborhood_lists_oracle,
+    rnn_oracle,
+)
 from rnncluster import KDTree, build_index, epsilon_neighborhood, make_blobs, range_standardize
 from rnncluster.data import compact_blocks
 from rnncluster.dbscan import neighborhood_lists
@@ -175,10 +181,12 @@ def test_pruned_scans_match_full_scans(case):
     oracle_idx, oracle_d2 = full_sort_knn_oracle(x, k_max)
     np.testing.assert_array_equal(index.knn_idx, oracle_idx)
     assert np.array_equal(index.knn_d2.view(np.int64), oracle_d2.view(np.int64))
-    lists = neighborhood_lists(x, epsilon)
-    assert len(lists) == x.shape[0]
-    for i, members in enumerate(lists):
-        np.testing.assert_array_equal(members, epsilon_neighborhood(x, i, epsilon))
+    offsets, members = neighborhood_lists(x, epsilon)
+    assert offsets.size == x.shape[0] + 1
+    for i, oracle in enumerate(neighborhood_lists_oracle(x, epsilon)):
+        row = members[offsets[i] : offsets[i + 1]]
+        np.testing.assert_array_equal(row, epsilon_neighborhood(x, i, epsilon))
+        np.testing.assert_array_equal(row, oracle)
 
 
 def test_build_prunes_most_pairs(kernel_pairs):

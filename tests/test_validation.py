@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rnncluster.data
-from oracles import ari_pairs_oracle, dbcv_oracle, dbcv_report_oracle, prim_mst_oracle
+from oracles import (
+    ari_pairs_oracle,
+    dbcv_oracle,
+    dbcv_report_oracle,
+    pairwise_squared_distances,
+    prim_mst_oracle,
+)
 from rnncluster import (
     DbscrnParams,
     IsdbscanParams,
@@ -22,7 +28,6 @@ from rnncluster import (
     range_standardize,
     select_best,
 )
-from rnncluster.data import pairwise_squared_distances
 from rnncluster.validation import _all_points_core_distances, _prim_mst
 
 
