@@ -69,43 +69,31 @@ def _read_config(path) -> dict:
     return values
 
 
-def _coerce(raw: str):
-    lowered = raw.lower()
-    if lowered in ("true", "yes", "on"):
-        return True
-    if lowered in ("false", "no", "off"):
-        return False
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        return float(raw)
-    except ValueError:
-        return raw
+_SWITCH_VALUES = {"true": True, "yes": True, "on": True, "1": True,
+                  "false": False, "no": False, "off": False, "0": False}
 
 
-def _apply_config(
-    args: argparse.Namespace, parser: argparse.ArgumentParser, argv: list[str]
-) -> None:
-    if not getattr(args, "config", None):
-        return
-    config = _read_config(args.config)
-    for key, raw in config.items():
-        if not hasattr(args, key):
+def _apply_config(parser: argparse.ArgumentParser, path) -> None:
+    """Make the config file's values the subcommand's defaults.
+
+    argparse converts a string default with its flag's `type` when the flag
+    is absent, so a config value is read exactly as the flag's value would
+    be, and an explicit flag still wins. Store-true flags take only the
+    values in `_SWITCH_VALUES`. Keys that name no flag are ignored.
+    """
+    flag_defaults = {a.dest: a.default for a in parser._actions
+                     if a.default is not argparse.SUPPRESS}
+    values = {}
+    for key, raw in _read_config(path).items():
+        if key not in flag_defaults:
             continue
-        current = getattr(args, key)
-        if f"--{key.replace('_', '-')}" in argv or f"--{key}" in argv:
-            continue  # explicit flag wins
-        default = parser.get_default(key)
-        if current != default:
-            continue
-        if isinstance(default, bool):
-            setattr(args, key, raw.lower() in ("1", "true", "yes", "on"))
-        elif isinstance(default, str):
-            setattr(args, key, raw)
-        else:
-            setattr(args, key, _coerce(raw))
+        if isinstance(flag_defaults[key], bool):  # a store-true switch
+            if raw.lower() not in _SWITCH_VALUES:
+                parser.error(f"{path}: {key} must be one of "
+                             f"{'/'.join(_SWITCH_VALUES)}, got {raw!r}")
+            raw = _SWITCH_VALUES[raw.lower()]
+        values[key] = raw
+    parser.set_defaults(**values)
 
 
 def _load(args) -> "DataSet":
@@ -331,7 +319,9 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     parser, command_parsers = _build_parser()
     args = parser.parse_args(argv)
-    _apply_config(args, command_parsers[args.command], list(argv))
+    if getattr(args, "config", None):
+        _apply_config(command_parsers[args.command], args.config)
+        args = parser.parse_args(argv)
     commands = {
         "cluster": _cmd_cluster,
         "sweep": _cmd_sweep,

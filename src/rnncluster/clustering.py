@@ -1,4 +1,5 @@
-"""Shared clustering result type and the draw-order claim of dense groups.
+"""Shared clustering result type, the draw-order claim of dense groups and
+the check of the algorithms' count parameters.
 
 Every algorithm returns a `Clustering`: one label per entity, either a
 cluster id in 0..K-1 or the NOISE sentinel (-1). Cluster ids are always
@@ -59,6 +60,14 @@ class Clustering:
     def sizes(self) -> np.ndarray:
         """Cluster sizes indexed by cluster id (noise excluded)."""
         return np.bincount(self.labels[self.labels >= 0], minlength=self.n_clusters)
+
+
+def check_count(name: str, value) -> None:
+    """ValueError naming `name` unless `value` is a Python or numpy integer >= 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
 
 
 def canonicalize_labels(labels: np.ndarray) -> Clustering:

@@ -292,7 +292,7 @@ def _parse_label(token: str, row_number: int) -> int:
         value = float(token)
     except ValueError:
         raise ValueError(f"row {row_number}: non-numeric label {token!r}") from None
-    if value != int(value):
+    if not np.isfinite(value) or value != int(value):
         raise ValueError(f"row {row_number}: label {token!r} is not an integer")
     return int(value)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import NOISE, Clustering, canonicalize_labels, claim_in_draw_order
+from .clustering import NOISE, Clustering, canonicalize_labels, check_count, claim_in_draw_order
 from .data import as_feature_matrix, compact_blocks, row_squared_distances, squared_distance_blocks
 
 __all__ = ["DbscanParams", "dbscan", "epsilon_neighborhood"]
@@ -36,8 +36,7 @@ class DbscanParams:
     def __post_init__(self):
         if not self.epsilon >= 0:
             raise ValueError("epsilon must be nonnegative")
-        if self.min_pts < 1:
-            raise ValueError("min_pts must be >= 1")
+        check_count("min_pts", self.min_pts)
 
 
 def epsilon_neighborhood(data: np.ndarray, i: int, epsilon: float) -> np.ndarray:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import Clustering, canonicalize_labels
+from .clustering import Clustering, canonicalize_labels, check_count
 from .data import squared_distance_blocks
 from .neighbors import NeighborIndex
 
@@ -37,8 +37,7 @@ class DbscrnParams:
     k: int
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
+        check_count("k", self.k)
 
 
 def dbscrn(data: np.ndarray, index: NeighborIndex, params: DbscrnParams) -> Clustering:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import NOISE, Clustering, canonicalize_labels, claim_in_draw_order
+from .clustering import NOISE, Clustering, canonicalize_labels, check_count, claim_in_draw_order
 from .neighbors import NeighborIndex
 
 __all__ = ["IsdbscanParams", "isdbscan"]
@@ -32,8 +32,7 @@ class IsdbscanParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
+        check_count("k", self.k)
 
 
 def isdbscan(data: np.ndarray, index: NeighborIndex, params: IsdbscanParams) -> Clustering:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import Clustering, canonicalize_labels
+from .clustering import Clustering, canonicalize_labels, check_count
 from .data import as_feature_matrix, row_squared_distances, squared_distance_blocks
 
 __all__ = ["KmeansParams", "kmeans", "lloyd"]
@@ -27,10 +27,8 @@ class KmeansParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.k_clusters < 1:
-            raise ValueError("k_clusters must be >= 1")
-        if self.restarts < 1 or self.max_iters < 1:
-            raise ValueError("restarts and max_iters must be >= 1")
+        for name in ("k_clusters", "restarts", "max_iters"):
+            check_count(name, getattr(self, name))
 
 
 def _assign(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:

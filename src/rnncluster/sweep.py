@@ -100,8 +100,12 @@ class SweepSpec:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}")
         if self.runs_per_setting < 1:
             raise ValueError("runs_per_setting must be >= 1")
-        if self.eps_step <= 0:
-            raise ValueError("eps_step must be positive")
+        if not 0 < self.eps_step < np.inf:
+            raise ValueError(f"eps_step must be finite and > 0, got {self.eps_step}")
+        if self.eps_range is not None:
+            lo, hi = self.eps_range
+            if not -np.inf < lo <= hi < np.inf:
+                raise ValueError(f"eps_range must be finite with lo <= hi, got {self.eps_range}")
 
 
 @dataclass

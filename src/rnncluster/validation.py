@@ -1,10 +1,11 @@
 """External (ARI) and internal (DBCV) clustering validation.
 
 ARI is the Hubert-Arabie adjusted Rand index computed from the
-contingency table. DBCV scores a clustering by comparing within-cluster
-density sparseness against between-cluster density separation on
-mutual-reachability minimum spanning trees; it drives unsupervised
-parameter selection via `select_best`.
+contingency table, each predicted noise entity a singleton cluster. DBCV
+scores a clustering by comparing within-cluster density sparseness
+against between-cluster density separation on mutual-reachability
+minimum spanning trees, weighing each cluster by its size over n, noise
+counted; it drives unsupervised parameter selection via `select_best`.
 
 DBCV works on plain (non-squared) Euclidean distances, unlike the
 clustering algorithms; the two scales never mix.
@@ -55,24 +56,16 @@ def _labels_of(clustering) -> np.ndarray:
     return labels.astype(np.int64)
 
 
-def _spread_noise(labels: np.ndarray, policy: str) -> np.ndarray:
-    """Re-label NOISE entities for external comparison.
+def _spread_noise(labels: np.ndarray) -> np.ndarray:
+    """Re-label each NOISE entity as its own cluster, for external comparison.
 
-    "singletons" (default): each noise entity becomes its own cluster, so
-    excessive noise is penalized without inventing one big fake cluster.
-    "cluster": all noise entities share a single extra label.
+    Excessive noise is penalized without inventing one big fake cluster.
     """
     noise = labels == NOISE
     if not noise.any():
         return labels
     out = labels.copy()
-    base = labels.max() + 1
-    if policy == "singletons":
-        out[noise] = base + np.arange(int(noise.sum()))
-    elif policy == "cluster":
-        out[noise] = base
-    else:
-        raise ValueError(f"unknown noise policy {policy!r}")
+    out[noise] = labels.max() + 1 + np.arange(int(noise.sum()))
     return out
 
 
@@ -93,16 +86,16 @@ def _comb2(x: np.ndarray) -> np.ndarray:
     return x * (x - 1.0) / 2.0
 
 
-def adjusted_rand_index(pred, truth, noise: str = "singletons") -> float:
+def adjusted_rand_index(pred, truth) -> float:
     """Hubert-Arabie adjusted Rand index in [-1, 1].
 
     1.0 means the partitions are identical up to label permutation; ~0 is
-    chance-level agreement. NOISE entities in `pred` are re-labelled per
-    `noise` before counting (see `_spread_noise`). Returns 1.0 when the
-    chance-correction denominator vanishes, which only happens when both
-    partitions are trivial in the same way.
+    chance-level agreement. Each NOISE entity in `pred` counts as its own
+    cluster (`_spread_noise`). Returns 1.0 when the chance-correction
+    denominator vanishes, which only happens when both partitions are
+    trivial in the same way.
     """
-    table = contingency_table(_spread_noise(_labels_of(pred), noise), truth)
+    table = contingency_table(_spread_noise(_labels_of(pred)), truth)
     n = table.sum()
     index = _comb2(table).sum()
     a = _comb2(table.sum(axis=1)).sum()
@@ -131,28 +124,6 @@ class DbcvReport:
     separation: np.ndarray
     validity: np.ndarray
     overall: float
-
-
-def _all_points_core_distances(dist: np.ndarray, m: int) -> np.ndarray:
-    """Kernel density estimate per entity within one cluster.
-
-    ((sum over same-cluster others of (1/d)^m) / (n_c - 1)) ** (-1/m),
-    with m the feature count. Duplicate points (d = 0) push the sum to
-    infinity and the core distance to 0. Rows are summed `data._BLOCK_ROWS`
-    at a time, so `dist` is the only n_c x n_c array held; a row's sum is
-    the same reduction in a chunk of rows as in the full matrix.
-    """
-    nc = dist.shape[0]
-    total = np.empty(nc)
-    with np.errstate(divide="ignore", over="ignore"):
-        for lo in range(0, nc, _data._BLOCK_ROWS):
-            rows = slice(lo, lo + _data._BLOCK_ROWS)
-            inv = np.divide(1.0, dist[rows])
-            np.fill_diagonal(inv[:, lo:], 0.0)
-            inv **= m
-            inv.sum(axis=1, out=total[rows])
-        total /= nc - 1
-        return total ** (-1.0 / m)
 
 
 def _prim_mst(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -192,25 +163,35 @@ def _cluster_terms(points: np.ndarray, m: int) -> tuple[np.ndarray, float, np.nd
     The within-cluster distances come from the package kernel,
     `data._BLOCK_ROWS` rows at a time: the temporaries stay a small,
     cache-sized fraction of the one n_c x n_c array, and are reused from
-    chunk to chunk instead of being mapped afresh for every cluster. The
-    mutual-reachability matrix is built in place over them, and its Prim
-    MST gives the sparseness (the largest internal edge, or the largest
-    edge when no edge is internal). The pool holds the local positions of
-    the internal MST nodes, or of every member when no node is internal:
-    separations are measured between pools.
+    chunk to chunk instead of being mapped afresh for every cluster. Each
+    chunk also gives its rows' core distances, ((sum over the other members
+    of (1/d)^m) / (n_c - 1)) ** (-1/m) with m the feature count (0 for a
+    duplicate point). The mutual-reachability matrix is built in place over
+    the distances, and its Prim MST gives the sparseness (the largest
+    internal edge, or the largest edge when no edge is internal). The pool
+    holds the local positions of the internal MST nodes, or of every member
+    when no node is internal: separations are measured between pools.
     """
-    dist = np.empty((points.shape[0], points.shape[0]))
-    for lo in range(0, points.shape[0], _data._BLOCK_ROWS):
-        rows = slice(lo, lo + _data._BLOCK_ROWS)
-        np.sqrt(row_squared_distances(points, points[rows, None, :]), out=dist[rows])
-    core = _all_points_core_distances(dist, m)
+    nc = points.shape[0]
+    dist = np.empty((nc, nc))
+    core = np.empty(nc)
+    with np.errstate(divide="ignore", over="ignore"):
+        for lo in range(0, nc, _data._BLOCK_ROWS):
+            rows = slice(lo, lo + _data._BLOCK_ROWS)
+            np.sqrt(row_squared_distances(points, points[rows, None, :]), out=dist[rows])
+            inv = np.divide(1.0, dist[rows])
+            np.fill_diagonal(inv[:, lo:], 0.0)
+            inv **= m
+            inv.sum(axis=1, out=core[rows])
+        core /= nc - 1
+        core **= -1.0 / m
     np.maximum(dist, core[:, None], out=dist)
     np.maximum(dist, core[None, :], out=dist)
     edges, edge_w, degrees = _prim_mst(dist)
     internal_edge = (degrees[edges[:, 0]] > 1) & (degrees[edges[:, 1]] > 1)
     sparseness = float(edge_w[internal_edge].max() if internal_edge.any() else edge_w.max())
     internal_nodes = np.flatnonzero(degrees > 1)
-    pool = internal_nodes if internal_nodes.size else np.arange(points.shape[0])
+    pool = internal_nodes if internal_nodes.size else np.arange(nc)
     return core, sparseness, pool
 
 
@@ -240,20 +221,15 @@ def _separations(points: np.ndarray, core: np.ndarray, cuts: np.ndarray) -> np.n
     return separation
 
 
-def dbcv(
-    data: np.ndarray,
-    clustering,
-    count_noise_in_weight: bool = True,
-    *,
-    cluster_terms: dict | None = None,
-) -> DbcvReport:
+def dbcv(data: np.ndarray, clustering, *, cluster_terms: dict | None = None) -> DbcvReport:
     """Density-based clustering validation score of a clustering on `data`.
 
     Degenerate inputs (fewer than two clusters with >= 2 members) score 0.
-    Noise entities take part only through the weighting denominator, so a
-    clustering that declares most entities noise scores near 0 even when
-    its few clusters are clean. `data` must be a finite 2-D matrix and the
-    labels 1-D integers, one per row; otherwise ValueError.
+    Noise entities take part only through the weights |C| / n, where n
+    counts noise as DBCV's |O| does, so a clustering that declares most
+    entities noise scores near 0 even when its few clusters are clean.
+    `data` must be a finite 2-D matrix and the labels 1-D integers, one per
+    row; otherwise ValueError.
 
     `cluster_terms` is an optional memo that the caller owns: a dict from
     a cluster's member ids (the bytes of its ascending int64 entity ids)
@@ -266,7 +242,6 @@ def dbcv(
     x = as_feature_matrix(data)
     if labels.shape[0] != x.shape[0]:
         raise ValueError("clustering and data disagree on the number of entities")
-    n_total = labels.shape[0] if count_noise_in_weight else int((labels != NOISE).sum())
     ids, counts = np.unique(labels[labels >= 0], return_counts=True)
     scored = ids[counts >= 2]
     empty = np.array([], dtype=np.float64)
@@ -304,31 +279,24 @@ def dbcv(
             validity[c] = (sep - spa) / denom if denom > 0 else 0.0
 
     sizes = counts[counts >= 2].astype(np.float64)
-    overall = float(np.sum(sizes / n_total * validity))
+    overall = float(np.sum(sizes / labels.shape[0] * validity))
     return DbcvReport(scored, sparseness, separation, validity, overall)
-
-
-def _param_key(params):
-    if dataclasses.is_dataclass(params):
-        return dataclasses.astuple(params)
-    if isinstance(params, (tuple, list)):
-        return tuple(params)
-    return (params,)
 
 
 def select_best(results):
     """Pick the (params, clustering) with the highest DBCV score.
 
     `results` is a nonempty sequence of (params, clustering, score)
-    triples. Score ties resolve to the smaller parameter values (epsilon
-    then min_pts, or smaller k), then to the earlier entry.
+    triples, each params a dataclass. Score ties resolve to the smaller
+    parameter values (epsilon then min_pts, or smaller k), then to the
+    earlier entry.
     """
     results = list(results)
     if not results:
         raise ValueError("select_best needs at least one result")
     best = min(
         enumerate(results),
-        key=lambda item: (-item[1][2], _param_key(item[1][0]), item[0]),
+        key=lambda item: (-item[1][2], dataclasses.astuple(item[1][0]), item[0]),
     )
     params, clustering, _ = best[1]
     return params, clustering

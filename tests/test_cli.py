@@ -175,6 +175,33 @@ def test_config_file_supplies_defaults_and_flags_override(tmp_path, capsys):
     assert (other / f"{data.stem}_dbscrn_labels.csv").exists()
 
 
+@pytest.mark.parametrize("line, message", [
+    ("k = 8.0", "argument --k: invalid int value: '8.0'"),  # a float k failed in the fit
+    ("header = maybe", "header must be one of"),  # read as false
+], ids=["float-k", "unknown-switch"])
+def test_config_values_are_read_with_the_flag_types(tmp_path, capsys, line, message):
+    data = _gen(tmp_path)
+    config = tmp_path / "run.cfg"
+    config.write_text(f"data = {data}\nlabel_col = -1\nk = 5\n{line}\n")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["cluster", "--config", str(config), "--algo", "dbscrn", "--out", str(tmp_path)])
+    assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_config_switches_take_yes_and_no(tmp_path, capsys):
+    data = _gen(tmp_path)
+    out = tmp_path / "cfgout"
+    config = tmp_path / "run.cfg"
+    config.write_text(f"data = {data}\nlabel_col = -1\nk = 5\nout = {out}\nplot = YES\n")
+    assert main(["cluster", "--config", str(config), "--algo", "dbscrn"]) == 0
+    assert (out / f"{data.stem}_dbscrn.svg").exists()
+    config.write_text(f"data = {data}\nlabel_col = -1\nk = 5\nout = {out}\nheader = on\n")
+    # the header switch drops the first of the 40 rows
+    assert main(["cluster", "--config", str(config), "--algo", "dbscrn"]) == 0
+    assert len((out / f"{data.stem}_dbscrn_labels.csv").read_text().splitlines()) == 40
+
+
 def test_gen_is_deterministic(tmp_path):
     a = _gen(tmp_path / "a", seed=7)
     b = _gen(tmp_path / "b", seed=7)

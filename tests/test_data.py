@@ -209,6 +209,13 @@ def test_load_dataset_errors_name_the_row(tmp_path):
         load_dataset(path, label_column=-1)
 
 
+@pytest.mark.parametrize("label", ["2.5", "inf", "-inf", "1e400", "nan"])
+def test_load_dataset_rejects_a_label_that_is_no_integer(tmp_path, label):
+    path = _write(tmp_path, f"1,2,0\n3,4,{label}\n")
+    with pytest.raises(ValueError, match=f"row 2: label '{label}' is not an integer"):
+        load_dataset(path, label_column=-1)
+
+
 def test_load_dataset_label_column_out_of_range(tmp_path):
     path = _write(tmp_path, "1,2\n3,4\n")
     with pytest.raises(ValueError, match="out of range"):

@@ -8,6 +8,7 @@ import pytest
 
 from oracles import dbscan_bfs_oracle, dbscrn_oracle, isdbscan_worklist_oracle
 from rnncluster import (
+    DbscanParams,
     DbscrnParams,
     IsdbscanParams,
     KmeansParams,
@@ -122,6 +123,28 @@ def test_epsilon_neighborhood_rejects_bad_queries_with_a_message(name):
     data, i, epsilon, message = BAD_NEIGHBORHOOD_QUERIES[name]
     with pytest.raises(ValueError, match=message):
         epsilon_neighborhood(data, i, epsilon)
+
+
+COUNT_PARAMETERS = {
+    "dbscrn-k": (lambda v: DbscrnParams(k=v), "k"),
+    "isdbscan-k": (lambda v: IsdbscanParams(k=v), "k"),
+    "dbscan-min_pts": (lambda v: DbscanParams(epsilon=0.1, min_pts=v), "min_pts"),
+    "kmeans-k_clusters": (lambda v: KmeansParams(k_clusters=v), "k_clusters"),
+    "kmeans-restarts": (lambda v: KmeansParams(k_clusters=2, restarts=v), "restarts"),
+    "kmeans-max_iters": (lambda v: KmeansParams(k_clusters=2, max_iters=v), "max_iters"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUNT_PARAMETERS))
+def test_count_parameters_must_be_integers(name):
+    make, field = COUNT_PARAMETERS[name]
+    # a float k was accepted and failed later inside numpy slicing
+    for value in (2.5, 3.0, "3", True):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+            make(value)
+    with pytest.raises(ValueError, match=f"^{field} must be >= 1$"):
+        make(0)
+    assert getattr(make(np.int32(3)), field) == 3
 
 
 def test_ari_rejects_labels_that_are_not_1d_integers():

@@ -261,6 +261,13 @@ def test_spec_validation():
         SweepSpec(algorithm="dbscan", runs_per_setting=0)
     with pytest.raises(ValueError):
         SweepSpec(algorithm="dbscan", eps_step=0.0)
+    for step in (np.nan, np.inf, -0.1):  # NaN once failed in the grid's np.arange
+        with pytest.raises(ValueError, match="eps_step must be finite and > 0"):
+            SweepSpec("dbscan", eps_step=step)
+    for bounds in ((0.5, 0.1), (0.0, np.inf), (np.nan, 1.0), (-np.inf, 1.0)):
+        with pytest.raises(ValueError, match="eps_range must be finite with lo <= hi"):
+            SweepSpec("dbscan", eps_range=bounds)
+    SweepSpec("dbscan", eps_range=(0.2, 0.2))  # a one-point grid is fine
     with pytest.raises(ValueError):
         BenchSpec(algorithm="kmeans", params=None)
     with pytest.raises(ValueError, match="dbscan needs DbscanParams, got DbscrnParams"):

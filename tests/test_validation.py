@@ -28,7 +28,7 @@ from rnncluster import (
     range_standardize,
     select_best,
 )
-from rnncluster.validation import _all_points_core_distances, _prim_mst
+from rnncluster.validation import _prim_mst
 
 
 def test_ari_trivial_cases():
@@ -71,13 +71,9 @@ def test_ari_matches_pair_counting_oracle():
 def test_ari_noise_policies():
     pred = np.array([0, 0, 1, 1, -1, -1])
     truth = np.array([0, 0, 1, 1, 2, 2])
-    # singleton policy: each noise entity its own cluster
+    # each noise entity is its own cluster
     manual = np.array([0, 0, 1, 1, 2, 3])
     assert adjusted_rand_index(pred, truth) == adjusted_rand_index(manual, truth)
-    # single-label policy: noise becomes one extra cluster, here matching truth
-    assert adjusted_rand_index(pred, truth, noise="cluster") == 1.0
-    with pytest.raises(ValueError):
-        adjusted_rand_index(pred, truth, noise="drop")
 
 
 def test_ari_length_mismatch():
@@ -153,7 +149,10 @@ def reachability_matrices(draw):
     rows = rng.integers(0, draw(st.integers(1, 4)), size=(pool, m)).astype(np.float64)
     x = rows[rng.integers(0, pool, size=n)]
     dist = np.sqrt(pairwise_squared_distances(x))
-    core = _all_points_core_distances(dist, m)
+    with np.errstate(divide="ignore", over="ignore"):  # the oracle's core distances
+        inv = 1.0 / dist
+        np.fill_diagonal(inv, 0.0)
+        core = ((inv**m).sum(axis=1) / (n - 1)) ** (-1.0 / m)
     return np.maximum(dist, np.maximum(core[:, None], core[None, :]))
 
 
@@ -193,17 +192,14 @@ def dbcv_inputs(draw):
     else:
         x = rng.normal(size=(n, m))
     labels = rng.integers(-1, draw(st.integers(1, 25)), size=n)
-    return x, labels, draw(st.booleans())
+    return x, labels
 
 
 @given(dbcv_inputs())
 @settings(max_examples=150, deadline=None)
 def test_dbcv_report_matches_the_replaced_implementation(case):
-    x, labels, count_noise = case
-    assert_same_report(
-        dbcv(x, labels, count_noise_in_weight=count_noise),
-        dbcv_report_oracle(x, labels, count_noise_in_weight=count_noise),
-    )
+    x, labels = case
+    assert_same_report(dbcv(x, labels), dbcv_report_oracle(x, labels))
 
 
 def test_dbcv_report_is_the_same_when_separations_span_many_blocks(monkeypatch):
@@ -272,9 +268,10 @@ def test_dbcv_weight_counts_noise_by_default():
     labels = np.repeat([0, 1], 20)
     noisy = labels.copy()
     noisy[:5] = -1
-    full = dbcv(x, noisy)
-    unweighted = dbcv(x, noisy, count_noise_in_weight=False)
-    assert full.overall < unweighted.overall  # noise share penalizes the score
+    report = dbcv(x, noisy)
+    sizes = np.array([15.0, 20.0])
+    # n = 40 counts the 5 noise entities: the noise share penalizes the score
+    assert report.overall == float(np.sum(sizes / 40 * report.validity))
 
 
 def test_select_best_rules():
