@@ -38,8 +38,8 @@ i = int(np.argmax(sizes))
 assert all(i in clump_index.knn(j, 5) for j in clump_index.rnn(i, 5))
 print(f"  duality verified around the most popular entity ({i})")
 
-# the exact kd-tree backend returns bit-identical lists
+# the spatial backend, a best-first search over the same leaves, returns bit-identical lists
 spatial = build_index(clump, k_max=5, backend="spatial")
 assert np.array_equal(spatial.knn_idx, clump_index.knn_idx)
 assert np.array_equal(spatial.knn_d2, clump_index.knn_d2)
-print("  brute-force and kd-tree backends agree bit-for-bit")
+print("  brute-force and spatial backends agree bit-for-bit")

@@ -27,7 +27,6 @@ from .data import (
 from .dbscan import DbscanParams, dbscan, epsilon_neighborhood
 from .dbscrn import DbscrnParams, dbscrn
 from .isdbscan import IsdbscanParams, isdbscan
-from .kdtree import KDTree
 from .kmeans import KmeansParams, kmeans, lloyd
 from .neighbors import NeighborIndex, build_index
 from .plotting import plot_clustering, render_svg
@@ -72,7 +71,6 @@ __all__ = [
     "DbscanParams",
     "DbscrnParams",
     "IsdbscanParams",
-    "KDTree",
     "KmeansParams",
     "NeighborIndex",
     "StandardizationReport",

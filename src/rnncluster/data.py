@@ -294,6 +294,8 @@ def _parse_label(token: str, row_number: int) -> int:
         raise ValueError(f"row {row_number}: non-numeric label {token!r}") from None
     if not np.isfinite(value) or value != int(value):
         raise ValueError(f"row {row_number}: label {token!r} is not an integer")
+    if not -(2**63) <= value < 2**63:  # labels are stored as int64
+        raise ValueError(f"row {row_number}: label {token!r} is outside the int64 range")
     return int(value)
 
 

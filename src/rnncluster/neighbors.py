@@ -7,21 +7,21 @@ the k-influence spaces IS_k(i) = NN_k(i) ∩ RNN_k(i) (`influence_csr`), so a
 parameter sweep over k reuses a single build and ISDBSCAN's repeated seeded
 runs at one k reuse one influence graph.
 
-Two construction backends exist and must produce bit-identical lists: an
-exact scan over the compact blocks of `data.compact_blocks` in
-O(block * n) memory (the default, named "brute"), and an exact kd-tree.
-For each block, the first rows + k_max entities by lower bound give an
-upper bound on every row's k-th distance; only the entities whose lower
-bound is at or below it reach the distance kernel, and they are ranked
-exactly as a scan of all n rows would rank them.
+Two backends share the leaves of `data.compact_blocks` and the distance
+kernel, and produce bit-identical lists. The default, "brute", scans block
+by block in O(block * n) memory; the first rows + k_max entities by lower
+bound cap every row's k-th distance, and only the entities whose lower
+bound is at or below that cap are ranked. "spatial" is the best-first
+search of Friedman, Bentley & Finkel (1977): each entity visits the leaves
+by ascending box bound until one exceeds the k_max-th distance found.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .data import as_feature_matrix, compact_blocks, squared_distance_blocks
-from .kdtree import KDTree
+from .clustering import check_count
+from .data import as_feature_matrix, compact_blocks, row_squared_distances, squared_distance_blocks
 
 __all__ = ["NeighborIndex", "build_index"]
 
@@ -37,12 +37,11 @@ class NeighborIndex:
     knn_d2 : (n, k_max) squared distances matching knn_idx.
     """
 
-    def __init__(self, data, k_max, knn_idx, knn_d2, backend):
+    def __init__(self, data, k_max, knn_idx, knn_d2):
         self.data = data
         self.k_max = int(k_max)
         self.knn_idx = knn_idx
         self.knn_d2 = knn_d2
-        self.backend = backend
         # ("rnn" or "influence", k) -> that k's CSR pair (offsets, members)
         self._per_k: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]] = {}
 
@@ -131,16 +130,17 @@ def build_index(data: np.ndarray, k_max: int, backend: str = "brute") -> Neighbo
     """Build the neighbour index for all k <= k_max.
 
     backend "brute" ranks the entities of each compact block's candidate
-    set; "spatial" queries an exact kd-tree. Both produce bit-identical
-    lists. An entity is never its own neighbour, even when distances
-    overflow to inf. Raises ValueError on a non-finite value in `data`.
+    set; "spatial" searches the compact blocks' leaves best-first for each
+    entity, nearest box first. Both produce bit-identical lists. An entity
+    is never its own neighbour, even when distances overflow to inf.
+    Raises ValueError on a non-finite value in `data`, and unless k_max is
+    an integer in 1..n-1.
     """
     x = as_feature_matrix(data)
     n = x.shape[0]
+    check_count("k_max", k_max)
     if k_max >= n:
         raise ValueError(f"k_max={k_max} must be at most n-1={n - 1}")
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
     knn_idx = np.empty((n, k_max), dtype=np.int64)
     knn_d2 = np.empty((n, k_max), dtype=np.float64)
     if backend == "brute":
@@ -175,9 +175,28 @@ def build_index(data: np.ndarray, k_max: int, backend: str = "brute") -> Neighbo
                 knn_idx[own] = candidates[col[take]]
                 knn_d2[own] = d2[take]
     elif backend == "spatial":
-        tree = KDTree(x)
-        for i in range(n):
-            knn_idx[i], knn_d2[i] = tree.query(x[i], k_max, exclude=i)
+        leaves = [ids for ids, _ in compact_blocks(x)]
+        lo = np.array([x[ids].min(axis=0) for ids in leaves])
+        hi = np.array([x[ids].max(axis=0) for ids in leaves])
+        for own in leaves:
+            q = x[own][:, None, :]
+            # fl(gap)**2 on the worst axis never exceeds the kernel's distance
+            # to a leaf's row (see `compact_blocks`); a gap may overflow to inf
+            with np.errstate(over="ignore"):
+                bounds = np.square(np.maximum(np.maximum(lo - q, q - hi), 0.0)).max(axis=2)
+            for i, gap2 in zip(own.tolist(), bounds):
+                found, d2, kth = np.empty(0, dtype=np.int64), np.empty(0), np.inf
+                for leaf in np.argsort(gap2, kind="stable"):
+                    # strictly greater: a row tied at the k-th distance is still found
+                    if gap2[leaf] > kth:
+                        break
+                    ids = leaves[leaf][leaves[leaf] != i]  # self is left out by id
+                    found = np.concatenate([found, ids])
+                    d2 = np.concatenate([d2, row_squared_distances(x[ids], x[i])])
+                    if d2.size >= k_max:
+                        kth = np.partition(d2, k_max - 1)[k_max - 1]
+                take = np.lexsort((found, d2))[:k_max]
+                knn_idx[i], knn_d2[i] = found[take], d2[take]
     else:
         raise ValueError(f"unknown backend {backend!r} (expected 'brute' or 'spatial')")
-    return NeighborIndex(x, k_max, knn_idx, knn_d2, backend)
+    return NeighborIndex(x, k_max, knn_idx, knn_d2)

@@ -44,7 +44,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .clustering import Clustering
+from .clustering import Clustering, check_count
 from .data import (
     DataSet,
     StandardizationReport,
@@ -98,8 +98,12 @@ class SweepSpec:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}")
-        if self.runs_per_setting < 1:
-            raise ValueError("runs_per_setting must be >= 1")
+        check_count("runs_per_setting", self.runs_per_setting)
+        lo_pts, hi_pts = self.min_pts_range
+        check_count("min_pts_range[0]", lo_pts)
+        check_count("min_pts_range[1]", hi_pts)
+        if lo_pts > hi_pts:
+            raise ValueError(f"min_pts_range must have lo <= hi, got {self.min_pts_range}")
         if not 0 < self.eps_step < np.inf:
             raise ValueError(f"eps_step must be finite and > 0, got {self.eps_step}")
         if self.eps_range is not None:
@@ -404,8 +408,7 @@ class BenchSpec:
                 f"{self.algorithm} needs {_PARAMS[self.algorithm].__name__}, "
                 f"got {type(self.params).__name__}"
             )
-        if self.runs < 1:
-            raise ValueError("runs must be >= 1")
+        check_count("runs", self.runs)
 
 
 @dataclass

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .clustering import check_count
 from .data import DataSet
 
 __all__ = [
@@ -29,8 +30,8 @@ def make_blobs(
     name: str = "blobs",
 ) -> DataSet:
     """Isotropic Gaussian blobs on a circle of radius `center_box`."""
-    if n_centers < 1 or points_per_center < 1:
-        raise ValueError("n_centers and points_per_center must be >= 1")
+    check_count("n_centers", n_centers)
+    check_count("points_per_center", points_per_center)
     rng = np.random.default_rng(seed)
     angles = 2.0 * np.pi * np.arange(n_centers) / n_centers
     centers = center_box * np.stack([np.cos(angles), np.sin(angles)], axis=1)
@@ -55,6 +56,7 @@ def make_two_moons(
     with the default 3.0 the upper arc is three times as dense as the
     lower one.
     """
+    check_count("n", n)
     if n < 4:
         raise ValueError("need at least 4 points")
     if density_ratio <= 0:
@@ -83,7 +85,9 @@ def make_nested_rings(
     name: str = "nested_rings",
 ) -> DataSet:
     """Concentric circles; ring r has radius base_radius + r * radius_step."""
-    if n_rings < 1 or points_per_ring < 3:
+    check_count("n_rings", n_rings)
+    check_count("points_per_ring", points_per_ring)
+    if points_per_ring < 3:
         raise ValueError("need n_rings >= 1 and points_per_ring >= 3")
     rng = np.random.default_rng(seed)
     points = []
@@ -105,6 +109,7 @@ def make_spirals(
     name: str = "spirals",
 ) -> DataSet:
     """Two interleaved Archimedean spiral arms (arm 2 is arm 1 rotated by pi)."""
+    check_count("n", n)
     if n < 4:
         raise ValueError("need at least 4 points")
     rng = np.random.default_rng(seed)

@@ -9,6 +9,7 @@ match bit for bit.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from collections import deque
@@ -495,3 +496,99 @@ def dbcv_report_oracle(x, labels, count_noise_in_weight=True):
     sizes = counts[counts >= 2].astype(np.float64)
     overall = float(np.sum(sizes / n_total * validity))
     return scored, sparseness, separation, validity, overall
+
+
+class _KDTree:
+    """The replaced `backend="spatial"`: an exact kd-tree over the rows of x.
+
+    Axis-aligned, median-count splits (both children nonempty even with
+    heavy duplicate coordinates). A query ranks candidates by (distance,
+    entity index) and prunes a subtree only when its single-axis lower
+    bound strictly exceeds the worst kept distance, so equal-distance
+    candidates are never lost.
+    """
+
+    def __init__(self, data, leaf_size=32):
+        self.data = np.ascontiguousarray(data, dtype=np.float64)
+        self.leaf_size = leaf_size
+        self._axis, self._split, self._left, self._right, self._points = [], [], [], [], []
+        self._root = self._build(np.arange(self.data.shape[0], dtype=np.int64))
+
+    def _new_node(self):
+        self._axis.append(-1)
+        self._split.append(0.0)
+        self._left.append(-1)
+        self._right.append(-1)
+        self._points.append(None)
+        return len(self._axis) - 1
+
+    def _build(self, indices):
+        node = self._new_node()
+        if indices.size <= self.leaf_size:
+            self._points[node] = indices
+            return node
+        coords = self.data[indices]
+        # a spread of far-apart finite rows overflows to inf, which still
+        # names the widest axis, so the warning is noise
+        with np.errstate(over="ignore"):
+            spread = coords.max(axis=0) - coords.min(axis=0)
+        axis = int(np.argmax(spread))
+        if spread[axis] == 0.0:
+            # all points identical: nothing to split on
+            self._points[node] = indices
+            return node
+        order = np.argsort(coords[:, axis], kind="stable")
+        mid = indices.size // 2
+        self._axis[node] = axis
+        # smallest coordinate on the right side; left <= split <= right
+        self._split[node] = float(coords[order[mid], axis])
+        self._left[node] = self._build(indices[order[:mid]])
+        self._right[node] = self._build(indices[order[mid:]])
+        return node
+
+    def query(self, point, k, exclude):
+        """The k nearest rows to `point` but row `exclude`, by (distance, index)."""
+        # Python floats overflow to inf without a warning, like the kernel
+        coords = point.tolist()
+        # max-heap on (d2, index) via negation; heap[0] is the worst kept
+        heap = []
+        stack = [(self._root, 0.0)]
+        while stack:
+            node, bound = stack.pop()
+            if len(heap) == k and bound > -heap[0][0]:
+                continue
+            points = self._points[node]
+            if points is not None:
+                candidates = points[points != exclude]
+                if candidates.size == 0:
+                    continue
+                dists = row_squared_distances(self.data[candidates], point)
+                for d2, idx in zip(dists.tolist(), candidates.tolist()):
+                    if len(heap) < k:
+                        heapq.heappush(heap, (-d2, -idx))
+                    elif (d2, idx) < (-heap[0][0], -heap[0][1]):
+                        heapq.heapreplace(heap, (-d2, -idx))
+                continue
+            axis = self._axis[node]
+            delta = coords[axis] - self._split[node]
+            if delta <= 0.0:
+                near, far = self._left[node], self._right[node]
+            else:
+                near, far = self._right[node], self._left[node]
+            stack.append((far, delta * delta))
+            stack.append((near, bound))
+        ranked = sorted((-neg_d2, -neg_idx) for neg_d2, neg_idx in heap)
+        return [i for _, i in ranked], [d for d, _ in ranked]
+
+
+def kdtree_knn_oracle(x, k_max):
+    """The replaced kd-tree backend, queried row by row: (knn_idx, knn_d2).
+
+    `build_index(..., backend="spatial")` must match it bit for bit.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    tree = _KDTree(x)
+    rows = [tree.query(x[i], k_max, exclude=i) for i in range(x.shape[0])]
+    knn_idx = np.array([idx for idx, _ in rows], dtype=np.int64).reshape(-1, k_max)
+    knn_d2 = np.array([d2 for _, d2 in rows], dtype=np.float64).reshape(-1, k_max)
+    return knn_idx, knn_d2

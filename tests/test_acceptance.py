@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import BENCHMARK_FILES, load_benchmark
-from oracles import ari_pairs_oracle, dbcv_oracle
+from oracles import ari_pairs_oracle, dbcv_oracle, full_sort_knn_oracle
 from rnncluster import (
     BenchSpec,
     DbscanParams,
@@ -295,15 +295,16 @@ def test_criterion_5_duality_and_backend_equivalence():
         k_max = min(int(rng.integers(1, 11)), n - 1)
         brute = build_index(x, k_max, backend="brute")
         spatial = build_index(x, k_max, backend="spatial")
-        assert np.array_equal(brute.knn_idx, spatial.knn_idx)
-        assert np.array_equal(brute.knn_d2, spatial.knn_d2)
+        for idx, d2 in ((spatial.knn_idx, spatial.knn_d2), full_sort_knn_oracle(x, k_max)):
+            assert np.array_equal(brute.knn_idx, idx)
+            assert np.array_equal(brute.knn_d2, d2)
         for k in {1, k_max}:
             forward = [set(brute.knn(i, k).tolist()) for i in range(n)]
             for i in range(n):
                 assert set(brute.rnn(i, k).tolist()) == {
                     j for j in range(n) if i in forward[j]
                 }
-    check("criterion-5", True, "kNN/RNN duality and brute/spatial equality on 50 datasets")
+    check("criterion-5", True, "kNN/RNN duality and brute/spatial/full-sort equality on 50 datasets")
 
 
 def test_criterion_5_ari_oracle_agreement():

@@ -216,6 +216,14 @@ def test_load_dataset_rejects_a_label_that_is_no_integer(tmp_path, label):
         load_dataset(path, label_column=-1)
 
 
+@pytest.mark.parametrize("label", ["1e300", "-1e19", "9223372036854775808"])
+def test_load_dataset_rejects_a_label_outside_int64(tmp_path, label):
+    # an integral label past int64 once raised OverflowError, naming no row
+    path = _write(tmp_path, f"1,2,0\n3,4,{label}\n")
+    with pytest.raises(ValueError, match=f"row 2: label '{label}' is outside the int64 range"):
+        load_dataset(path, label_column=-1)
+
+
 def test_load_dataset_label_column_out_of_range(tmp_path):
     path = _write(tmp_path, "1,2\n3,4\n")
     with pytest.raises(ValueError, match="out of range"):

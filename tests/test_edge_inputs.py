@@ -1,17 +1,26 @@
 """Degenerate inputs: the clustering algorithms against the oracles, and the
 validation indices' refusal of inputs they cannot score."""
 
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from oracles import dbscan_bfs_oracle, dbscrn_oracle, isdbscan_worklist_oracle
+from oracles import (
+    dbscan_bfs_oracle,
+    dbscrn_oracle,
+    full_sort_knn_oracle,
+    isdbscan_worklist_oracle,
+    kdtree_knn_oracle,
+)
 from rnncluster import (
+    BenchSpec,
     DbscanParams,
     DbscrnParams,
     IsdbscanParams,
     KmeansParams,
+    SweepSpec,
     adjusted_rand_index,
     build_index,
     canonicalize_labels,
@@ -19,6 +28,10 @@ from rnncluster import (
     dbscrn,
     isdbscan,
     kmeans,
+    make_blobs,
+    make_nested_rings,
+    make_spirals,
+    make_two_moons,
     pairwise_distance_extrema,
     range_standardize,
 )
@@ -69,12 +82,16 @@ def test_overflowing_distances_raise_no_warning(name):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         index = build_index(x, k_max=4)
-        build_index(x, 2, backend="spatial")
+        spatial = build_index(x, 4, backend="spatial")
         epsilon_neighborhood(x, 0, 1.0)
         neighborhood_lists(x, 1.0)
         dbscrn(x, index, DbscrnParams(k=4))
         pairwise_distance_extrema(x)
         kmeans(x, KmeansParams(k_clusters=2, restarts=2))  # objectives overflow to inf
+    for idx, d2 in ((spatial.knn_idx, spatial.knn_d2), full_sort_knn_oracle(x, 4),
+                    kdtree_knn_oracle(x, 4)):
+        np.testing.assert_array_equal(index.knn_idx, idx)
+        assert np.array_equal(index.knn_d2.view(np.int64), d2.view(np.int64))
 
 
 _x = _rng.normal(size=(10, 2))
@@ -125,13 +142,43 @@ def test_epsilon_neighborhood_rejects_bad_queries_with_a_message(name):
         epsilon_neighborhood(data, i, epsilon)
 
 
+# name -> (make, field): make(v) sets the count `field` to v and returns it as stored
 COUNT_PARAMETERS = {
-    "dbscrn-k": (lambda v: DbscrnParams(k=v), "k"),
-    "isdbscan-k": (lambda v: IsdbscanParams(k=v), "k"),
-    "dbscan-min_pts": (lambda v: DbscanParams(epsilon=0.1, min_pts=v), "min_pts"),
-    "kmeans-k_clusters": (lambda v: KmeansParams(k_clusters=v), "k_clusters"),
-    "kmeans-restarts": (lambda v: KmeansParams(k_clusters=2, restarts=v), "restarts"),
-    "kmeans-max_iters": (lambda v: KmeansParams(k_clusters=2, max_iters=v), "max_iters"),
+    "dbscrn-k": (lambda v: DbscrnParams(k=v).k, "k"),
+    "isdbscan-k": (lambda v: IsdbscanParams(k=v).k, "k"),
+    "dbscan-min_pts": (lambda v: DbscanParams(epsilon=0.1, min_pts=v).min_pts, "min_pts"),
+    "kmeans-k_clusters": (lambda v: KmeansParams(k_clusters=v).k_clusters, "k_clusters"),
+    "kmeans-restarts": (lambda v: KmeansParams(k_clusters=2, restarts=v).restarts, "restarts"),
+    "kmeans-max_iters": (lambda v: KmeansParams(k_clusters=2, max_iters=v).max_iters, "max_iters"),
+    "sweep-runs_per_setting": (
+        lambda v: SweepSpec("isdbscan", runs_per_setting=v).runs_per_setting,
+        "runs_per_setting",
+    ),
+    "sweep-min_pts_range-lo": (
+        lambda v: SweepSpec("dbscan", min_pts_range=(v, 20)).min_pts_range[0],
+        "min_pts_range[0]",
+    ),
+    "sweep-min_pts_range-hi": (
+        lambda v: SweepSpec("dbscan", min_pts_range=(3, v)).min_pts_range[1],
+        "min_pts_range[1]",
+    ),
+    "bench-runs": (lambda v: BenchSpec("dbscrn", DbscrnParams(k=3), runs=v).runs, "runs"),
+    "build_index-k_max": (lambda v: build_index(_x, v).k_max, "k_max"),
+    "blobs-n_centers": (lambda v: make_blobs(n_centers=v, points_per_center=1).n, "n_centers"),
+    "blobs-points_per_center": (
+        lambda v: make_blobs(n_centers=1, points_per_center=v).n,
+        "points_per_center",
+    ),
+    "two_moons-n": (lambda v: make_two_moons(n=v).n, "n"),
+    "spirals-n": (lambda v: make_spirals(n=v).n, "n"),
+    "nested_rings-n_rings": (
+        lambda v: make_nested_rings(n_rings=v, points_per_ring=3).n // 3,
+        "n_rings",
+    ),
+    "nested_rings-points_per_ring": (
+        lambda v: make_nested_rings(n_rings=1, points_per_ring=v).n,
+        "points_per_ring",
+    ),
 }
 
 
@@ -140,11 +187,12 @@ def test_count_parameters_must_be_integers(name):
     make, field = COUNT_PARAMETERS[name]
     # a float k was accepted and failed later inside numpy slicing
     for value in (2.5, 3.0, "3", True):
-        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+        message = f"^{re.escape(field)} must be an integer, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
             make(value)
-    with pytest.raises(ValueError, match=f"^{field} must be >= 1$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(field)} must be >= 1$"):
         make(0)
-    assert getattr(make(np.int32(3)), field) == 3
+    assert make(np.int32(4)) == 4
 
 
 def test_ari_rejects_labels_that_are_not_1d_integers():

@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 from oracles import (
     full_sort_knn_oracle,
     influence_oracle,
+    kdtree_knn_oracle,
     knn_oracle,
     neighborhood_lists_oracle,
     rnn_oracle,
 )
-from rnncluster import KDTree, build_index, epsilon_neighborhood, make_blobs, range_standardize
+from rnncluster import build_index, epsilon_neighborhood, make_blobs, range_standardize
 from rnncluster.data import compact_blocks
 from rnncluster.dbscan import neighborhood_lists
 
@@ -130,8 +131,11 @@ def test_backends_are_bit_identical():
         multi_block += len(list(compact_blocks(x))) > 1
         brute = build_index(x, k_max, backend="brute")
         spatial = build_index(x, k_max, backend="spatial")
-        oracle_idx, oracle_d2 = full_sort_knn_oracle(x, k_max)
-        for idx, d2 in ((spatial.knn_idx, spatial.knn_d2), (oracle_idx, oracle_d2)):
+        for idx, d2 in (
+            (spatial.knn_idx, spatial.knn_d2),
+            full_sort_knn_oracle(x, k_max),
+            kdtree_knn_oracle(x, k_max),
+        ):
             np.testing.assert_array_equal(brute.knn_idx, idx)
             assert np.array_equal(brute.knn_d2.view(np.int64), d2.view(np.int64))
     assert multi_block >= 1
@@ -144,6 +148,7 @@ def test_self_is_never_a_neighbour_when_distances_overflow():
     for backend in ("brute", "spatial"):
         assert build_index(x, 2, backend=backend).knn_idx.tolist() == expected
     assert full_sort_knn_oracle(x, 2)[0].tolist() == expected
+    assert kdtree_knn_oracle(x, 2)[0].tolist() == expected
 
 
 @pytest.mark.parametrize("backend", ["brute", "spatial"])
@@ -211,11 +216,13 @@ def test_unknown_backend_rejected():
 
 
 def test_kdtree_handles_identical_points():
+    # all-tied distances resolve by id, in both backends and the kd-tree oracle
     x = np.zeros((40, 2))
-    tree = KDTree(x, leaf_size=8)
-    idx, d2 = tree.query(x[0], k=5, exclude=0)
-    assert idx.tolist() == [1, 2, 3, 4, 5]  # all-tied distances resolve by id
-    np.testing.assert_array_equal(d2, np.zeros(5))
+    for backend in ("brute", "spatial"):
+        index = build_index(x, 5, backend=backend)
+        assert index.knn_idx[0].tolist() == [1, 2, 3, 4, 5]
+        np.testing.assert_array_equal(index.knn_d2[0], np.zeros(5))
+    assert kdtree_knn_oracle(x, 5)[0][0].tolist() == [1, 2, 3, 4, 5]
 
 
 def test_brute_build_memory_is_bounded():

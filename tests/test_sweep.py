@@ -268,6 +268,10 @@ def test_spec_validation():
         with pytest.raises(ValueError, match="eps_range must be finite with lo <= hi"):
             SweepSpec("dbscan", eps_range=bounds)
     SweepSpec("dbscan", eps_range=(0.2, 0.2))  # a one-point grid is fine
+    # a reversed MinPts range once failed only as an empty parameter grid
+    with pytest.raises(ValueError, match=r"min_pts_range must have lo <= hi, got \(5, 3\)"):
+        SweepSpec("dbscan", min_pts_range=(5, 3))
+    SweepSpec("dbscan", min_pts_range=(4, 4))
     with pytest.raises(ValueError):
         BenchSpec(algorithm="kmeans", params=None)
     with pytest.raises(ValueError, match="dbscan needs DbscanParams, got DbscrnParams"):
