@@ -4,7 +4,9 @@ Wall-clock benchmarking
 
 Sequential timing runs, each covering the run's own index build, the
 clustering itself and one DBCV evaluation. Dataset loading and
-standardization sit outside the timed region.
+standardization sit outside the timed region. `bench` takes the
+parameters object, whose type names the algorithm, and returns the
+seconds of every run; `timing_summary` condenses them.
 
 Run:  python demos/04_benchmark_timing.py
 """
@@ -12,7 +14,6 @@ Run:  python demos/04_benchmark_timing.py
 import numpy as np
 
 from rnncluster import (
-    BenchSpec,
     DbscanParams,
     DbscrnParams,
     IsdbscanParams,
@@ -20,6 +21,7 @@ from rnncluster import (
     build_index,
     make_blobs,
     range_standardize,
+    timing_summary,
 )
 
 dataset = make_blobs(n_centers=7, points_per_center=113, spread=0.08, seed=5)
@@ -31,17 +33,13 @@ print(f"{dataset.n} entities, 7 Gaussian blobs\n")
 probe = build_index(x, 10)
 eps = float(np.median(probe.knn_d2[:, 9]))
 
-specs = [
-    BenchSpec("dbscan", DbscanParams(epsilon=eps, min_pts=10), runs=15),
-    BenchSpec("dbscrn", DbscrnParams(k=10), runs=15),
-    BenchSpec("isdbscan", IsdbscanParams(k=10), runs=15),
-]
+params = [DbscanParams(epsilon=eps, min_pts=10), DbscrnParams(k=10), IsdbscanParams(k=10)]
 
-print("algorithm   mean s    std s    max s    min s")
-for spec in specs:
-    stats = bench(dataset, spec).summary()
+print("params type     mean s    std s    max s    min s   (15 runs each)")
+for p in params:
+    stats = timing_summary(bench(dataset, p, runs=15))
     print(
-        f"{spec.algorithm:9s}  {stats['mean']:.4f}   {stats['std']:.4f}   "
+        f"{type(p).__name__:14s}  {stats['mean']:.4f}   {stats['std']:.4f}   "
         f"{stats['max']:.4f}   {stats['min']:.4f}"
     )
 

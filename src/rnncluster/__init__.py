@@ -31,8 +31,6 @@ from .kmeans import KmeansParams, kmeans, lloyd
 from .neighbors import NeighborIndex, build_index
 from .plotting import plot_clustering, render_svg
 from .sweep import (
-    BenchResult,
-    BenchSpec,
     SweepRecord,
     SweepResult,
     SweepSpec,
@@ -63,8 +61,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "NOISE",
-    "BenchResult",
-    "BenchSpec",
     "Clustering",
     "DataSet",
     "DbcvReport",

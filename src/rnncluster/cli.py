@@ -34,7 +34,7 @@ from .isdbscan import IsdbscanParams
 from .kmeans import KmeansParams, kmeans
 from .plotting import plot_clustering
 from .sweep import (
-    BenchSpec,
+    ALGORITHMS,
     SweepSpec,
     _fit,
     _params_dict,
@@ -99,8 +99,7 @@ def _apply_config(parser: argparse.ArgumentParser, path) -> None:
 def _load(args) -> "DataSet":
     if args.data is None:
         raise SystemExit("--data is required (or set data= in the config file)")
-    label_col = args.label_col
-    return load_dataset(args.data, has_header=args.header, label_column=label_col)
+    return load_dataset(args.data, has_header=args.header, label_column=args.label_col)
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
@@ -119,8 +118,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     cluster = sub.add_parser("cluster", help="one algorithm at explicit parameters")
     common(cluster)
-    cluster.add_argument("--algo", required=True,
-                         choices=["dbscan", "isdbscan", "dbscrn", "kmeans"])
+    cluster.add_argument("--algo", required=True, choices=[*ALGORITHMS, "kmeans"])
     cluster.add_argument("--k", type=int, help="neighbour count (dbscrn/isdbscan)")
     cluster.add_argument("--eps", type=float, help="squared-distance radius (dbscan)")
     cluster.add_argument("--min-pts", type=int, dest="min_pts", help="density threshold (dbscan)")
@@ -130,7 +128,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     sweep = sub.add_parser("sweep", help="full parameter grid with DBCV scores")
     common(sweep)
-    sweep.add_argument("--algo", required=True, choices=["dbscan", "isdbscan", "dbscrn"])
+    sweep.add_argument("--algo", required=True, choices=ALGORITHMS)
     sweep.add_argument("--runs", type=int, default=100, help="runs per setting (seeded algorithms)")
     sweep.add_argument("--eps-step", type=float, default=0.1, dest="eps_step",
                        help="epsilon grid step, squared-distance units")
@@ -142,7 +140,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     bench_p = sub.add_parser("bench", help="sequential wall-clock timing")
     common(bench_p)
-    bench_p.add_argument("--algo", required=True, choices=["dbscan", "isdbscan", "dbscrn"])
+    bench_p.add_argument("--algo", required=True, choices=ALGORITHMS)
     bench_p.add_argument("--k", type=int)
     bench_p.add_argument("--eps", type=float)
     bench_p.add_argument("--min-pts", type=int, dest="min_pts")
@@ -281,10 +279,8 @@ def _cmd_report(args) -> int:
 
 def _cmd_bench(args) -> int:
     dataset = _load(args)
-    params = _algo_params(args)
-    spec = BenchSpec(algorithm=args.algo, params=params, runs=args.runs, base_seed=args.seed)
-    result = bench(dataset, spec)
-    stats = result.summary()
+    seconds = bench(dataset, _algo_params(args), runs=args.runs, base_seed=args.seed)
+    stats = timing_summary(seconds)
     print(
         f"{args.algo} on {dataset.name}: mean {stats['mean']:.4f}s  std {stats['std']:.4f}s  "
         f"max {stats['max']:.4f}s  min {stats['min']:.4f}s over {stats['runs']} runs"
@@ -294,7 +290,7 @@ def _cmd_bench(args) -> int:
     with open(out_path, "w", encoding="utf-8") as handle:
         json.dump({"schema_version": 1, "kind": "bench", "dataset": dataset.name,
                    "algorithm": args.algo, "summary": stats,
-                   "seconds": result.seconds.tolist()}, handle, indent=2)
+                   "seconds": seconds.tolist()}, handle, indent=2)
     print(f"written to {out_path}")
     return 0
 

@@ -54,9 +54,6 @@ class Clustering:
     def n_noise(self) -> int:
         return int(np.count_nonzero(self.labels == NOISE))
 
-    def members(self, cluster_id: int) -> np.ndarray:
-        return np.flatnonzero(self.labels == cluster_id)
-
     def sizes(self) -> np.ndarray:
         """Cluster sizes indexed by cluster id (noise excluded)."""
         return np.bincount(self.labels[self.labels >= 0], minlength=self.n_clusters)

@@ -58,8 +58,6 @@ from .neighbors import build_index
 from .validation import adjusted_rand_index, dbcv, select_best
 
 __all__ = [
-    "BenchResult",
-    "BenchSpec",
     "SweepRecord",
     "SweepResult",
     "SweepSpec",
@@ -284,13 +282,14 @@ def _evaluate_chunk(x, truth, spec, grid, first_point_index):
 def run_sweep(dataset: DataSet, spec: SweepSpec, n_jobs: int = 1) -> SweepResult:
     """Evaluate every grid point on the range-standardized dataset.
 
-    With n_jobs > 1 the grid is split across a process pool; records are
-    merged in grid order, so results equal the sequential run except for
-    wall-clock fields. Each worker keeps its own memos: DBCV/ARI per
-    distinct labeling, and DBCV's terms per distinct cluster, so a
-    record's `dbcv_seconds` excludes the terms of clusters its chunk
-    scored before. No memo outlives the call.
+    `n_jobs` is an integer >= 1. With n_jobs > 1 the grid is split across
+    a process pool; records are merged in grid order, so results equal the
+    sequential run except for wall-clock fields. Each worker keeps its own
+    memos: DBCV/ARI per distinct labeling, and DBCV's terms per distinct
+    cluster, so a record's `dbcv_seconds` excludes the terms of clusters
+    its chunk scored before. No memo outlives the call.
     """
+    check_count("n_jobs", n_jobs)
     x, report = range_standardize(dataset.matrix)
     grid = build_grid(spec, x)
     truth = dataset.true_labels
@@ -302,7 +301,7 @@ def run_sweep(dataset: DataSet, spec: SweepSpec, n_jobs: int = 1) -> SweepResult
         n_features=x.shape[1],
         standardization=report,
     )
-    if n_jobs <= 1 or len(grid) < 2:
+    if n_jobs == 1 or len(grid) < 2:
         result.records = _evaluate_chunk(x, truth, spec, grid, 0)
         return result
     n_jobs = min(n_jobs, len(grid))
@@ -313,13 +312,9 @@ def run_sweep(dataset: DataSet, spec: SweepSpec, n_jobs: int = 1) -> SweepResult
         if bounds[w] < bounds[w + 1]
     ]
     with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-        for chunk_records in pool.map(_evaluate_chunk_star, jobs):
+        for chunk_records in pool.map(_evaluate_chunk, *zip(*jobs)):
             result.records.extend(chunk_records)
     return result
-
-
-def _evaluate_chunk_star(args):
-    return _evaluate_chunk(*args)
 
 
 def best_ari_summary(result: SweepResult) -> dict:
@@ -391,52 +386,27 @@ def timing_summary(seconds) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class BenchSpec:
-    """Timing protocol: one algorithm at pinned parameters, sequential runs."""
+def bench(dataset: DataSet, params, runs: int = 100, base_seed: int = 0) -> np.ndarray:
+    """Seconds of each of `runs` sequential runs at `params`, shape (runs,).
 
-    algorithm: str
-    params: object
-    runs: int = 100
-    base_seed: int = 0
-
-    def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if not isinstance(self.params, _PARAMS[self.algorithm]):
-            raise ValueError(
-                f"{self.algorithm} needs {_PARAMS[self.algorithm].__name__}, "
-                f"got {type(self.params).__name__}"
-            )
-        check_count("runs", self.runs)
-
-
-@dataclass
-class BenchResult:
-    algorithm: str
-    params: object
-    seconds: np.ndarray
-
-    def summary(self) -> dict:
-        return timing_summary(self.seconds)
-
-
-def bench(dataset: DataSet, spec: BenchSpec) -> BenchResult:
-    """Wall-clock per run, dataset load excluded, index build and DBCV included.
-
-    Runs execute sequentially (never through the worker pool) so timings
-    are free of contention skew. Standardization happens once, outside
-    the timed region, matching the sweep pipeline.
+    The type of `params` (DbscanParams, IsdbscanParams or DbscrnParams)
+    names the algorithm. A run builds its own index or epsilon-lists, fits
+    and scores one DBCV; standardization happens once, outside the timed
+    region, and no worker pool runs, so timings are free of contention.
     """
+    if not isinstance(params, tuple(_PARAMS.values())):
+        names = ", ".join(cls.__name__ for cls in _PARAMS.values())
+        raise ValueError(f"bench needs one of {names}, got {type(params).__name__}")
+    check_count("runs", runs)
     x, _ = range_standardize(dataset.matrix)
-    seconds = np.empty(spec.runs)
-    for run in range(spec.runs):
-        seed = _derived_seed(spec.base_seed, 0, run)
+    seconds = np.empty(runs)
+    for run in range(runs):
+        seed = _derived_seed(base_seed, 0, run)
         start = time.perf_counter()
-        clustering = _fit(x, _prepare(x, spec.params), spec.params, seed)
+        clustering = _fit(x, _prepare(x, params), params, seed)
         dbcv(x, clustering)
         seconds[run] = time.perf_counter() - start
-    return BenchResult(algorithm=spec.algorithm, params=spec.params, seconds=seconds)
+    return seconds
 
 
 def write_labels_csv(path, clustering: Clustering) -> None:
@@ -470,9 +440,11 @@ def write_reports(reports: list[dict], out_dir) -> dict:
 
     Each row is a dict with keys: dataset, algorithm, approximate (bool),
     best_ari (dict or None), dbcv_selected (dict or None), timing (dict or
-    None). Produces best_ari.{csv,json}, dbcv_selected_ari.{csv,json},
-    timing.{csv,json} and summary.txt in `out_dir`; a table's CSV skips
-    the rows whose statistics are None, its JSON holds every row.
+    None); every value must be JSON-native (Python scalars, lists, dicts,
+    None), as the summaries and `timing_summary` return them. Produces
+    best_ari.{csv,json}, dbcv_selected_ari.{csv,json}, timing.{csv,json}
+    and summary.txt in `out_dir`; a table's CSV skips the rows whose
+    statistics are None, its JSON holds every row.
     """
     os.makedirs(out_dir, exist_ok=True)
     paths = {}
@@ -488,7 +460,7 @@ def write_reports(reports: list[dict], out_dir) -> dict:
         json_path = os.path.join(out_dir, f"{name}.json")
         with open(json_path, "w", encoding="utf-8") as handle:
             json.dump({"schema_version": 1, "kind": name, "rows": reports}, handle,
-                      indent=2, default=_json_default)
+                      indent=2)
         paths[name] = csv_path
 
     summary_path = os.path.join(out_dir, "summary.txt")
@@ -508,10 +480,3 @@ def write_reports(reports: list[dict], out_dir) -> dict:
     paths["summary"] = summary_path
     return paths
 
-
-def _json_default(value):
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.integer, np.floating)):
-        return value.item()
-    raise TypeError(f"not JSON serializable: {type(value)}")

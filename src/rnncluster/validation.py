@@ -166,11 +166,13 @@ def _cluster_terms(points: np.ndarray, m: int) -> tuple[np.ndarray, float, np.nd
     chunk to chunk instead of being mapped afresh for every cluster. Each
     chunk also gives its rows' core distances, ((sum over the other members
     of (1/d)^m) / (n_c - 1)) ** (-1/m) with m the feature count (0 for a
-    duplicate point). The mutual-reachability matrix is built in place over
-    the distances, and its Prim MST gives the sparseness (the largest
-    internal edge, or the largest edge when no edge is internal). The pool
-    holds the local positions of the internal MST nodes, or of every member
-    when no node is internal: separations are measured between pools.
+    duplicate point; a mean outside float64's normal range is taken again
+    relative to the nearest member s, as s * (mean of (s/d)^m) ** (-1/m)).
+    The mutual-reachability matrix is built in place over the distances,
+    and its Prim MST gives the sparseness (the largest internal edge, or
+    the largest edge when no edge is internal). The pool holds the local
+    positions of the internal MST nodes, or of every member when no node
+    is internal: separations are measured between pools.
     """
     nc = points.shape[0]
     dist = np.empty((nc, nc))
@@ -184,7 +186,15 @@ def _cluster_terms(points: np.ndarray, m: int) -> tuple[np.ndarray, float, np.nd
             inv **= m
             inv.sum(axis=1, out=core[rows])
         core /= nc - 1
+        redo = np.flatnonzero((core < np.finfo(float).tiny) | (core == np.inf))
         core **= -1.0 / m
+    if redo.size:
+        d = dist[redo]
+        d[np.arange(redo.size), redo] = np.inf
+        s = d.min(axis=1)
+        keep = (0 < s) & (s < np.inf)  # a duplicate's core stays 0
+        redo, d, s = redo[keep], d[keep], s[keep]  # each sum is in [1, n_c - 1]
+        core[redo] = s * (((s[:, None] / d) ** m).sum(axis=1) / (nc - 1)) ** (-1.0 / m)
     np.maximum(dist, core[:, None], out=dist)
     np.maximum(dist, core[None, :], out=dist)
     edges, edge_w, degrees = _prim_mst(dist)

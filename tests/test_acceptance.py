@@ -17,7 +17,6 @@ import pytest
 from conftest import BENCHMARK_FILES, load_benchmark
 from oracles import ari_pairs_oracle, dbcv_oracle, full_sort_knn_oracle
 from rnncluster import (
-    BenchSpec,
     DbscanParams,
     DbscrnParams,
     IsdbscanParams,
@@ -39,6 +38,7 @@ from rnncluster import (
     pairwise_distance_extrema,
     range_standardize,
     run_sweep,
+    timing_summary,
 )
 from rnncluster.kmeans import lloyd
 
@@ -268,9 +268,9 @@ def test_criterion_4_timing_ordering():
     probe = build_index(x, 10)
     eps = float(np.median(probe.knn_d2[:, 9]))  # radius comparable to k=10
     runs = 25
-    t_dbscan = bench(dataset, BenchSpec("dbscan", DbscanParams(eps, 10), runs)).summary()
-    t_dbscrn = bench(dataset, BenchSpec("dbscrn", DbscrnParams(k=10), runs)).summary()
-    t_isdb = bench(dataset, BenchSpec("isdbscan", IsdbscanParams(k=10), runs)).summary()
+    t_dbscan = timing_summary(bench(dataset, DbscanParams(eps, 10), runs))
+    t_dbscrn = timing_summary(bench(dataset, DbscrnParams(k=10), runs))
+    t_isdb = timing_summary(bench(dataset, IsdbscanParams(k=10), runs))
     ordering = t_dbscan["mean"] < t_dbscrn["mean"] < t_isdb["mean"]
     ratio = t_isdb["mean"] / t_dbscrn["mean"]
     check(

@@ -104,6 +104,14 @@ def test_bench_writes_summary(tmp_path, capsys):
     assert len(payload["seconds"]) == 3
 
 
+def test_sweep_refuses_fewer_than_one_job(tmp_path):
+    data = _gen(tmp_path)
+    for jobs in ("0", "-1"):  # both once ran sequentially without a word
+        with pytest.raises(ValueError, match="^n_jobs must be >= 1$"):
+            main(["sweep", "--data", str(data), "--algo", "dbscrn", "--jobs", jobs,
+                  "--out", str(tmp_path)])
+
+
 def test_bench_and_cluster_clamp_k_to_n_minus_one(tmp_path, capsys):
     data = tmp_path / "blobs20.csv"
     np.savetxt(data, make_blobs(n_centers=2, points_per_center=10, spread=0.03, seed=1).matrix,

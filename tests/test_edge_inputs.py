@@ -15,13 +15,14 @@ from oracles import (
     kdtree_knn_oracle,
 )
 from rnncluster import (
-    BenchSpec,
+    DataSet,
     DbscanParams,
     DbscrnParams,
     IsdbscanParams,
     KmeansParams,
     SweepSpec,
     adjusted_rand_index,
+    bench,
     build_index,
     canonicalize_labels,
     dbcv,
@@ -34,6 +35,7 @@ from rnncluster import (
     make_two_moons,
     pairwise_distance_extrema,
     range_standardize,
+    run_sweep,
 )
 from rnncluster.dbscan import dbscan_from_neighborhoods, epsilon_neighborhood, neighborhood_lists
 
@@ -142,7 +144,17 @@ def test_epsilon_neighborhood_rejects_bad_queries_with_a_message(name):
         epsilon_neighborhood(data, i, epsilon)
 
 
-# name -> (make, field): make(v) sets the count `field` to v and returns it as stored
+_four = DataSet(np.arange(8.0).reshape(4, 2))  # a one-point DBSCRN grid (k = 3)
+
+
+def _sweep_with_jobs(n_jobs):
+    # n_jobs = 0 or -1 once ran sequentially, and 2.5 failed inside np.linspace
+    run_sweep(_four, SweepSpec("dbscrn"), n_jobs=n_jobs)
+    return n_jobs
+
+
+# name -> (make, field): make(v) sets the count `field` to v and returns it as
+# stored (bench: as many samples; run_sweep keeps no n_jobs, so as passed)
 COUNT_PARAMETERS = {
     "dbscrn-k": (lambda v: DbscrnParams(k=v).k, "k"),
     "isdbscan-k": (lambda v: IsdbscanParams(k=v).k, "k"),
@@ -162,7 +174,8 @@ COUNT_PARAMETERS = {
         lambda v: SweepSpec("dbscan", min_pts_range=(3, v)).min_pts_range[1],
         "min_pts_range[1]",
     ),
-    "bench-runs": (lambda v: BenchSpec("dbscrn", DbscrnParams(k=3), runs=v).runs, "runs"),
+    "bench-runs": (lambda v: bench(_four, DbscrnParams(k=3), runs=v).size, "runs"),
+    "sweep-n_jobs": (_sweep_with_jobs, "n_jobs"),
     "build_index-k_max": (lambda v: build_index(_x, v).k_max, "k_max"),
     "blobs-n_centers": (lambda v: make_blobs(n_centers=v, points_per_center=1).n, "n_centers"),
     "blobs-points_per_center": (

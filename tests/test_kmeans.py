@@ -49,6 +49,17 @@ def test_no_cluster_is_ever_empty():
         assert clustering.sizes().min() >= 1
 
 
+def test_an_emptied_cluster_is_reseeded_with_the_farthest_entity():
+    x = np.vstack([np.zeros((10, 2)), [[5.0, 5.0]]])
+    # both initial centroids are copies of (0, 0), so every entity joins
+    # cluster 0 and cluster 1 is reseeded with the outlier
+    assert (np.random.default_rng(0).choice(11, size=2, replace=False) < 10).all()
+    labels, objective = lloyd(x, 2, np.random.default_rng(0))
+    assert labels.tolist() == [0] * 10 + [1]
+    assert objective == 0.0
+    assert kmeans(x, KmeansParams(k_clusters=2, restarts=3, seed=0)).n_clusters == 2
+
+
 def test_k_larger_than_n_rejected():
     x = np.zeros((3, 2))
     with pytest.raises(ValueError):

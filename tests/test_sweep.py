@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from rnncluster import (
-    BenchSpec,
     DataSet,
     DbscanParams,
     DbscrnParams,
     IsdbscanParams,
+    KmeansParams,
     SweepSpec,
     bench,
     best_ari_summary,
@@ -196,9 +196,9 @@ def test_sweep_json_schema(small_blobs):
 
 
 def test_bench_collects_one_sample_per_run(small_blobs):
-    result = bench(small_blobs, BenchSpec("dbscrn", DbscrnParams(k=5), runs=7))
-    assert result.seconds.shape == (7,)
-    stats = result.summary()
+    seconds = bench(small_blobs, DbscrnParams(k=5), runs=7)
+    assert seconds.shape == (7,)
+    stats = timing_summary(seconds)
     assert set(stats) == {"mean", "std", "max", "min", "runs"}
     assert stats["runs"] == 7
     assert stats["min"] <= stats["mean"] <= stats["max"]
@@ -254,7 +254,7 @@ def test_write_reports_renders_dash_for_deterministic_rows(tmp_path):
     assert os.path.exists(paths["summary"])
 
 
-def test_spec_validation():
+def test_spec_validation(small_blobs):
     with pytest.raises(ValueError):
         SweepSpec(algorithm="optics")
     with pytest.raises(ValueError):
@@ -272,20 +272,16 @@ def test_spec_validation():
     with pytest.raises(ValueError, match=r"min_pts_range must have lo <= hi, got \(5, 3\)"):
         SweepSpec("dbscan", min_pts_range=(5, 3))
     SweepSpec("dbscan", min_pts_range=(4, 4))
-    with pytest.raises(ValueError):
-        BenchSpec(algorithm="kmeans", params=None)
-    with pytest.raises(ValueError, match="dbscan needs DbscanParams, got DbscrnParams"):
-        BenchSpec("dbscan", DbscrnParams(k=5))
-    with pytest.raises(ValueError, match="isdbscan needs IsdbscanParams, got DbscanParams"):
-        BenchSpec("isdbscan", DbscanParams(epsilon=0.1, min_pts=3))
-    with pytest.raises(ValueError, match="dbscrn needs DbscrnParams, got IsdbscanParams"):
-        BenchSpec("dbscrn", IsdbscanParams(k=5))
+    accepted = "DbscanParams, IsdbscanParams, DbscrnParams"
+    with pytest.raises(ValueError, match=f"bench needs one of {accepted}, got NoneType"):
+        bench(small_blobs, None)
+    with pytest.raises(ValueError, match=f"bench needs one of {accepted}, got KmeansParams"):
+        bench(small_blobs, KmeansParams(k_clusters=2))
 
 
 def test_bench_clamps_k_to_n_minus_one():
     twenty = make_blobs(n_centers=2, points_per_center=10, spread=0.03, seed=1)
-    result = bench(twenty, BenchSpec("isdbscan", IsdbscanParams(k=25), runs=1))
-    assert result.seconds.shape == (1,)
+    assert bench(twenty, IsdbscanParams(k=25), runs=1).shape == (1,)
 
 
 # An outside tracer times a sweep's stages by swapping exactly these names in
@@ -330,14 +326,14 @@ def test_sweeps_call_the_layers_through_module_names(small_blobs, spec, layer_ca
     assert not any(layer_calls[name] for name in unused)
 
 
-@pytest.mark.parametrize("spec", [
-    BenchSpec("dbscan", DbscanParams(epsilon=0.01, min_pts=4), runs=3),
-    BenchSpec("isdbscan", IsdbscanParams(k=7), runs=3),
-    BenchSpec("dbscrn", DbscrnParams(k=7), runs=3),
-], ids=lambda s: s.algorithm)
-def test_bench_calls_the_layers_through_module_names(small_blobs, spec, layer_calls):
-    bench(small_blobs, spec)
-    prepare, fit = FIT_LAYERS[spec.algorithm]
+@pytest.mark.parametrize("algorithm, params", [
+    pytest.param("dbscan", DbscanParams(epsilon=0.01, min_pts=4), id="dbscan"),
+    pytest.param("isdbscan", IsdbscanParams(k=7), id="isdbscan"),
+    pytest.param("dbscrn", DbscrnParams(k=7), id="dbscrn"),
+])
+def test_bench_calls_the_layers_through_module_names(small_blobs, algorithm, params, layer_calls):
+    bench(small_blobs, params, runs=3)
+    prepare, fit = FIT_LAYERS[algorithm]
     assert len(layer_calls[prepare]) == len(layer_calls[fit]) == len(layer_calls["dbcv"]) == 3
     if prepare == "build_index":
         # each run builds its own index for exactly k (k < n): the timed protocol

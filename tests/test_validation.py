@@ -248,6 +248,21 @@ def test_dbcv_holds_one_cluster_matrix_at_a_time():
     assert peak < 22 * 2**20
 
 
+@pytest.mark.parametrize("m", [2, 30, 150, 500])
+def test_dbcv_does_not_depend_on_the_data_scale(m):
+    # the core distances' mean of (1/d)^m once underflowed to 0 (core inf) or
+    # overflowed to inf (core 0, as for a duplicate point): m = 500 scored
+    # 0.0 at scale 1, and m = 30 and 150 scored 0.0 at scale 2**40
+    rng = np.random.default_rng(0)
+    x, _ = range_standardize(
+        np.vstack([rng.normal(0.0, 1.0, (40, m)), rng.normal(2.0, 1.0, (40, m))])
+    )
+    labels = np.repeat([0, 1], 40)
+    scores = [dbcv(x * 2.0**e, labels).overall for e in (-40, 0, 40)]
+    assert scores[1] != 0.0
+    assert max(scores) - min(scores) <= 1e-12
+
+
 def test_dbcv_bounds_and_relabeling_invariance():
     rng = np.random.default_rng(4)
     for _ in range(10):
