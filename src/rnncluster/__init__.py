@@ -22,9 +22,8 @@ from .data import (
     load_dataset,
     pairwise_distance_extrema,
     range_standardize,
-    squared_euclidean,
 )
-from .dbscan import DbscanParams, dbscan, epsilon_neighborhood
+from .dbscan import DbscanParams, dbscan
 from .dbscrn import DbscrnParams, dbscrn
 from .isdbscan import IsdbscanParams, isdbscan
 from .kmeans import KmeansParams, kmeans, lloyd
@@ -84,7 +83,6 @@ __all__ = [
     "dbcv_selection_summary",
     "dbscan",
     "dbscrn",
-    "epsilon_neighborhood",
     "generate_synthetic",
     "isdbscan",
     "kmeans",
@@ -100,7 +98,6 @@ __all__ = [
     "render_svg",
     "run_sweep",
     "select_best",
-    "squared_euclidean",
     "timing_summary",
     "write_labels_csv",
     "write_reports",

@@ -7,9 +7,9 @@ canonical: contiguous from 0, ordered by each cluster's smallest member
 index, so identical partitions compare equal regardless of discovery order.
 
 ISDBSCAN and DBSCAN both draw entities in a seeded order from a symmetric
-graph whose linked dense entities form groups: a group is claimed at its
-first member's draw, and an entity goes to the first claimed group linked
-to it. `claim_in_draw_order` applies that rule in one vectorized pass.
+graph whose linked dense entities form seed-free groups (`group_roots`): a
+group is claimed at its first member's draw, and an entity goes to the
+first claimed group linked to it (`claim_in_draw_order`, a pass per draw).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 NOISE = -1
 
-__all__ = ["NOISE", "Clustering", "canonicalize_labels", "claim_in_draw_order"]
+__all__ = ["NOISE", "Clustering", "canonicalize_labels", "claim_in_draw_order", "group_roots"]
 
 
 @dataclass(frozen=True)
@@ -35,8 +35,9 @@ class Clustering:
             raise ValueError("labels must be a nonempty 1-D integer array")
         if labels.min() < NOISE:
             raise ValueError("labels must be cluster ids >= 0 or NOISE (-1)")
-        ids = np.unique(labels[labels >= 0])
-        if ids.size and (ids[0] != 0 or ids[-1] != ids.size - 1):
+        ids = labels[labels >= 0]
+        # the max test comes first, so a huge id cannot size the bincount
+        if ids.size and (ids.max() >= ids.size or not np.bincount(ids).all()):
             raise ValueError("cluster ids must be contiguous integers starting at 0")
         object.__setattr__(self, "labels", labels)
 
@@ -83,23 +84,15 @@ def canonicalize_labels(labels: np.ndarray) -> Clustering:
     return Clustering(labels=out)
 
 
-def claim_in_draw_order(offsets, members, dense, order):
-    """Claim each entity for the earliest-drawn dense group linked to it.
+def group_roots(offsets, members, dense):
+    """root[i]: the smallest id in dense i's group, or n for a sparse i.
 
     The graph is symmetric and in CSR form (offsets, members), the
     package's one graph format (`rnn_csr` shares it, without symmetry):
     row i, members[offsets[i]:offsets[i+1]], holds i itself and every j
-    whose row holds i. Dense entities joined by an edge form a group,
-    drawn at the first position in `order` (a permutation of the n
-    entities) that any member takes.
-
-    Returns (group, drawn): group[i] is the draw position of the earliest
-    group in row i, which names that group, or n when the row has none;
-    drawn[i] is i's own position in `order`.
+    whose row holds i. Dense entities joined by an edge form a group.
     """
     n = dense.size
-    drawn = np.empty(n, dtype=np.int64)
-    drawn[order] = np.arange(n)
     dense_ids = np.flatnonzero(dense)
     # union-find over dense-dense edges: sparse entities have root n,
     # which never hooks, so a sparse link joins no groups
@@ -107,10 +100,26 @@ def claim_in_draw_order(offsets, members, dense, order):
     while True:
         low = np.minimum.reduceat(root[members], offsets[:-1])[dense_ids]
         if np.array_equal(low, root[dense_ids]):
-            break
+            return root[:n]
         np.minimum.at(root, root[dense_ids], low)  # hook each root to its lowest linked root
         while not np.array_equal(jumped := root[root], root):
             root = jumped
+
+
+def claim_in_draw_order(offsets, members, root, order):
+    """Claim each entity for the earliest-drawn dense group linked to it.
+
+    `root` is the graph's `group_roots`. A group is drawn at the first
+    position in `order` (a permutation of the n entities) that any member takes.
+
+    Returns (group, drawn): group[i] is the draw position of the earliest
+    group in row i, which names that group, or n when the row has none;
+    drawn[i] is i's own position in `order`.
+    """
+    n = root.size
+    drawn = np.empty(n, dtype=np.int64)
+    drawn[order] = np.arange(n)
     first = np.full(n + 1, n, dtype=np.int64)
-    np.minimum.at(first, root[dense_ids], drawn[dense_ids])
+    np.minimum.at(first, root, drawn)
+    first[n] = n  # the sparse entities' root names no group
     return np.minimum.reduceat(first[root][members], offsets[:-1]), drawn

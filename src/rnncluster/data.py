@@ -41,7 +41,6 @@ __all__ = [
     "range_standardize",
     "row_squared_distances",
     "squared_distance_blocks",
-    "squared_euclidean",
 ]
 
 # bytes of one block of `squared_distance_blocks`, counted as m floats per pair
@@ -121,18 +120,6 @@ class StandardizationReport:
         if np.any(rng < 0):
             raise ValueError("feature range must be nonnegative")
         object.__setattr__(self, "feature_range", rng)
-
-
-def squared_euclidean(a, b) -> float:
-    """Squared Euclidean distance between two entity rows.
-
-    Symmetric, and zero iff the rows are componentwise equal.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(row_squared_distances(a, b))
 
 
 def row_squared_distances(rows: np.ndarray, point: np.ndarray) -> np.ndarray:

@@ -20,10 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import NOISE, Clustering, canonicalize_labels, check_count, claim_in_draw_order
-from .data import as_feature_matrix, compact_blocks, row_squared_distances, squared_distance_blocks
+from .clustering import NOISE, Clustering, canonicalize_labels, check_count
+from .clustering import claim_in_draw_order, group_roots
+from .data import as_feature_matrix, compact_blocks, squared_distance_blocks
 
-__all__ = ["DbscanParams", "dbscan", "epsilon_neighborhood"]
+__all__ = ["DbscanParams", "dbscan"]
 
 
 @dataclass(frozen=True)
@@ -37,19 +38,6 @@ class DbscanParams:
         if not self.epsilon >= 0:
             raise ValueError("epsilon must be nonnegative")
         check_count("min_pts", self.min_pts)
-
-
-def epsilon_neighborhood(data: np.ndarray, i: int, epsilon: float) -> np.ndarray:
-    """All entities within squared distance epsilon of entity i, i included.
-
-    Raises ValueError on non-finite data, a negative or NaN epsilon, or an i outside 0..n-1.
-    """
-    x = as_feature_matrix(data)
-    if not epsilon >= 0:
-        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
-    if not 0 <= i < x.shape[0]:
-        raise ValueError(f"entity i={i} outside the range 0..n-1 (n={x.shape[0]})")
-    return np.flatnonzero(row_squared_distances(x, x[i]) <= epsilon)
 
 
 def neighborhood_lists(data: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
@@ -95,15 +83,21 @@ def dbscan(data: np.ndarray, params: DbscanParams, seed: int = 0) -> Clustering:
     return dbscan_from_neighborhoods(neigh, params.min_pts, seed)
 
 
-def dbscan_from_neighborhoods(neigh, min_pts: int, seed: int = 0) -> Clustering:
+def dbscan_from_neighborhoods(neigh, min_pts: int, seed: int = 0, *, roots=None) -> Clustering:
     """DBSCAN given precomputed epsilon-neighbourhoods (sweeps reuse these).
 
     `neigh` is the CSR pair (offsets, members) of `neighborhood_lists`, read
     in place: each row holds its own entity, and j is in row i iff i is in j.
+    Raises ValueError unless min_pts is an integer >= 1. `roots`, a memo the
+    caller owns for one `neigh`, maps min_pts to the `group_roots` of its
+    core entities, so the caller's seeded runs at one min_pts group once.
     """
+    check_count("min_pts", min_pts)
     offsets, members = neigh
     n = offsets.size - 1
-    core = np.diff(offsets) >= min_pts
+    roots = {} if roots is None else roots
+    if min_pts not in roots:
+        roots[min_pts] = group_roots(offsets, members, np.diff(offsets) >= min_pts)
     order = np.random.default_rng(seed).permutation(n)
-    group, _ = claim_in_draw_order(offsets, members, core, order)
+    group, _ = claim_in_draw_order(offsets, members, roots[min_pts], order)
     return canonicalize_labels(np.where(group < n, group, NOISE))

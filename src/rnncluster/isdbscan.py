@@ -2,14 +2,15 @@
 
 The k-influence space IS_k(i) = NN_k(i) ∩ RNN_k(i) is the mutual-kNN
 relation, so it is symmetric; the index builds it once per k
-(`NeighborIndex.influence_csr`), and every seeded run at that k reads it.
-Entities with more than 2k/3 members in it are dense, and linked dense
-entities form groups. Entities are drawn in a seeded order; the first
-draw of a group collects all of it plus its sparse neighbours not yet
-drawn or collected, and a sparse entity drawn before any linked group is
-noise (`claim_in_draw_order`). Collected sets with more than k members
-become clusters; smaller ones are noise. Influence spaces are those of
-the full dataset, never of what is left.
+(`NeighborIndex.influence_csr`). Entities with more than 2k/3 members in
+it are dense, and linked dense entities form groups: the first fit at a k
+finds them (`group_roots`), and the index caches them for every seed.
+Entities are drawn in a seeded order; the first draw of a group collects
+all of it plus its sparse neighbours not yet drawn or collected, and a
+sparse entity drawn before any linked group is noise
+(`claim_in_draw_order`). Collected sets with more than k members become
+clusters; smaller ones are noise. Influence spaces are those of the full
+dataset, never of what is left.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import NOISE, Clustering, canonicalize_labels, check_count, claim_in_draw_order
+from .clustering import NOISE, Clustering, canonicalize_labels, check_count
+from .clustering import claim_in_draw_order, group_roots
 from .neighbors import NeighborIndex
 
 __all__ = ["IsdbscanParams", "isdbscan"]
@@ -50,9 +52,10 @@ def isdbscan(data: np.ndarray, index: NeighborIndex, params: IsdbscanParams) -> 
     if k >= n:
         return Clustering(labels=np.full(n, NOISE, dtype=np.int64))
     offsets, members = index.influence_csr(k)  # row i: i, then IS_k(i)
-    dense = np.diff(offsets) - 1 > 2.0 * k / 3.0
+    root = index.per_k("isdbscan", k, lambda: group_roots(
+        offsets, members, np.diff(offsets) - 1 > 2.0 * k / 3.0))  # dense: |IS_k(i)| > 2k/3
     order = np.random.default_rng(params.seed).permutation(n)
-    group, drawn = claim_in_draw_order(offsets, members, dense, order)
+    group, drawn = claim_in_draw_order(offsets, members, root, order)
     collected = drawn >= group  # a sparse entity drawn before its group stays noise
     sizes = np.bincount(group[collected], minlength=n + 1)
     return canonicalize_labels(np.where(collected & (sizes[group] > k), group, NOISE))

@@ -5,7 +5,7 @@ by (squared distance ascending, entity index ascending). For any k <= k_max
 it derives, in O(n*k) and cached per k, the reverse lists (`rnn_csr`) and
 the k-influence spaces IS_k(i) = NN_k(i) ∩ RNN_k(i) (`influence_csr`), so a
 parameter sweep over k reuses a single build and ISDBSCAN's repeated seeded
-runs at one k reuse one influence graph.
+runs at one k reuse one influence graph and its group roots (`per_k`).
 
 Two backends share the leaves of `data.compact_blocks` and the distance
 kernel, and produce bit-identical lists. The default, "brute", scans block
@@ -42,8 +42,7 @@ class NeighborIndex:
         self.k_max = int(k_max)
         self.knn_idx = knn_idx
         self.knn_d2 = knn_d2
-        # ("rnn" or "influence", k) -> that k's CSR pair (offsets, members)
-        self._per_k: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]] = {}
+        self._per_k: dict[tuple[str, int], object] = {}  # see `per_k`
 
     @property
     def n(self) -> int:
@@ -65,6 +64,13 @@ class NeighborIndex:
                 f"built on shape {self.data.shape}"
             )
 
+    def per_k(self, kind: str, k: int, build):
+        """`build()`, made once per (kind, k): "rnn", "influence" or "isdbscan" (its roots)."""
+        self._check_k(k)
+        if (kind, k) not in self._per_k:
+            self._per_k[kind, k] = build()
+        return self._per_k[kind, k]
+
     def knn(self, i: int, k: int) -> np.ndarray:
         """The k nearest entities to entity i, nearest first."""
         self._check_entity(i)
@@ -79,14 +85,7 @@ class NeighborIndex:
         Built once per k and cached; `rnn` and `rnn_sizes` (DBSCRN's
         density counts) read it.
         """
-        self._check_k(k)
-        if ("rnn", k) not in self._per_k:
-            flat = self.knn_idx[:, :k].ravel()
-            offsets = np.zeros(self.n + 1, dtype=np.int64)
-            np.cumsum(np.bincount(flat, minlength=self.n), out=offsets[1:])
-            # stable sort keeps positions ascending, so members stay id-sorted
-            self._per_k["rnn", k] = (offsets, np.argsort(flat, kind="stable") // k)
-        return self._per_k["rnn", k]
+        return self.per_k("rnn", k, lambda: _rnn_lists(self, k))
 
     def rnn(self, i: int, k: int) -> np.ndarray:
         """Entities having i among their k nearest; ascending ids, may be empty."""
@@ -106,24 +105,33 @@ class NeighborIndex:
         the graph is symmetric. Built once per k and cached; ISDBSCAN and
         `influence_space` read it.
         """
-        self._check_k(k)
-        if ("influence", k) not in self._per_k:
-            n = self.n
-            # row i is i itself, then NN_k(i); the pairs found both ways are i and IS_k(i)
-            nbrs = np.column_stack([np.arange(n), self.knn_idx[:, :k]]).ravel()
-            ids = np.repeat(np.arange(n), k + 1)
-            keys, reverse = ids * n + nbrs, np.sort(nbrs * n + ids)
-            mutual = reverse[np.minimum(np.searchsorted(reverse, keys), keys.size - 1)] == keys
-            offsets = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(mutual.reshape(n, k + 1).sum(axis=1), out=offsets[1:])
-            self._per_k["influence", k] = (offsets, nbrs[mutual])
-        return self._per_k["influence", k]
+        return self.per_k("influence", k, lambda: _influence_graph(self, k))
 
     def influence_space(self, i: int, k: int) -> np.ndarray:
         """NN_k(i) intersected with RNN_k(i); ascending ids, size <= k."""
         self._check_entity(i)
         offsets, members = self.influence_csr(k)
         return np.sort(members[offsets[i] + 1 : offsets[i + 1]])
+
+
+def _rnn_lists(index: NeighborIndex, k: int) -> tuple[np.ndarray, np.ndarray]:
+    flat = index.knn_idx[:, :k].ravel()
+    offsets = np.zeros(index.n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(flat, minlength=index.n), out=offsets[1:])
+    # stable sort keeps positions ascending, so members stay id-sorted
+    return offsets, np.argsort(flat, kind="stable") // k
+
+
+def _influence_graph(index: NeighborIndex, k: int) -> tuple[np.ndarray, np.ndarray]:
+    n = index.n
+    # row i is i itself, then NN_k(i); the pairs found both ways are i and IS_k(i)
+    nbrs = np.column_stack([np.arange(n), index.knn_idx[:, :k]]).ravel()
+    ids = np.repeat(np.arange(n), k + 1)
+    keys, reverse = ids * n + nbrs, np.sort(nbrs * n + ids)
+    mutual = reverse[np.minimum(np.searchsorted(reverse, keys), keys.size - 1)] == keys
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(mutual.reshape(n, k + 1).sum(axis=1), out=offsets[1:])
+    return offsets, nbrs[mutual]
 
 
 def build_index(data: np.ndarray, k_max: int, backend: str = "brute") -> NeighborIndex:

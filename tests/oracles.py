@@ -4,7 +4,8 @@ Everything here is deliberately written with plain Python loops, sets and
 Kruskal-style algorithms so it shares no code path with the package
 implementations it checks. The exceptions are the replaced implementations
 at the end of the file: they are kept as references that a rewrite must
-match bit for bit.
+match bit for bit. The last two are helpers the package no longer exports,
+because nothing but the tests called them.
 """
 
 from __future__ import annotations
@@ -17,7 +18,12 @@ from collections import deque
 import numpy as np
 
 from rnncluster.clustering import canonicalize_labels
-from rnncluster.data import compact_blocks, row_squared_distances, squared_distance_blocks
+from rnncluster.data import (
+    as_feature_matrix,
+    compact_blocks,
+    row_squared_distances,
+    squared_distance_blocks,
+)
 
 
 def sq_dist(x, a, b):
@@ -269,6 +275,27 @@ def isdbscan_worklist_oracle(index, k, seed):
             # noise and leaves the working set for good
             visited.add(start)
     return canonicalize_oracle(labels)
+
+
+def draw_order_claim_oracle(adjacency, dense, order):
+    """`claim_in_draw_order`'s group by plain loops: flood each group from its first draw.
+
+    `adjacency` is a symmetric boolean matrix with a true diagonal.
+    """
+    n = dense.size
+    drawn_at = {int(i): pos for pos, i in enumerate(order)}
+    group_of = {}
+    for i in map(int, order):
+        if dense[i] and i not in group_of:
+            stack, group_of[i] = [i], drawn_at[i]
+            while stack:
+                u = stack.pop()
+                for v in np.flatnonzero(adjacency[u]).tolist():
+                    if dense[v] and v not in group_of:
+                        group_of[v] = drawn_at[i]
+                        stack.append(v)
+    linked = [np.flatnonzero(adjacency[i]).tolist() for i in range(n)]
+    return [min((group_of[j] for j in row if j in group_of), default=n) for row in linked]
 
 
 def dbscan_bfs_oracle(neigh, min_pts, seed):
@@ -592,3 +619,32 @@ def kdtree_knn_oracle(x, k_max):
     knn_idx = np.array([idx for idx, _ in rows], dtype=np.int64).reshape(-1, k_max)
     knn_d2 = np.array([d2 for _, d2 in rows], dtype=np.float64).reshape(-1, k_max)
     return knn_idx, knn_d2
+
+
+def contiguous_ids_oracle(labels):
+    """The replaced contiguity rule of `Clustering`: the distinct ids are 0..K-1."""
+    labels = np.asarray(labels, dtype=np.int64)
+    ids = np.unique(labels[labels >= 0])
+    return ids.size == 0 or (ids[0] == 0 and ids[-1] == ids.size - 1)
+
+
+def squared_euclidean(a, b):
+    """The package's removed two-row helper: the kernel's distance between rows a and b."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    return float(row_squared_distances(a, b))
+
+
+def epsilon_neighborhood(data, i, epsilon):
+    """The package's removed single-query helper: ids within squared distance epsilon of i.
+
+    Raises ValueError on non-finite data, a negative or NaN epsilon, or an i outside 0..n-1.
+    """
+    x = as_feature_matrix(data)
+    if not epsilon >= 0:
+        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
+    if not 0 <= i < x.shape[0]:
+        raise ValueError(f"entity i={i} outside the range 0..n-1 (n={x.shape[0]})")
+    return np.flatnonzero(row_squared_distances(x, x[i]) <= epsilon)

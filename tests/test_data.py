@@ -3,13 +3,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import einsum_squared_distances_oracle, pairwise_squared_distances
+from oracles import einsum_squared_distances_oracle, pairwise_squared_distances, squared_euclidean
 from rnncluster import (
     DataSet,
     load_dataset,
     pairwise_distance_extrema,
     range_standardize,
-    squared_euclidean,
 )
 from rnncluster.data import row_squared_distances, squared_distance_blocks
 

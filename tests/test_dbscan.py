@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dbscan_bfs_oracle, neighborhood_lists_oracle
+from oracles import dbscan_bfs_oracle, epsilon_neighborhood, neighborhood_lists_oracle
 from rnncluster import (
     DbscanParams,
     NOISE,
     dbscan,
-    epsilon_neighborhood,
     make_blobs,
     make_two_moons,
     pairwise_distance_extrema,

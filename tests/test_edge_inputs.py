@@ -10,6 +10,7 @@ import pytest
 from oracles import (
     dbscan_bfs_oracle,
     dbscrn_oracle,
+    epsilon_neighborhood,
     full_sort_knn_oracle,
     isdbscan_worklist_oracle,
     kdtree_knn_oracle,
@@ -37,7 +38,7 @@ from rnncluster import (
     range_standardize,
     run_sweep,
 )
-from rnncluster.dbscan import dbscan_from_neighborhoods, epsilon_neighborhood, neighborhood_lists
+from rnncluster.dbscan import dbscan_from_neighborhoods, neighborhood_lists
 
 _rng = np.random.default_rng(17)
 K = 5
@@ -153,12 +154,20 @@ def _sweep_with_jobs(n_jobs):
     return n_jobs
 
 
+def _dbscan_with_min_pts(min_pts):
+    # 0, -3 and True once acted as 1, and 2.5 as 3
+    dbscan_from_neighborhoods(neighborhood_lists(_x, 0.01), min_pts)
+    return min_pts
+
+
 # name -> (make, field): make(v) sets the count `field` to v and returns it as
-# stored (bench: as many samples; run_sweep keeps no n_jobs, so as passed)
+# stored (bench: as many samples; run_sweep keeps no n_jobs and
+# dbscan_from_neighborhoods no min_pts, so as passed)
 COUNT_PARAMETERS = {
     "dbscrn-k": (lambda v: DbscrnParams(k=v).k, "k"),
     "isdbscan-k": (lambda v: IsdbscanParams(k=v).k, "k"),
     "dbscan-min_pts": (lambda v: DbscanParams(epsilon=0.1, min_pts=v).min_pts, "min_pts"),
+    "dbscan_from_neighborhoods-min_pts": (_dbscan_with_min_pts, "min_pts"),
     "kmeans-k_clusters": (lambda v: KmeansParams(k_clusters=v).k_clusters, "k_clusters"),
     "kmeans-restarts": (lambda v: KmeansParams(k_clusters=2, restarts=v).restarts, "restarts"),
     "kmeans-max_iters": (lambda v: KmeansParams(k_clusters=2, max_iters=v).max_iters, "max_iters"),

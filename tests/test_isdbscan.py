@@ -103,9 +103,9 @@ def test_repeated_fits_at_one_k_build_the_influence_graph_once(monkeypatch):
     index = build_index(x, k_max=6)
     graphs = []
 
-    def spy(offsets, members, dense, order):
-        graphs.append((offsets, members))
-        return claim_in_draw_order(offsets, members, dense, order)
+    def spy(offsets, members, root, order):
+        graphs.append((offsets, members, root))
+        return claim_in_draw_order(offsets, members, root, order)
 
     # the package exports the function under the module's name
     monkeypatch.setattr(importlib.import_module("rnncluster.isdbscan"),
@@ -114,7 +114,8 @@ def test_repeated_fits_at_one_k_build_the_influence_graph_once(monkeypatch):
         isdbscan(x, index, IsdbscanParams(k=5, seed=seed))
     offsets, members = index.influence_csr(5)
     assert len(graphs) == 5
-    assert all(o is offsets and m is members for o, m in graphs)
+    # the group roots are cached beside the graph: every seed claims from one array
+    assert all(o is offsets and m is members and r is graphs[0][2] for o, m, r in graphs)
 
 
 def test_k_beyond_index_capacity_raises():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    epsilon_neighborhood,
     full_sort_knn_oracle,
     influence_oracle,
     kdtree_knn_oracle,
@@ -13,7 +14,7 @@ from oracles import (
     neighborhood_lists_oracle,
     rnn_oracle,
 )
-from rnncluster import build_index, epsilon_neighborhood, make_blobs, range_standardize
+from rnncluster import build_index, make_blobs, range_standardize
 from rnncluster.data import compact_blocks
 from rnncluster.dbscan import neighborhood_lists
 

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 from collections import defaultdict
@@ -5,6 +6,7 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
+from oracles import dbscan_bfs_oracle, isdbscan_worklist_oracle
 from rnncluster import (
     DataSet,
     DbscanParams,
@@ -14,8 +16,10 @@ from rnncluster import (
     SweepSpec,
     bench,
     best_ari_summary,
+    build_index,
     dbcv_selection_summary,
     make_blobs,
+    make_two_moons,
     run_sweep,
     timing_summary,
     write_labels_csv,
@@ -25,6 +29,7 @@ import rnncluster.sweep as sweep_module
 import rnncluster.validation as validation_module
 from rnncluster import adjusted_rand_index, dbcv, range_standardize
 from rnncluster.clustering import Clustering
+from rnncluster.dbscan import neighborhood_lists
 from rnncluster.sweep import build_grid
 
 
@@ -133,6 +138,44 @@ def test_each_distinct_cluster_is_built_once_per_sweep(small_blobs, spec, monkey
                 distinct.add(np.flatnonzero(labels == cid).tobytes())
                 scored += 1
     assert len(built) == len(distinct) < scored
+
+
+# ISDBSCAN's default grid, and DBSCAN settings on two moons where the cluster of a
+# shared border entity follows the seed
+SEEDED_SPECS = [
+    SweepSpec(algorithm="isdbscan", runs_per_setting=5),
+    SweepSpec(algorithm="dbscan", runs_per_setting=5, eps_range=(0.002, 0.004), eps_step=0.001,
+              min_pts_range=(4, 8)),
+]
+
+
+@pytest.mark.parametrize("spec", SEEDED_SPECS, ids=lambda s: s.algorithm)
+def test_seeded_runs_group_once_per_setting_and_match_the_oracles(spec, monkeypatch):
+    # the package exports each algorithm under its module's name
+    module = importlib.import_module(f"rnncluster.{spec.algorithm}")
+    grouped = []
+
+    def counting_roots(offsets, members, dense, _original=module.group_roots):
+        grouped.append(dense)
+        return _original(offsets, members, dense)
+
+    monkeypatch.setattr(module, "group_roots", counting_roots)
+    moons = make_two_moons(n=200, seed=0)
+    result = run_sweep(moons, spec)
+    x, _ = range_standardize(moons.matrix)
+    assert len(grouped) == len({r.params for r in result.records})  # per k, or (epsilon, min_pts)
+    index, lists = build_index(x, k_max=25), {}
+    by_setting = defaultdict(set)
+    for r in result.records:
+        if spec.algorithm == "isdbscan":
+            expected = isdbscan_worklist_oracle(index, r.params.k, r.seed)
+        else:
+            if r.params.epsilon not in lists:
+                lists[r.params.epsilon] = neighborhood_lists(x, r.params.epsilon)
+            expected = dbscan_bfs_oracle(lists[r.params.epsilon], r.params.min_pts, r.seed)
+        assert r.labels.tolist() == expected
+        by_setting[r.params].add(r.labels.tobytes())
+    assert max(len(labelings) for labelings in by_setting.values()) > 1  # the seed matters
 
 
 def test_parallel_equals_sequential(small_blobs):
