@@ -150,7 +150,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     gen.add_argument("--config", help="KEY=VALUE config file; flags override")
     gen.add_argument("--kind", required=True,
                      choices=["blobs", "two_moons", "nested_rings", "spirals"])
-    gen.add_argument("--n", type=int, default=None, help="total points (moons/spirals)")
+    gen.add_argument("--n", type=int, default=None, help="total points (two_moons, spirals)")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", default="out")
     command_parsers.update(
@@ -296,9 +296,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    params = {}
-    if args.n is not None:
-        params["n"] = args.n
+    params = {} if args.n is None else {"n": args.n}
     dataset = generate_synthetic(args.kind, params, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"{args.kind}_{args.seed}.csv")

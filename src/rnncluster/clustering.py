@@ -1,10 +1,10 @@
 """Shared clustering result type, the draw-order claim of dense groups and
-the check of the algorithms' count parameters.
+the checks of the algorithms' count and radius parameters.
 
-Every algorithm returns a `Clustering`: one label per entity, either a
-cluster id in 0..K-1 or the NOISE sentinel (-1). Cluster ids are always
-canonical: contiguous from 0, ordered by each cluster's smallest member
-index, so identical partitions compare equal regardless of discovery order.
+Every algorithm returns a `Clustering`: one label per entity, read by
+`data.as_labels`, a cluster id in 0..K-1 or the NOISE sentinel (-1). The
+ids are canonical (`canonicalize_labels`): contiguous from 0, ordered by
+each cluster's smallest member, so equal partitions compare equal.
 
 ISDBSCAN and DBSCAN both draw entities in a seeded order from a symmetric
 graph whose linked dense entities form seed-free groups (`group_roots`): a
@@ -14,9 +14,12 @@ first claimed group linked to it (`claim_in_draw_order`, a pass per draw).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+from .data import as_labels
 
 NOISE = -1
 
@@ -30,9 +33,7 @@ class Clustering:
     labels: np.ndarray
 
     def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=np.int64)
-        if labels.ndim != 1 or labels.size == 0:
-            raise ValueError("labels must be a nonempty 1-D integer array")
+        labels = as_labels(self.labels)
         if labels.min() < NOISE:
             raise ValueError("labels must be cluster ids >= 0 or NOISE (-1)")
         ids = labels[labels >= 0]
@@ -68,14 +69,20 @@ def check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be >= 1")
 
 
+def check_radius(name: str, value) -> None:
+    """ValueError naming `name` unless `value` is a real number >= 0: no bool, no NaN."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and value >= 0):
+        raise ValueError(f"{name} must be a real number >= 0, got {value!r}")
+
+
 def canonicalize_labels(labels: np.ndarray) -> Clustering:
     """Relabel cluster ids by ascending smallest-member index; noise stays -1.
 
-    Accepts any integer labelling with >= -1 values (ids need not be
-    contiguous) and produces the canonical `Clustering`.
+    Accepts any labelling `data.as_labels` accepts whose values are >= -1
+    (ids need not be contiguous) and produces the canonical `Clustering`.
     """
-    labels = np.asarray(labels, dtype=np.int64)
-    out = np.full(labels.shape, NOISE, dtype=np.int64)
+    labels = as_labels(labels)
+    out = labels.copy()  # an id below NOISE stays, and `Clustering` refuses it
     clustered = labels >= 0
     _, first, inverse = np.unique(labels[clustered], return_index=True, return_inverse=True)
     rank = np.empty(first.size, dtype=np.int64)

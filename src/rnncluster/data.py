@@ -1,18 +1,19 @@
 """Data model shared by every clustering algorithm in the package.
 
-Entities are rows of an (n, m) float64 matrix. All inter-entity
-dissimilarities used by the clustering algorithms are *squared* Euclidean
-distances; squaring preserves neighbour rankings, so only radius-type
-thresholds change scale, and the sweep grids are expressed in the same
-squared units.
+Entities are rows of an (n, m) float64 matrix (`as_feature_matrix`). A
+labelling is one int64 id per entity, and every labelling that enters the
+package goes through `as_labels`. All inter-entity dissimilarities used by
+the clustering algorithms are *squared* Euclidean distances; squaring
+preserves neighbour rankings, so only radius-type thresholds change scale,
+and the sweep grids are expressed in the same squared units.
 
 One blocked kernel, `squared_distance_blocks`, serves every scan over
 many rows in O(block * n) memory. It evaluates the same expression as
 `row_squared_distances`, so a pair's distance is bit-identical on every
 path, which keeps index tie-breaking exact. That expression adds the
-squared feature differences feature by feature over whole arrays, in a
-fixed two-lane order: the order of the numpy einsum the package used
-before, so every distance keeps the einsum's floats, now without a
+squared feature differences feature by feature over whole arrays, in the
+fixed two-lane order of numpy's einsum, so every distance keeps the
+einsum's floats, which the benchmark's reference digests pin, without a
 per-pair inner-product call and independent of numpy's SIMD dispatch.
 
 `compact_blocks` orders the rows into spatially compact blocks and gives
@@ -35,6 +36,7 @@ __all__ = [
     "DataSet",
     "StandardizationReport",
     "as_feature_matrix",
+    "as_labels",
     "compact_blocks",
     "load_dataset",
     "pairwise_distance_extrema",
@@ -71,6 +73,28 @@ def as_feature_matrix(values) -> np.ndarray:
     return matrix
 
 
+def as_labels(values) -> np.ndarray:
+    """A `Clustering`'s labels as they are, or `values` as a nonempty 1-D int64 array."""
+    if not isinstance(values, np.ndarray):
+        from .clustering import Clustering  # imported here: clustering imports this module
+        if isinstance(values, Clustering):
+            return values.labels
+    labels = np.asarray(values)
+    if labels.ndim != 1 or labels.size == 0:
+        raise ValueError(f"labels must be a nonempty 1-D array, got shape {labels.shape}")
+    if labels.dtype.kind not in "biuf":
+        raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
+    if labels.dtype.kind in "uf":  # only these can hold a non-integer or exceed int64
+        whole = np.isfinite(labels) & (labels == np.trunc(labels))
+        with np.errstate(over="ignore"):  # 2**63 is inf in float16, and compares alike
+            bad = ~whole | (labels < -(2**63)) | (labels >= 2**63)
+        if bad.any():
+            i = int(np.argmax(bad))
+            rule = "within int64" if whole[i] else "integers"
+            raise ValueError(f"labels must be {rule}, got {labels[i]} at position {i}")
+    return labels.astype(np.int64, copy=False)  # int64 input is neither copied nor scanned
+
+
 @dataclass
 class DataSet:
     """A feature matrix with an optional ground-truth labelling.
@@ -78,7 +102,7 @@ class DataSet:
     Attributes
     ----------
     matrix : (n, m) float64 array of entities.
-    true_labels : optional (n,) integer array of class ids.
+    true_labels : optional labelling of the n entities by class id (`as_labels`).
     name : text identifier used in reports.
     """
 
@@ -89,13 +113,9 @@ class DataSet:
     def __post_init__(self):
         self.matrix = as_feature_matrix(self.matrix)
         if self.true_labels is not None:
-            labels = np.asarray(self.true_labels, dtype=np.int64)
-            if labels.shape != (self.matrix.shape[0],):
-                raise ValueError(
-                    f"true_labels has {labels.shape[0] if labels.ndim == 1 else labels.shape} "
-                    f"entries, expected {self.matrix.shape[0]}"
-                )
-            self.true_labels = labels
+            labels = self.true_labels = as_labels(self.true_labels)
+            if labels.size != self.n:
+                raise ValueError(f"true_labels has {labels.size} entries, expected {self.n}")
 
     @property
     def n(self) -> int:
@@ -342,13 +362,8 @@ def load_dataset(
             rows.append(features)
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    matrix = np.array(rows, dtype=np.float64)
-    dataset_name = name if name is not None else _stem(path)
-    return DataSet(
-        matrix=matrix,
-        true_labels=np.array(labels, dtype=np.int64) if label_column is not None else None,
-        name=dataset_name,
-    )
+    return DataSet(rows, labels if label_column is not None else None,
+                   name if name is not None else _stem(path))
 
 
 def _stem(path) -> str:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import NOISE, Clustering, canonicalize_labels, check_count
+from .clustering import NOISE, Clustering, canonicalize_labels, check_count, check_radius
 from .clustering import claim_in_draw_order, group_roots
 from .data import as_feature_matrix, compact_blocks, squared_distance_blocks
 
@@ -35,8 +35,7 @@ class DbscanParams:
     min_pts: int
 
     def __post_init__(self):
-        if not self.epsilon >= 0:
-            raise ValueError("epsilon must be nonnegative")
+        check_radius("epsilon", self.epsilon)
         check_count("min_pts", self.min_pts)
 
 
@@ -45,11 +44,10 @@ def neighborhood_lists(data: np.ndarray, epsilon: float) -> tuple[np.ndarray, np
 
     Row i, members[offsets[i]:offsets[i+1]], holds the ids within squared
     distance epsilon of i, i included, ascending; the graph is symmetric.
-    Raises ValueError on non-finite data or a negative or NaN epsilon.
+    Raises ValueError on non-finite data, or unless epsilon is a real number >= 0.
     """
     x = as_feature_matrix(data)
-    if not epsilon >= 0:
-        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
+    check_radius("epsilon", epsilon)
     own, counts, found = [], [], []
     for ids, bound in compact_blocks(x):
         candidates = np.flatnonzero(bound <= epsilon)

@@ -46,7 +46,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .clustering import Clustering, check_count
+from .clustering import Clustering, check_count, check_radius
 from .data import (
     DataSet,
     StandardizationReport,
@@ -104,11 +104,14 @@ class SweepSpec:
         check_count("min_pts_range[1]", hi_pts)
         if lo_pts > hi_pts:
             raise ValueError(f"min_pts_range must have lo <= hi, got {self.min_pts_range}")
+        check_radius("eps_step", self.eps_step)
         if not 0 < self.eps_step < np.inf:
             raise ValueError(f"eps_step must be finite and > 0, got {self.eps_step}")
         if self.eps_range is not None:
             lo, hi = self.eps_range
-            if not -np.inf < lo <= hi < np.inf:
+            check_radius("eps_range[0]", lo)
+            check_radius("eps_range[1]", hi)
+            if not lo <= hi < np.inf:
                 raise ValueError(f"eps_range must be finite with lo <= hi, got {self.eps_range}")
 
 

@@ -7,6 +7,8 @@ All generators are deterministic for a fixed seed.
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 
 from .clustering import check_count
@@ -134,7 +136,10 @@ _KINDS = {
 
 
 def generate_synthetic(kind: str, params: dict | None = None, seed: int = 0) -> DataSet:
-    """Dispatch to a generator by kind; `params` are its keyword arguments."""
+    """Dispatch to a generator by kind; `params` are keyword arguments it takes, else ValueError."""
     if kind not in _KINDS:
         raise ValueError(f"unknown synthetic kind {kind!r}; choose from {sorted(_KINDS)}")
+    takes = [p for p in inspect.signature(_KINDS[kind]).parameters if p != "seed"]
+    if not set(takes).issuperset(params or {}):
+        raise ValueError(f"{kind} takes only the parameters {takes}, got {sorted(params)}")
     return _KINDS[kind](seed=seed, **(params or {}))

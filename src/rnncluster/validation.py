@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import data as _data
-from .clustering import NOISE, Clustering
-from .data import as_feature_matrix, row_squared_distances, squared_distance_blocks
+from .clustering import NOISE
+from .data import as_feature_matrix, as_labels, row_squared_distances, squared_distance_blocks
 
 __all__ = [
     "DbcvReport",
@@ -38,22 +38,6 @@ __all__ = [
     "dbcv",
     "select_best",
 ]
-
-
-def _labels_of(clustering) -> np.ndarray:
-    """A Clustering's labels, or a 1-D integral array as int64; else ValueError."""
-    if isinstance(clustering, Clustering):
-        return clustering.labels
-    labels = np.asarray(clustering)
-    if labels.ndim != 1:
-        raise ValueError(f"labels must be 1-D, got shape {labels.shape}")
-    if labels.dtype.kind == "f":
-        bad = np.flatnonzero(~np.isfinite(labels) | (labels != np.trunc(labels)))
-        if bad.size:
-            raise ValueError(f"labels must be integers, got {labels[bad[0]]} at position {bad[0]}")
-    elif labels.dtype.kind not in "biu":
-        raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
-    return labels.astype(np.int64)
 
 
 def _spread_noise(labels: np.ndarray) -> np.ndarray:
@@ -71,7 +55,7 @@ def _spread_noise(labels: np.ndarray) -> np.ndarray:
 
 def contingency_table(pred, truth) -> np.ndarray:
     """Cross-tabulation of two labelings (rows: pred, columns: truth)."""
-    pred, truth = _labels_of(pred), _labels_of(truth)
+    pred, truth = as_labels(pred), as_labels(truth)
     if pred.shape != truth.shape:
         raise ValueError(f"label arrays differ in length: {pred.shape} vs {truth.shape}")
     _, pi = np.unique(pred, return_inverse=True)
@@ -95,7 +79,7 @@ def adjusted_rand_index(pred, truth) -> float:
     denominator vanishes, which only happens when both partitions are
     trivial in the same way.
     """
-    table = contingency_table(_spread_noise(_labels_of(pred)), truth)
+    table = contingency_table(_spread_noise(as_labels(pred)), truth)
     n = table.sum()
     index = _comb2(table).sum()
     a = _comb2(table.sum(axis=1)).sum()
@@ -248,7 +232,7 @@ def dbcv(data: np.ndarray, clustering, *, cluster_terms: dict | None = None) -> 
     distinct cluster once. The entries depend on `data`, so one dict must
     only ever see one dataset. The report is the same with or without it.
     """
-    labels = _labels_of(clustering)
+    labels = as_labels(clustering)
     x = as_feature_matrix(data)
     if labels.shape[0] != x.shape[0]:
         raise ValueError("clustering and data disagree on the number of entities")

@@ -214,3 +214,16 @@ def test_gen_is_deterministic(tmp_path):
     a = _gen(tmp_path / "a", seed=7)
     b = _gen(tmp_path / "b", seed=7)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_gen_refuses_n_for_a_kind_that_does_not_read_it(tmp_path, capsys):
+    # --kind blobs --n 100 once ended in a bare TypeError traceback
+    out = tmp_path / "gen"
+    with pytest.raises(ValueError, match="^blobs takes only the parameters"):
+        main(["gen", "--kind", "blobs", "--n", "100", "--out", str(out)])
+    assert not out.exists()
+    assert main(["gen", "--kind", "two_moons", "--n", "40", "--out", str(out)]) == 0
+    assert "40 points" in capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        main(["gen", "--help"])
+    assert "total points (two_moons, spirals)" in capsys.readouterr().out

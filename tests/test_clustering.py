@@ -14,6 +14,13 @@ def test_canonicalize_labels_examples():
     assert canonicalize_labels([3]).labels.tolist() == [0]
 
 
+def test_ids_below_noise_are_refused_with_one_message():
+    # canonicalize_labels once mapped -3 to noise, where Clustering refused it
+    for make in (Clustering, canonicalize_labels):
+        with pytest.raises(ValueError, match=r"^labels must be cluster ids >= 0 or NOISE \(-1\)$"):
+            make(np.array([-3, 1, 1]))
+
+
 @given(st.lists(st.integers(-1, 12), min_size=1, max_size=60))
 @settings(max_examples=200, deadline=None)
 def test_canonicalize_labels_matches_loop_oracle(labels):

@@ -16,6 +16,7 @@ from oracles import (
     kdtree_knn_oracle,
 )
 from rnncluster import (
+    Clustering,
     DataSet,
     DbscanParams,
     DbscrnParams,
@@ -26,6 +27,7 @@ from rnncluster import (
     bench,
     build_index,
     canonicalize_labels,
+    contingency_table,
     dbcv,
     dbscrn,
     isdbscan,
@@ -215,6 +217,91 @@ def test_count_parameters_must_be_integers(name):
     with pytest.raises(ValueError, match=f"^{re.escape(field)} must be >= 1$"):
         make(0)
     assert make(np.int32(4)) == 4
+
+
+def _neighborhood_lists_with_epsilon(epsilon):
+    # True once acted as 1.0, and "0.1" or None failed in a bare comparison
+    neighborhood_lists(_x, epsilon)
+    return epsilon
+
+
+# name -> (make, field): make(v) sets the radius `field` to v and returns it as
+# stored (neighborhood_lists keeps no epsilon, so as passed)
+RADIUS_PARAMETERS = {
+    "dbscan-epsilon": (lambda v: DbscanParams(epsilon=v, min_pts=3).epsilon, "epsilon"),
+    "neighborhood_lists-epsilon": (_neighborhood_lists_with_epsilon, "epsilon"),
+    "sweep-eps_step": (lambda v: SweepSpec("dbscan", eps_step=v).eps_step, "eps_step"),
+    "sweep-eps_range-lo": (
+        lambda v: SweepSpec("dbscan", eps_range=(v, 2.0)).eps_range[0],
+        "eps_range[0]",
+    ),
+    "sweep-eps_range-hi": (
+        lambda v: SweepSpec("dbscan", eps_range=(0.0, v)).eps_range[1],
+        "eps_range[1]",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RADIUS_PARAMETERS))
+def test_radius_parameters_must_be_real_numbers(name):
+    make, field = RADIUS_PARAMETERS[name]
+    for value in (True, np.True_, "0.1", None, 1j, np.nan, -0.5):
+        message = f"^{re.escape(field)} must be a real number >= 0, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            make(value)
+    for value in (0.25, np.float32(0.25), 1, np.int64(1)):
+        assert make(value) == value
+
+
+_other = np.arange(10) % 3
+# name -> take: hands a labelling of _x's rows to one entry point and returns
+# what that entry point made of it
+LABEL_INPUTS = {
+    "Clustering": lambda v: Clustering(v).labels,
+    "canonicalize_labels": lambda v: canonicalize_labels(v).labels,
+    "DataSet.true_labels": lambda v: DataSet(_x, true_labels=v).true_labels,
+    "adjusted_rand_index-pred": lambda v: adjusted_rand_index(v, _other),
+    "adjusted_rand_index-truth": lambda v: adjusted_rand_index(_other, v),
+    "contingency_table-pred": lambda v: contingency_table(v, _other),
+    "contingency_table-truth": lambda v: contingency_table(_other, v),
+    "dbcv": lambda v: dbcv(_x, v).cluster_ids,
+}
+
+
+def _at_3(value, dtype=float):
+    labels = _labels.astype(dtype)
+    labels[3] = value
+    return labels
+
+
+# each once passed some entry point silently: rounded, wrapped or cast to noise
+BAD_LABELS = [
+    (_at_3(1.5), "labels must be integers, got 1.5 at position 3"),
+    (_at_3(np.nan), "labels must be integers, got nan at position 3"),
+    (_at_3(1e30), "labels must be within int64, got 1e+30 at position 3"),
+    (_at_3(2**63, np.uint64), "labels must be within int64, got 9223372036854775808 at position 3"),
+    (_labels[:, None], "labels must be a nonempty 1-D array, got shape (10, 1)"),
+    (_labels[:0], "labels must be a nonempty 1-D array, got shape (0,)"),
+    (_labels.astype(str), "labels must be integers, got dtype <U21"),
+]
+
+
+@pytest.mark.parametrize("name", sorted(LABEL_INPUTS))
+def test_every_label_entry_point_refuses_the_same_bad_labels(name):
+    for labels, message in BAD_LABELS:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            LABEL_INPUTS[name](labels)
+
+
+@pytest.mark.parametrize("name", sorted(LABEL_INPUTS))
+def test_every_label_entry_point_reads_integral_dtypes_as_int64(name):
+    expected = LABEL_INPUTS[name](_labels)
+    for dtype in (np.int32, bool, float, np.float16, np.uint64):
+        got = LABEL_INPUTS[name](_labels.astype(dtype))
+        np.testing.assert_array_equal(got, expected)
+        assert np.asarray(got).dtype == np.asarray(expected).dtype
+    if name in ("Clustering", "canonicalize_labels", "DataSet.true_labels"):
+        assert expected.dtype == np.int64
 
 
 def test_ari_rejects_labels_that_are_not_1d_integers():

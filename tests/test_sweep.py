@@ -304,12 +304,18 @@ def test_spec_validation(small_blobs):
         SweepSpec(algorithm="dbscan", runs_per_setting=0)
     with pytest.raises(ValueError):
         SweepSpec(algorithm="dbscan", eps_step=0.0)
-    for step in (np.nan, np.inf, -0.1):  # NaN once failed in the grid's np.arange
-        with pytest.raises(ValueError, match="eps_step must be finite and > 0"):
+    for step in (np.nan, -0.1):  # NaN once failed in the grid's np.arange
+        with pytest.raises(ValueError, match=f"^eps_step must be a real number >= 0, got {step}$"):
             SweepSpec("dbscan", eps_step=step)
-    for bounds in ((0.5, 0.1), (0.0, np.inf), (np.nan, 1.0), (-np.inf, 1.0)):
+    with pytest.raises(ValueError, match="eps_step must be finite and > 0"):
+        SweepSpec("dbscan", eps_step=np.inf)
+    for bounds in ((0.5, 0.1), (0.0, np.inf)):
         with pytest.raises(ValueError, match="eps_range must be finite with lo <= hi"):
             SweepSpec("dbscan", eps_range=bounds)
+    for lo in (np.nan, -np.inf):
+        message = rf"^eps_range\[0\] must be a real number >= 0, got {lo}$"
+        with pytest.raises(ValueError, match=message):
+            SweepSpec("dbscan", eps_range=(lo, 1.0))
     SweepSpec("dbscan", eps_range=(0.2, 0.2))  # a one-point grid is fine
     # a reversed MinPts range once failed only as an empty parameter grid
     with pytest.raises(ValueError, match=r"min_pts_range must have lo <= hi, got \(5, 3\)"):

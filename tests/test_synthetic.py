@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -63,3 +65,14 @@ def test_unknown_kind_and_bad_params_rejected():
         make_spirals(n=3)
     with pytest.raises(ValueError):
         make_two_moons(n=50, density_ratio=0.0)
+
+
+def test_generate_synthetic_refuses_a_parameter_its_generator_does_not_take():
+    # n once reached make_blobs and make_nested_rings as a bare TypeError
+    takes = "['n_centers', 'points_per_center', 'spread', 'center_box', 'name']"
+    message = rf"^blobs takes only the parameters {re.escape(takes)}, got \['n'\]$"
+    with pytest.raises(ValueError, match=message):
+        generate_synthetic("blobs", {"n": 100})
+    with pytest.raises(ValueError, match=r"^nested_rings takes only the parameters \['n_rings'"):
+        generate_synthetic("nested_rings", {"n": 100})
+    assert generate_synthetic("blobs", {"n_centers": 3}).n == 60
