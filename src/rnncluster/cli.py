@@ -313,9 +313,7 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     parser, command_parsers = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "config", None):
-        _apply_config(command_parsers[args.command], args.config)
-        args = parser.parse_args(argv)
+    command = command_parsers[args.command]
     commands = {
         "cluster": _cmd_cluster,
         "sweep": _cmd_sweep,
@@ -323,7 +321,14 @@ def main(argv=None) -> int:
         "bench": _cmd_bench,
         "gen": _cmd_gen,
     }
-    return commands[args.command](args)
+    try:
+        if getattr(args, "config", None):
+            _apply_config(command, args.config)
+            args = parser.parse_args(argv)
+        return commands[args.command](args)
+    except ValueError as error:
+        # a refused input ends as argparse's errors do: one line, status 2
+        command.exit(2, f"{command.prog}: error: {error}\n")
 
 
 if __name__ == "__main__":

@@ -296,14 +296,18 @@ def _parse_float(token: str, row_number: int, column: int) -> float:
 
 def _parse_label(token: str, row_number: int) -> int:
     try:
-        value = float(token)
+        value = int(token)  # exact, also past 2**53 where floats skip integers
     except ValueError:
-        raise ValueError(f"row {row_number}: non-numeric label {token!r}") from None
-    if not np.isfinite(value) or value != int(value):
-        raise ValueError(f"row {row_number}: label {token!r} is not an integer")
+        try:
+            number = float(token)
+        except ValueError:
+            raise ValueError(f"row {row_number}: non-numeric label {token!r}") from None
+        if not np.isfinite(number) or number != int(number):
+            raise ValueError(f"row {row_number}: label {token!r} is not an integer")
+        value = int(number)
     if not -(2**63) <= value < 2**63:  # labels are stored as int64
         raise ValueError(f"row {row_number}: label {token!r} is outside the int64 range")
-    return int(value)
+    return value
 
 
 def load_dataset(

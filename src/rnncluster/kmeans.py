@@ -5,6 +5,13 @@ squared Euclidean distance; clusters that empty out during iteration are
 reseeded with the entity currently farthest from its own centroid, so the
 returned clustering always has exactly K nonempty clusters. Across
 restarts the run with the lowest within-cluster sum of squares wins.
+
+The restarts run in lockstep, in chunks of at most `_BLOCK_BYTES // 8n`
+runs (so memory does not grow with the restarts): one Lloyd loop steps a
+chunk's runs together until each converges or reaches max_iters. Each
+run is bit-identical to running it alone: the kernel's floats do not
+depend on the shape of its call, and the centroid sums add each group's
+rows in row order, as `mean(axis=0)` does.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import data as _data
 from .clustering import Clustering, canonicalize_labels, check_count
 from .data import as_feature_matrix, row_squared_distances, squared_distance_blocks
 
@@ -32,16 +40,86 @@ class KmeansParams:
 
 
 def _assign(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Index of each row's nearest centroid; ties go to the smaller index."""
-    labels = np.empty(x.shape[0], dtype=np.int64)
-    for start, block in squared_distance_blocks(x, centroids):
-        labels[start : start + block.shape[0]] = np.argmin(block, axis=1)
+    """Every run's nearest centroid (runs, n) to each row, for centroids (runs, k, m).
+
+    One kernel call covers every run; ties go to the smaller index.
+    """
+    runs, k, m = centroids.shape
+    labels = np.empty((runs, x.shape[0]), dtype=np.int64)
+    for start, block in squared_distance_blocks(x, centroids.reshape(-1, m)):
+        labels[:, start : start + block.shape[0]] = block.reshape(-1, runs, k).argmin(axis=2).T
     return labels
+
+
+def _reseed_empty(x: np.ndarray, centroids: np.ndarray, labels: np.ndarray, counts: np.ndarray):
+    """Give one run's empty clusters the entity farthest from its centroid, in place."""
+    for empty in np.flatnonzero(counts == 0).tolist():
+        residual = row_squared_distances(x, centroids[labels])
+        residual[counts[labels] <= 1] = -1.0  # do not empty another cluster
+        runaway = int(np.argmax(residual))
+        counts[labels[runaway]] -= 1
+        labels[runaway] = empty
+        counts[empty] = 1
+        centroids[empty] = x[runaway]
+
+
+def _move_centroids(x: np.ndarray, centroids: np.ndarray, labels: np.ndarray, counts: np.ndarray):
+    """Set every run's centroids (runs, k, m) to the means of its clusters, in place."""
+    runs, k, m = centroids.shape
+    if m == 1:
+        # the mean of one contiguous column is a pairwise sum, which a
+        # grouped sum does not repeat
+        for run in range(runs):
+            for c in range(k):
+                centroids[run, c] = x[labels[run] == c].mean(axis=0)
+        return
+    # bincount adds each group's rows in row order, as mean(axis=0) does
+    keys = (labels + k * np.arange(runs)[:, None]).ravel()
+    for j in range(m):
+        column = np.broadcast_to(x[:, j], labels.shape).ravel()
+        sums = np.bincount(keys, weights=column, minlength=runs * k)
+        centroids[:, :, j] = (sums / counts.ravel()).reshape(runs, k)
 
 
 def _objective(x: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> float:
     diff = x - centroids[labels]
     return float(np.einsum("ij,ij->", diff, diff))
+
+
+def _lloyd_runs(x: np.ndarray, k: int, rng, runs: int, max_iters: int, trace: list | None = None):
+    """`runs` seeded Lloyd runs in lockstep: their labels (runs, n) and objectives.
+
+    Run r is the r-th of `runs` one-run calls in turn with the same `rng`.
+    `trace` gets the objective of every run that moved, each iteration.
+    """
+    n = x.shape[0]
+    if k > n:
+        raise ValueError(f"k_clusters={k} exceeds the number of entities {n}")
+    centroids = np.stack([x[rng.choice(n, size=k, replace=False)] for _ in range(runs)])
+    labels = np.full((runs, n), -1, dtype=np.int64)
+    active = np.arange(runs)
+    for _ in range(max_iters):
+        moving = centroids[active]
+        new_labels = _assign(x, moving)
+        offsets = k * np.arange(active.size)[:, None]
+        counts = np.bincount((new_labels + offsets).ravel(), minlength=offsets.size * k)
+        counts = counts.reshape(-1, k)
+        for run in np.flatnonzero((counts == 0).any(axis=1)).tolist():
+            _reseed_empty(x, moving[run], new_labels[run], counts[run])
+        moved = (new_labels != labels[active]).any(axis=1)
+        if not moved.all():
+            # a run that stops keeps its centroids: a cluster reseeded just
+            # now held the same one entity before
+            active, moving = active[moved], moving[moved]
+            new_labels, counts = new_labels[moved], counts[moved]
+            if not active.size:
+                break
+        labels[active] = new_labels
+        _move_centroids(x, moving, new_labels, counts)
+        centroids[active] = moving
+        if trace is not None:
+            trace.extend(_objective(x, centroids[run], labels[run]) for run in active.tolist())
+    return labels, [_objective(x, centroids[run], labels[run]) for run in range(runs)]
 
 
 def lloyd(
@@ -56,38 +134,22 @@ def lloyd(
     When `trace` is a list, the objective after every full iteration is
     appended to it (the sequence is non-increasing).
     """
-    n = x.shape[0]
-    if k > n:
-        raise ValueError(f"k_clusters={k} exceeds the number of entities {n}")
-    centroids = x[rng.choice(n, size=k, replace=False)].copy()
-    labels = np.full(n, -1, dtype=np.int64)
-    for _ in range(max_iters):
-        new_labels = _assign(x, centroids)
-        # reseed empty clusters with the entity farthest from its centroid
-        counts = np.bincount(new_labels, minlength=k)
-        for empty in np.flatnonzero(counts == 0).tolist():
-            residual = row_squared_distances(x, centroids[new_labels])
-            residual[counts[new_labels] <= 1] = -1.0  # do not empty another cluster
-            runaway = int(np.argmax(residual))
-            counts[new_labels[runaway]] -= 1
-            new_labels[runaway] = empty
-            counts[empty] = 1
-            centroids[empty] = x[runaway]
-        if np.array_equal(new_labels, labels):
-            break
-        labels = new_labels
-        for c in range(k):
-            centroids[c] = x[labels == c].mean(axis=0)
-        if trace is not None:
-            trace.append(_objective(x, centroids, labels))
-    return labels, _objective(x, centroids, labels)
+    labels, objectives = _lloyd_runs(as_feature_matrix(x), k, rng, 1, max_iters, trace)
+    return labels[0], objectives[0]
 
 
 def kmeans(data: np.ndarray, params: KmeansParams) -> Clustering:
     """Best-of-restarts k-means clustering (lowest objective wins, first on ties)."""
     x = as_feature_matrix(data)
     rng = np.random.default_rng(params.seed)
-    runs = (lloyd(x, params.k_clusters, rng, params.max_iters) for _ in range(params.restarts))
-    # min keeps the first best run, also when every objective overflows to inf
-    labels, _ = min(runs, key=lambda run: run[1])
-    return canonicalize_labels(labels)
+    chunk = max(1, _data._BLOCK_BYTES // (8 * x.shape[0]))
+    best_labels, best = None, None
+    for start in range(0, params.restarts, chunk):
+        runs = min(chunk, params.restarts - start)
+        labels, objectives = _lloyd_runs(x, params.k_clusters, rng, runs, params.max_iters)
+        for run, objective in enumerate(objectives):
+            # the first best run wins, also when every objective overflows to
+            # inf; a copy lets the chunk's labels go
+            if best_labels is None or objective < best:
+                best_labels, best = labels[run].copy(), objective
+    return canonicalize_labels(best_labels)

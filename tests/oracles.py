@@ -628,6 +628,49 @@ def contiguous_ids_oracle(labels):
     return ids.size == 0 or (ids[0] == 0 and ids[-1] == ids.size - 1)
 
 
+def lloyd_oracle(x, k, rng, max_iters=300, trace=None):
+    """The replaced one-run Lloyd loop: (labels, within-cluster sum of squares).
+
+    `kmeans.lloyd`, and every restart of `kmeans`, must match it bit for bit.
+    """
+
+    def assign(x, centroids):
+        labels = np.empty(x.shape[0], dtype=np.int64)
+        for start, block in squared_distance_blocks(x, centroids):
+            labels[start : start + block.shape[0]] = np.argmin(block, axis=1)
+        return labels
+
+    def objective(x, centroids, labels):
+        diff = x - centroids[labels]
+        return float(np.einsum("ij,ij->", diff, diff))
+
+    n = x.shape[0]
+    if k > n:
+        raise ValueError(f"k_clusters={k} exceeds the number of entities {n}")
+    centroids = x[rng.choice(n, size=k, replace=False)].copy()
+    labels = np.full(n, -1, dtype=np.int64)
+    for _ in range(max_iters):
+        new_labels = assign(x, centroids)
+        # reseed empty clusters with the entity farthest from its centroid
+        counts = np.bincount(new_labels, minlength=k)
+        for empty in np.flatnonzero(counts == 0).tolist():
+            residual = row_squared_distances(x, centroids[new_labels])
+            residual[counts[new_labels] <= 1] = -1.0  # do not empty another cluster
+            runaway = int(np.argmax(residual))
+            counts[new_labels[runaway]] -= 1
+            new_labels[runaway] = empty
+            counts[empty] = 1
+            centroids[empty] = x[runaway]
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for c in range(k):
+            centroids[c] = x[labels == c].mean(axis=0)
+        if trace is not None:
+            trace.append(objective(x, centroids, labels))
+    return labels, objective(x, centroids, labels)
+
+
 def squared_euclidean(a, b):
     """The package's removed two-row helper: the kernel's distance between rows a and b."""
     a = np.asarray(a, dtype=np.float64)

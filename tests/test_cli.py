@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -104,12 +105,26 @@ def test_bench_writes_summary(tmp_path, capsys):
     assert len(payload["seconds"]) == 3
 
 
-def test_sweep_refuses_fewer_than_one_job(tmp_path):
+def test_sweep_refuses_fewer_than_one_job(tmp_path, capsys):
     data = _gen(tmp_path)
+    capsys.readouterr()
     for jobs in ("0", "-1"):  # both once ran sequentially without a word
-        with pytest.raises(ValueError, match="^n_jobs must be >= 1$"):
+        with pytest.raises(SystemExit) as exit_info:
             main(["sweep", "--data", str(data), "--algo", "dbscrn", "--jobs", jobs,
                   "--out", str(tmp_path)])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err == "rnncluster sweep: error: n_jobs must be >= 1\n"
+
+
+def test_a_file_the_loader_refuses_ends_in_one_line_and_status_2(tmp_path, capsys):
+    # the iris file has a header row; without --header it once ended in a traceback
+    iris = os.path.join(os.path.dirname(__file__), os.pardir, "data", "iris.csv")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["cluster", "--data", iris, "--algo", "dbscrn", "--k", "5", "--out", str(tmp_path)])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err == (
+        "rnncluster cluster: error: row 1: non-numeric feature value 'sepal_length' in column 0\n"
+    )
 
 
 def test_bench_and_cluster_clamp_k_to_n_minus_one(tmp_path, capsys):
@@ -219,8 +234,12 @@ def test_gen_is_deterministic(tmp_path):
 def test_gen_refuses_n_for_a_kind_that_does_not_read_it(tmp_path, capsys):
     # --kind blobs --n 100 once ended in a bare TypeError traceback
     out = tmp_path / "gen"
-    with pytest.raises(ValueError, match="^blobs takes only the parameters"):
+    with pytest.raises(SystemExit) as exit_info:
         main(["gen", "--kind", "blobs", "--n", "100", "--out", str(out)])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rnncluster gen: error: blobs takes only the parameters")
+    assert err.count("\n") == 1
     assert not out.exists()
     assert main(["gen", "--kind", "two_moons", "--n", "40", "--out", str(out)]) == 0
     assert "40 points" in capsys.readouterr().out

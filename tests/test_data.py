@@ -223,6 +223,14 @@ def test_load_dataset_rejects_a_label_outside_int64(tmp_path, label):
         load_dataset(path, label_column=-1)
 
 
+def test_load_dataset_reads_integer_labels_exactly(tmp_path):
+    # labels past 2**53 once went through float and merged
+    path = _write(tmp_path, "1,2,9007199254740993\n3,4,9007199254740992\n")
+    assert load_dataset(path, label_column=-1).true_labels.tolist() == [2**53 + 1, 2**53]
+    path = _write(tmp_path, f"1,2,{2**63 - 1}\n3,4,{-(2**63)}\n")
+    assert load_dataset(path, label_column=-1).true_labels.tolist() == [2**63 - 1, -(2**63)]
+
+
 def test_load_dataset_label_column_out_of_range(tmp_path):
     path = _write(tmp_path, "1,2\n3,4\n")
     with pytest.raises(ValueError, match="out of range"):

@@ -1,9 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracles import einsum_squared_distances_oracle
-from rnncluster import KmeansParams, kmeans, lloyd
-from rnncluster.kmeans import _assign
+import rnncluster.data
+from oracles import einsum_squared_distances_oracle, lloyd_oracle
+from rnncluster import KmeansParams, canonicalize_labels, kmeans, lloyd, make_blobs, range_standardize
+from rnncluster.kmeans import _assign, _lloyd_runs
 
 
 def test_k_equals_n_gives_singletons_and_zero_objective():
@@ -74,4 +79,75 @@ def test_assign_matches_the_stacked_per_centroid_form():
         x = rng.integers(-3, 4, size=(300, m)).astype(np.float64)
         for centroids in (x[:6], np.round(rng.normal(size=(5, m))), np.repeat(x[:3], 2, axis=0)):
             stacked = np.stack([einsum_squared_distances_oracle(x, c) for c in centroids], axis=1)
-            assert _assign(x, centroids).tolist() == np.argmin(stacked, axis=1).tolist()
+            assert _assign(x, centroids[None])[0].tolist() == np.argmin(stacked, axis=1).tolist()
+
+
+@st.composite
+def lloyd_cases(draw):
+    """Data, K, max_iters, restarts, seed and runs per chunk.
+
+    The rows are normal, on an integer grid (distance ties), a few distinct
+    rows repeated (clusters empty out and are reseeded) or scaled to 1e200
+    (every distance and objective overflows to inf).
+    """
+    n = draw(st.integers(1, 40))
+    m = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["normal", "grid", "repeated", "overflowing"]))
+    x = rng.normal(size=(n, m))
+    if kind == "grid":
+        x = rng.integers(-2, 3, size=(n, m)).astype(np.float64)
+    elif kind == "repeated":
+        x = rng.integers(-2, 3, size=(3, m)).astype(np.float64)[rng.integers(0, 3, size=n)]
+    elif kind == "overflowing":
+        x *= 1e200
+    # a few clusters give large groups, whose means sum a column pairwise at m = 1
+    k = draw(st.integers(1, min(n, 3)) | st.integers(1, n))
+    max_iters = draw(st.sampled_from([1, 2, 300]))
+    restarts = draw(st.integers(1, 12))
+    chunk = draw(st.sampled_from([1, 2, 5, 100]))
+    return x, k, max_iters, restarts, draw(st.integers(0, 2**32 - 1)), chunk
+
+
+@given(lloyd_cases())
+# one column of 40 rows in two clusters: at m = 1 the means are pairwise sums
+@example((np.random.default_rng(0).normal(size=(40, 1)), 2, 300, 4, 0, 100))
+@settings(max_examples=200, deadline=None)
+def test_lockstep_restarts_match_the_one_run_loop_bit_for_bit(case):
+    x, k, max_iters, restarts, seed, chunk = case
+    rng = np.random.default_rng(seed)
+    want = [lloyd_oracle(x, k, rng, max_iters) for _ in range(restarts)]
+    with pytest.MonkeyPatch.context() as patch:
+        # kmeans takes `chunk` runs at a time, and the assignment's distance
+        # blocks split the rows too
+        patch.setattr(rnncluster.data, "_BLOCK_BYTES", 8 * x.shape[0] * chunk)
+        labels, objectives = _lloyd_runs(x, k, np.random.default_rng(seed), restarts, max_iters)
+        clustering = kmeans(x, KmeansParams(k, restarts, max_iters, seed))
+    assert labels.tolist() == [run_labels.tolist() for run_labels, _ in want]
+    assert [o.hex() for o in objectives] == [o.hex() for _, o in want]
+    # the first best run wins, also when every objective is inf
+    best, _ = min(want, key=lambda run: run[1])
+    assert clustering.labels.tolist() == canonicalize_labels(best).labels.tolist()
+    trace: list = []
+    want_trace: list = []
+    one, objective = lloyd(x, k, np.random.default_rng(seed), max_iters, trace)
+    want_one, want_objective = lloyd_oracle(x, k, np.random.default_rng(seed), max_iters, want_trace)
+    assert one.tolist() == want_one.tolist()
+    assert [o.hex() for o in [objective, *trace]] == [o.hex() for o in [want_objective, *want_trace]]
+
+
+def test_restarts_run_in_chunks_under_the_block_budget():
+    blobs = make_blobs(n_centers=7, points_per_center=3000, spread=0.08, seed=5)
+    x, _ = range_standardize(blobs.matrix)
+    peaks = {}
+    for restarts in (50, 200):
+        tracemalloc.start()
+        try:
+            kmeans(x, KmeansParams(k_clusters=7, restarts=restarts, max_iters=2))
+            peaks[restarts] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # a chunk holds 24 runs at n = 21,000 (4 MB of labels); the labels of
+    # all 200 runs at once would be 33.6 MB per array
+    assert peaks[200] < 32 * 2**20
+    assert peaks[200] <= 1.1 * peaks[50]
