@@ -11,13 +11,19 @@ gen      write a labeled synthetic dataset as CSV
 
 The commands hold no clustering or scoring logic of their own: `cluster`
 and `bench` fit through the sweep module's fit path (so k >= n is clamped
-the same way everywhere), the sweep CSV names parameters as the sweep JSON
-does, and `report` computes best-ARI and the DBCV selection with the same
-summaries as `sweep`, DBCV ties going to the smaller parameters.
+the same way everywhere), the sweep CSV is written from the sweep JSON's
+records, and `report` reads sweep JSON back through the sweep module and
+computes best-ARI and the DBCV selection with the same summaries as
+`sweep`, DBCV ties going to the smaller parameters.
 
 A config file of KEY=VALUE lines (`--config`) can pin defaults for data
 paths, parameters, seeds and the output directory; explicit flags override
 config values.
+
+Each subcommand's parser carries its handler (`run`). A refused input (a
+missing flag, an unreadable file, a malformed sweep JSON, a ValueError of
+the library) ends as argparse's errors do, before any output file is
+written: one line `rnncluster <command>: error: <message>`, status 2.
 """
 
 from __future__ import annotations
@@ -32,12 +38,11 @@ from .dbscan import DbscanParams
 from .dbscrn import DbscrnParams
 from .isdbscan import IsdbscanParams
 from .kmeans import KmeansParams, kmeans
-from .plotting import plot_clustering
+from .plotting import render_svg
 from .sweep import (
     ALGORITHMS,
     SweepSpec,
     _fit,
-    _params_dict,
     _prepare,
     _sweep_from_json,
     bench,
@@ -89,8 +94,8 @@ def _apply_config(parser: argparse.ArgumentParser, path) -> None:
             continue
         if isinstance(flag_defaults[key], bool):  # a store-true switch
             if raw.lower() not in _SWITCH_VALUES:
-                parser.error(f"{path}: {key} must be one of "
-                             f"{'/'.join(_SWITCH_VALUES)}, got {raw!r}")
+                raise ValueError(f"{path}: {key} must be one of "
+                                 f"{'/'.join(_SWITCH_VALUES)}, got {raw!r}")
             raw = _SWITCH_VALUES[raw.lower()]
         values[key] = raw
     parser.set_defaults(**values)
@@ -98,14 +103,18 @@ def _apply_config(parser: argparse.ArgumentParser, path) -> None:
 
 def _load(args) -> "DataSet":
     if args.data is None:
-        raise SystemExit("--data is required (or set data= in the config file)")
+        raise ValueError("--data is required (or set data= in the config file)")
     return load_dataset(args.data, has_header=args.header, label_column=args.label_col)
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rnncluster", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    command_parsers: dict[str, argparse.ArgumentParser] = {}
+
+    def command(name, run, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run, parser=p)
+        return p
 
     def common(p):
         p.add_argument("--config", help="KEY=VALUE config file; flags override")
@@ -116,7 +125,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=0)
 
-    cluster = sub.add_parser("cluster", help="one algorithm at explicit parameters")
+    cluster = command("cluster", _cmd_cluster, "one algorithm at explicit parameters")
     common(cluster)
     cluster.add_argument("--algo", required=True, choices=[*ALGORITHMS, "kmeans"])
     cluster.add_argument("--k", type=int, help="neighbour count (dbscrn/isdbscan)")
@@ -126,7 +135,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     cluster.add_argument("--runs", type=int, default=100, help="kmeans restarts")
     cluster.add_argument("--plot", action="store_true", help="also write an SVG (2-D data only)")
 
-    sweep = sub.add_parser("sweep", help="full parameter grid with DBCV scores")
+    sweep = command("sweep", _cmd_sweep, "full parameter grid with DBCV scores")
     common(sweep)
     sweep.add_argument("--algo", required=True, choices=ALGORITHMS)
     sweep.add_argument("--runs", type=int, default=100, help="runs per setting (seeded algorithms)")
@@ -134,11 +143,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
                        help="epsilon grid step, squared-distance units")
     sweep.add_argument("--jobs", type=int, default=1, help="parallel workers over grid points")
 
-    report = sub.add_parser("report", help="tables from sweep JSON files")
+    report = command("report", _cmd_report, "tables from sweep JSON files")
     report.add_argument("--results", nargs="+", required=True, help="sweep JSON paths")
     report.add_argument("--out", default="out")
 
-    bench_p = sub.add_parser("bench", help="sequential wall-clock timing")
+    bench_p = command("bench", _cmd_bench, "sequential wall-clock timing")
     common(bench_p)
     bench_p.add_argument("--algo", required=True, choices=ALGORITHMS)
     bench_p.add_argument("--k", type=int)
@@ -146,35 +155,30 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     bench_p.add_argument("--min-pts", type=int, dest="min_pts")
     bench_p.add_argument("--runs", type=int, default=100)
 
-    gen = sub.add_parser("gen", help="write a labeled synthetic dataset CSV")
+    gen = command("gen", _cmd_gen, "write a labeled synthetic dataset CSV")
     gen.add_argument("--config", help="KEY=VALUE config file; flags override")
     gen.add_argument("--kind", required=True,
                      choices=["blobs", "two_moons", "nested_rings", "spirals"])
     gen.add_argument("--n", type=int, default=None, help="total points (two_moons, spirals)")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", default="out")
-    command_parsers.update(
-        cluster=cluster, sweep=sweep, report=report, bench=bench_p, gen=gen
-    )
-    return parser, command_parsers
+    return parser
 
 
 def _algo_params(args):
     if args.algo == "dbscan":
         if args.eps is None or args.min_pts is None:
-            raise SystemExit("dbscan needs --eps and --min-pts")
+            raise ValueError("dbscan needs --eps and --min-pts")
         return DbscanParams(epsilon=args.eps, min_pts=args.min_pts)
+    if args.algo == "kmeans":
+        if args.k_clusters is None:
+            raise ValueError("kmeans needs --K")
+        return KmeansParams(k_clusters=args.k_clusters, restarts=args.runs, seed=args.seed)
+    if args.k is None:
+        raise ValueError(f"{args.algo} needs --k")
     if args.algo == "isdbscan":
-        if args.k is None:
-            raise SystemExit("isdbscan needs --k")
         return IsdbscanParams(k=args.k, seed=args.seed)
-    if args.algo == "dbscrn":
-        if args.k is None:
-            raise SystemExit("dbscrn needs --k")
-        return DbscrnParams(k=args.k)
-    if args.k_clusters is None:
-        raise SystemExit("kmeans needs --K")
-    return KmeansParams(k_clusters=args.k_clusters, restarts=args.runs, seed=args.seed)
+    return DbscrnParams(k=args.k)
 
 
 def _cmd_cluster(args) -> int:
@@ -185,6 +189,7 @@ def _cmd_cluster(args) -> int:
         clustering = kmeans(x, params)
     else:
         clustering = _fit(x, _prepare(x, params), params, args.seed)
+    svg = render_svg(x, clustering) if args.plot else None  # refuses non-2-D data
     os.makedirs(args.out, exist_ok=True)
     labels_path = os.path.join(args.out, f"{dataset.name}_{args.algo}_labels.csv")
     write_labels_csv(labels_path, clustering)
@@ -192,9 +197,10 @@ def _cmd_cluster(args) -> int:
     if dataset.true_labels is not None:
         print(f"ARI vs ground truth: {adjusted_rand_index(clustering, dataset.true_labels):.4f}")
     print(f"labels written to {labels_path}")
-    if args.plot:
+    if svg is not None:
         svg_path = os.path.join(args.out, f"{dataset.name}_{args.algo}.svg")
-        plot_clustering(x, clustering, svg_path)
+        with open(svg_path, "w", encoding="utf-8") as handle:
+            handle.write(svg)
         print(f"plot written to {svg_path}")
     return 0
 
@@ -214,6 +220,17 @@ def _warn_if_degenerate_eps_grid(algorithm: str, n_clusters: list[int], source) 
         )
 
 
+def _csv_cell(value) -> str:
+    """A sweep record's JSON value as its CSV cell: params as k=v;..., None empty."""
+    if value is None:
+        return ""
+    if isinstance(value, dict):
+        return ";".join(f"{k}={v}" for k, v in sorted(value.items()))
+    if isinstance(value, float):
+        return f"{value:.6f}"
+    return str(value)
+
+
 def _cmd_sweep(args) -> int:
     dataset = _load(args)
     spec = SweepSpec(
@@ -223,21 +240,16 @@ def _cmd_sweep(args) -> int:
         eps_step=args.eps_step,
     )
     result = run_sweep(dataset, spec, n_jobs=args.jobs)
+    payload = result.to_json_dict()
     os.makedirs(args.out, exist_ok=True)
     json_path = os.path.join(args.out, f"{dataset.name}_{args.algo}_sweep.json")
     with open(json_path, "w", encoding="utf-8") as handle:
-        json.dump(result.to_json_dict(), handle, indent=2)
+        json.dump(payload, handle, indent=2)
     csv_path = os.path.join(args.out, f"{dataset.name}_{args.algo}_sweep.csv")
     with open(csv_path, "w", encoding="utf-8") as handle:
-        handle.write("params,run,seed,n_clusters,n_noise,dbcv,ari,cluster_seconds,dbcv_seconds\n")
-        for r in result.records:
-            params = ";".join(f"{k}={v}" for k, v in sorted(_params_dict(r.params).items()))
-            ari = "" if r.ari is None else f"{r.ari:.6f}"
-            seed = "" if r.seed is None else r.seed
-            handle.write(
-                f"{params},{r.run},{seed},{r.n_clusters},{r.n_noise},"
-                f"{r.dbcv_score:.6f},{ari},{r.cluster_seconds:.6f},{r.dbcv_seconds:.6f}\n"
-            )
+        handle.write(",".join(payload["records"][0]) + "\n")
+        for record in payload["records"]:
+            handle.write(",".join(map(_csv_cell, record.values())) + "\n")
     _warn_if_degenerate_eps_grid(args.algo, [r.n_clusters for r in result.records], json_path)
     selection = dbcv_selection_summary(result)
     print(f"{len(result.records)} records -> {json_path}")
@@ -252,24 +264,19 @@ def _cmd_report(args) -> int:
     rows = []
     for path in args.results:
         with open(path, encoding="utf-8") as handle:
-            payload = json.load(handle)
-        if payload.get("schema_version") != 2:
-            raise SystemExit(
-                f"{path}: sweep JSON schema_version {payload.get('schema_version')!r} "
-                "is not supported; re-run `rnncluster sweep` (schema 2)"
-            )
-        _warn_if_degenerate_eps_grid(
-            payload["algorithm"], [r["n_clusters"] for r in payload["records"]], path
-        )
-        sweep = _sweep_from_json(payload)
+            try:
+                sweep = _sweep_from_json(json.load(handle))
+            except ValueError as error:
+                raise ValueError(f"{path}: {error}") from None
+        _warn_if_degenerate_eps_grid(sweep.algorithm, [r.n_clusters for r in sweep.records], path)
         labeled = all(r.ari is not None for r in sweep.records)
         rows.append({
-            "dataset": payload["dataset"],
-            "algorithm": payload["algorithm"],
+            "dataset": sweep.dataset_name,
+            "algorithm": sweep.algorithm,
             "approximate": False,
             "best_ari": best_ari_summary(sweep) if labeled else None,
             "dbcv_selected": dbcv_selection_summary(sweep) if labeled else None,
-            "timing": timing_summary([r["cluster_seconds"] for r in payload["records"]]),
+            "timing": timing_summary([r.cluster_seconds for r in sweep.records]),
         })
     paths = write_reports(rows, args.out)
     for name, path in paths.items():
@@ -309,27 +316,17 @@ def _cmd_gen(args) -> int:
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    parser, command_parsers = _build_parser()
+    parser = _build_parser()
     args = parser.parse_args(argv)
-    command = command_parsers[args.command]
-    commands = {
-        "cluster": _cmd_cluster,
-        "sweep": _cmd_sweep,
-        "report": _cmd_report,
-        "bench": _cmd_bench,
-        "gen": _cmd_gen,
-    }
     try:
         if getattr(args, "config", None):
-            _apply_config(command, args.config)
+            _apply_config(args.parser, args.config)
             args = parser.parse_args(argv)
-        return commands[args.command](args)
-    except ValueError as error:
-        # a refused input ends as argparse's errors do: one line, status 2
-        command.exit(2, f"{command.prog}: error: {error}\n")
+        return args.run(args)
+    except (OSError, ValueError) as error:
+        # a refused input or an unreadable file ends as argparse's errors do: one line, status 2
+        args.parser.exit(2, f"{args.parser.prog}: error: {error}\n")
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    sys.exit(main())

@@ -1,5 +1,5 @@
 """Shared clustering result type, the draw-order claim of dense groups and
-the checks of the algorithms' count and radius parameters.
+the checks of the algorithms' count, seed and radius parameters.
 
 Every algorithm returns a `Clustering`: one label per entity, read by
 `data.as_labels`, a cluster id in 0..K-1 or the NOISE sentinel (-1). The
@@ -61,12 +61,15 @@ class Clustering:
         return np.bincount(self.labels[self.labels >= 0], minlength=self.n_clusters)
 
 
-def check_count(name: str, value) -> None:
-    """ValueError naming `name` unless `value` is a Python or numpy integer >= 1."""
+def check_count(name: str, value, minimum: int = 1) -> None:
+    """ValueError naming `name` unless `value` is a Python or numpy integer >= `minimum`.
+
+    Counts take the default minimum 1; seeds take 0.
+    """
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
 
 
 def check_radius(name: str, value) -> None:

@@ -86,11 +86,13 @@ def dbscan_from_neighborhoods(neigh, min_pts: int, seed: int = 0, *, roots=None)
 
     `neigh` is the CSR pair (offsets, members) of `neighborhood_lists`, read
     in place: each row holds its own entity, and j is in row i iff i is in j.
-    Raises ValueError unless min_pts is an integer >= 1. `roots`, a memo the
-    caller owns for one `neigh`, maps min_pts to the `group_roots` of its
-    core entities, so the caller's seeded runs at one min_pts group once.
+    Raises ValueError unless min_pts is an integer >= 1 and seed one >= 0.
+    `roots`, a memo the caller owns for one `neigh`, maps min_pts to the
+    `group_roots` of its core entities, so the caller's seeded runs at one
+    min_pts group once.
     """
     check_count("min_pts", min_pts)
+    check_count("seed", seed, minimum=0)
     offsets, members = neigh
     n = offsets.size - 1
     roots = {} if roots is None else roots

@@ -35,6 +35,7 @@ class IsdbscanParams:
 
     def __post_init__(self):
         check_count("k", self.k)
+        check_count("seed", self.seed, minimum=0)
 
 
 def isdbscan(data: np.ndarray, index: NeighborIndex, params: IsdbscanParams) -> Clustering:

@@ -37,6 +37,7 @@ class KmeansParams:
     def __post_init__(self):
         for name in ("k_clusters", "restarts", "max_iters"):
             check_count(name, getattr(self, name))
+        check_count("seed", self.seed, minimum=0)
 
 
 def _assign(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:

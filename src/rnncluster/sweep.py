@@ -32,7 +32,10 @@ Sweeps, `bench` and the CLI's `cluster` share one fit path: `_prepare`
 builds what a fit reads (a kNN index with k_max = min(k, n - 1), or the
 epsilon-lists) and `_fit` runs one fit from it. The summaries read only
 the algorithm and each record's params, run, DBCV score and ARI, so the
-CLI's `report` feeds them the records of a sweep JSON (`_sweep_from_json`).
+CLI's `report` feeds them the records of a sweep JSON (`_sweep_from_json`,
+which refuses a malformed one with ValueError). The JSON records, in
+`SweepResult.to_json_dict`, are the one record schema: the CLI writes the
+sweep CSV from them.
 """
 
 from __future__ import annotations
@@ -99,6 +102,7 @@ class SweepSpec:
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}")
         check_count("runs_per_setting", self.runs_per_setting)
+        check_count("base_seed", self.base_seed, minimum=0)
         lo_pts, hi_pts = self.min_pts_range
         check_count("min_pts_range[0]", lo_pts)
         check_count("min_pts_range[1]", hi_pts)
@@ -175,15 +179,39 @@ def _params_dict(params) -> dict:
     return {"k": params.k}
 
 
-def _sweep_from_json(payload: dict) -> SimpleNamespace:
-    """What the summaries read of a sweep JSON: algorithm, params, run, DBCV, ARI."""
-    make_params = _PARAMS[payload["algorithm"]]  # inverts _params_dict
-    records = [
-        SimpleNamespace(params=make_params(**r["params"]), run=r["run"],
-                        dbcv_score=r["dbcv"], ari=r["ari"])
-        for r in payload["records"]
-    ]
-    return SimpleNamespace(algorithm=payload["algorithm"], records=records)
+def _sweep_from_json(payload) -> SimpleNamespace:
+    """What `report` reads of a sweep JSON, or ValueError naming what is malformed.
+
+    That is the dataset and algorithm, and each record's params, run, DBCV,
+    ARI, cluster count and `cluster_seconds`, as `to_json_dict` writes them.
+    """
+    if not isinstance(payload, dict):
+        raise ValueError(f"a sweep JSON holds an object, got a {type(payload).__name__}")
+    if payload.get("schema_version") != 2:
+        raise ValueError(
+            f"sweep JSON schema_version {payload.get('schema_version')!r} is not supported; "
+            "re-run `rnncluster sweep` (schema 2)"
+        )
+    algorithm, dataset, records = (payload.get(k) for k in ("algorithm", "dataset", "records"))
+    if algorithm not in ALGORITHMS:  # a tuple: an unhashable value compares unequal
+        raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
+    if not isinstance(records, list) or not records:
+        raise ValueError("a sweep JSON holds a nonempty list of records")
+    if not isinstance(dataset, str):
+        raise ValueError(f"dataset must be a name, got {dataset!r}")
+    read = []
+    for i, r in enumerate(records):
+        try:
+            read.append(SimpleNamespace(
+                params=_PARAMS[algorithm](**r["params"]),  # inverts _params_dict
+                run=r["run"], dbcv_score=r["dbcv"], ari=r["ari"],
+                n_clusters=r["n_clusters"], cluster_seconds=r["cluster_seconds"],
+            ))
+        except KeyError as error:
+            raise ValueError(f"record {i} has no {error} key") from None
+        except TypeError as error:
+            raise ValueError(f"record {i} is malformed: {error}") from None
+    return SimpleNamespace(dataset_name=dataset, algorithm=algorithm, records=read)
 
 
 def _derived_seed(base_seed: int, point_index: int, run: int) -> int:
@@ -403,6 +431,7 @@ def bench(dataset: DataSet, params, runs: int = 100, base_seed: int = 0) -> np.n
         names = ", ".join(cls.__name__ for cls in _PARAMS.values())
         raise ValueError(f"bench needs one of {names}, got {type(params).__name__}")
     check_count("runs", runs)
+    check_count("base_seed", base_seed, minimum=0)
     x, _ = range_standardize(dataset.matrix)
     seconds = np.empty(runs)
     for run in range(runs):

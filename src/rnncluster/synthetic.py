@@ -2,7 +2,7 @@
 
 The half-moon and ring generators stand in for benchmark sets that have no
 canonical public download; reports flag results on them as approximations.
-All generators are deterministic for a fixed seed.
+All generators are deterministic for a fixed seed, an integer >= 0.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ def make_blobs(
     """Isotropic Gaussian blobs on a circle of radius `center_box`."""
     check_count("n_centers", n_centers)
     check_count("points_per_center", points_per_center)
+    check_count("seed", seed, minimum=0)
     rng = np.random.default_rng(seed)
     angles = 2.0 * np.pi * np.arange(n_centers) / n_centers
     centers = center_box * np.stack([np.cos(angles), np.sin(angles)], axis=1)
@@ -59,6 +60,7 @@ def make_two_moons(
     lower one.
     """
     check_count("n", n)
+    check_count("seed", seed, minimum=0)
     if n < 4:
         raise ValueError("need at least 4 points")
     if density_ratio <= 0:
@@ -89,6 +91,7 @@ def make_nested_rings(
     """Concentric circles; ring r has radius base_radius + r * radius_step."""
     check_count("n_rings", n_rings)
     check_count("points_per_ring", points_per_ring)
+    check_count("seed", seed, minimum=0)
     if points_per_ring < 3:
         raise ValueError("need n_rings >= 1 and points_per_ring >= 3")
     rng = np.random.default_rng(seed)
@@ -112,6 +115,7 @@ def make_spirals(
 ) -> DataSet:
     """Two interleaved Archimedean spiral arms (arm 2 is arm 1 rotated by pi)."""
     check_count("n", n)
+    check_count("seed", seed, minimum=0)
     if n < 4:
         raise ValueError("need at least 4 points")
     rng = np.random.default_rng(seed)

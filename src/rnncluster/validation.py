@@ -1,7 +1,8 @@
 """External (ARI) and internal (DBCV) clustering validation.
 
-ARI is the Hubert-Arabie adjusted Rand index computed from the
-contingency table, each predicted noise entity a singleton cluster. DBCV
+ARI is the Hubert-Arabie adjusted Rand index computed from the pair
+counts of the contingency cells, each predicted noise entity a singleton
+cluster; a singleton adds no pair, so no cell is kept for one. DBCV
 scores a clustering by comparing within-cluster density sparseness
 against between-cluster density separation on mutual-reachability
 minimum spanning trees, weighing each cluster by its size over n, noise
@@ -40,19 +41,6 @@ __all__ = [
 ]
 
 
-def _spread_noise(labels: np.ndarray) -> np.ndarray:
-    """Re-label each NOISE entity as its own cluster, for external comparison.
-
-    Excessive noise is penalized without inventing one big fake cluster.
-    """
-    noise = labels == NOISE
-    if not noise.any():
-        return labels
-    out = labels.copy()
-    out[noise] = labels.max() + 1 + np.arange(int(noise.sum()))
-    return out
-
-
 def contingency_table(pred, truth) -> np.ndarray:
     """Cross-tabulation of two labelings (rows: pred, columns: truth)."""
     pred, truth = as_labels(pred), as_labels(truth)
@@ -75,15 +63,25 @@ def adjusted_rand_index(pred, truth) -> float:
 
     1.0 means the partitions are identical up to label permutation; ~0 is
     chance-level agreement. Each NOISE entity in `pred` counts as its own
-    cluster (`_spread_noise`). Returns 1.0 when the chance-correction
-    denominator vanishes, which only happens when both partitions are
-    trivial in the same way.
+    cluster. A singleton adds no pair, so the pair counts of the
+    contingency cells and of the cluster sizes run over the entities not
+    labelled NOISE, and those of the class sizes over all entities. Returns
+    1.0 when the chance-correction denominator vanishes, which only
+    happens when both partitions are trivial in the same way.
     """
-    table = contingency_table(_spread_noise(as_labels(pred)), truth)
-    n = table.sum()
-    index = _comb2(table).sum()
-    a = _comb2(table.sum(axis=1)).sum()
-    b = _comb2(table.sum(axis=0)).sum()
+    pred, truth = as_labels(pred), as_labels(truth)
+    if pred.shape != truth.shape:
+        raise ValueError(f"label arrays differ in length: {pred.shape} vs {truth.shape}")
+    n = pred.size
+    clustered = pred != NOISE
+    _, class_of, class_sizes = np.unique(truth, return_inverse=True, return_counts=True)
+    _, cluster_of, cluster_sizes = np.unique(
+        pred[clustered], return_inverse=True, return_counts=True
+    )
+    _, cells = np.unique(cluster_of * n + class_of[clustered], return_counts=True)
+    index = _comb2(cells).sum()
+    a = _comb2(cluster_sizes).sum()
+    b = _comb2(class_sizes).sum()
     pairs = n * (n - 1.0) / 2.0
     expected = a * b / pairs if pairs > 0 else 0.0
     denominator = 0.5 * (a + b) - expected

@@ -17,13 +17,15 @@ from collections import deque
 
 import numpy as np
 
-from rnncluster.clustering import canonicalize_labels
+from rnncluster.clustering import NOISE, canonicalize_labels
 from rnncluster.data import (
     as_feature_matrix,
+    as_labels,
     compact_blocks,
     row_squared_distances,
     squared_distance_blocks,
 )
+from rnncluster.validation import contingency_table
 
 
 def sq_dist(x, a, b):
@@ -669,6 +671,34 @@ def lloyd_oracle(x, k, rng, max_iters=300, trace=None):
         if trace is not None:
             trace.append(objective(x, centroids, labels))
     return labels, objective(x, centroids, labels)
+
+
+def spread_noise_ari_oracle(pred, truth):
+    """The replaced ARI: NOISE spread into singleton clusters, then the dense table.
+
+    `validation.adjusted_rand_index` must match it bit for bit.
+    """
+
+    def comb2(x):
+        x = x.astype(np.float64)
+        return x * (x - 1.0) / 2.0
+
+    labels = as_labels(pred)
+    noise = labels == NOISE
+    if noise.any():
+        labels = labels.copy()
+        labels[noise] = labels.max() + 1 + np.arange(int(noise.sum()))
+    table = contingency_table(labels, truth)
+    n = table.sum()
+    index = comb2(table).sum()
+    a = comb2(table.sum(axis=1)).sum()
+    b = comb2(table.sum(axis=0)).sum()
+    pairs = n * (n - 1.0) / 2.0
+    expected = a * b / pairs if pairs > 0 else 0.0
+    denominator = 0.5 * (a + b) - expected
+    if denominator == 0.0:
+        return 1.0
+    return float((index - expected) / denominator)
 
 
 def squared_euclidean(a, b):

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from rnncluster import (
     run_sweep,
 )
 from rnncluster.cli import main
+
+_IRIS = os.path.join(os.path.dirname(__file__), os.pardir, "data", "iris.csv")
 
 
 def _gen(tmp_path, kind="blobs", seed=0):
@@ -69,8 +73,10 @@ def test_sweep_then_report(tmp_path, capsys):
 
     old = tmp_path / "old_sweep.json"
     old.write_text(json.dumps({**payload, "schema_version": 1}))
-    with pytest.raises(SystemExit, match="schema_version 1"):
+    with pytest.raises(SystemExit) as exit_info:
         main(["report", "--results", str(old), "--out", str(report_out)])
+    assert exit_info.value.code == 2
+    assert "schema_version 1" in capsys.readouterr().err
 
 
 def test_sweep_and_report_warn_about_a_degenerate_eps_grid(tmp_path, capsys):
@@ -118,13 +124,105 @@ def test_sweep_refuses_fewer_than_one_job(tmp_path, capsys):
 
 def test_a_file_the_loader_refuses_ends_in_one_line_and_status_2(tmp_path, capsys):
     # the iris file has a header row; without --header it once ended in a traceback
-    iris = os.path.join(os.path.dirname(__file__), os.pardir, "data", "iris.csv")
     with pytest.raises(SystemExit) as exit_info:
-        main(["cluster", "--data", iris, "--algo", "dbscrn", "--k", "5", "--out", str(tmp_path)])
+        main(["cluster", "--data", _IRIS, "--algo", "dbscrn", "--k", "5", "--out", str(tmp_path)])
     assert exit_info.value.code == 2
     assert capsys.readouterr().err == (
         "rnncluster cluster: error: row 1: non-numeric feature value 'sepal_length' in column 0\n"
     )
+
+
+_RECORD = {"params": {"k": 3}, "run": 0, "seed": None, "n_clusters": 1, "n_noise": 0,
+           "dbcv": 0.0, "ari": None, "cluster_seconds": 0.0, "dbcv_seconds": 0.0}
+_NO_ARI = {k: v for k, v in _RECORD.items() if k != "ari"}
+_SWEEP = {"schema_version": 2, "kind": "sweep", "dataset": "d", "algorithm": "dbscrn",
+          "records": [_RECORD]}
+_K5 = ["--algo", "dbscrn", "--k", "5"]
+_REPORT = ["report", "--results", "{sweep}"]
+# name -> (argv, sweep JSON written to {sweep} or None, what the error line says);
+# {data} is a generated 2-D CSV, {out} the output directory, {tmp} the test's directory
+REFUSALS = {
+    "missing --data": (["cluster", *_K5], None, "--data is required"),
+    "missing --k": (["bench", "--data", "{data}", "--algo", "isdbscan"], None,
+                    "isdbscan needs --k"),
+    "missing --eps": (["cluster", "--data", "{data}", "--algo", "dbscan", "--min-pts", "3"],
+                      None, "dbscan needs --eps and --min-pts"),
+    "missing --K": (["cluster", "--data", "{data}", "--algo", "kmeans"], None,
+                    "kmeans needs --K"),
+    # once a FileNotFoundError traceback with status 1
+    "nonexistent --data": (["cluster", "--data", "{tmp}/none.csv", *_K5], None,
+                           "No such file or directory: '{tmp}/none.csv'"),
+    "nonexistent --config": (["sweep", "--config", "{tmp}/none.cfg", "--algo", "dbscrn"], None,
+                             "No such file or directory: '{tmp}/none.cfg'"),
+    "nonexistent --results": (["report", "--results", "{tmp}/none.json"], None,
+                              "No such file or directory: '{tmp}/none.json'"),
+    "old schema": (_REPORT, {**_SWEEP, "schema_version": 1},
+                   "{sweep}: sweep JSON schema_version 1 is not supported"),
+    # the next three once ended in AttributeError, KeyError and a misleading
+    # "best_ari_summary needs ground-truth labels"
+    "top-level list": (_REPORT, [1], "{sweep}: a sweep JSON holds an object, got a list"),
+    "no records": (_REPORT, {"schema_version": 2, "algorithm": "dbscrn"},
+                   "{sweep}: a sweep JSON holds a nonempty list of records"),
+    "empty records": (_REPORT, {**_SWEEP, "records": []},
+                      "{sweep}: a sweep JSON holds a nonempty list of records"),
+    "unknown algorithm": (_REPORT, {**_SWEEP, "algorithm": "optics"},
+                          "{sweep}: unknown algorithm 'optics'"),
+    "no dataset name": (_REPORT, {**_SWEEP, "dataset": None},
+                        "{sweep}: dataset must be a name, got None"),
+    "record without ari": (_REPORT, {**_SWEEP, "records": [_NO_ARI]},
+                           "{sweep}: record 0 has no 'ari' key"),
+    "record not an object": (_REPORT, {**_SWEEP, "records": [3]},
+                             "{sweep}: record 0 is malformed"),
+    "not JSON": (_REPORT, "{", "{sweep}: Expecting"),
+    # -1 once reached numpy's unnamed "expected non-negative integer"
+    "cluster --seed -1": (["cluster", "--data", "{data}", "--algo", "isdbscan", "--k", "5",
+                           "--seed", "-1"], None, "seed must be >= 0"),
+    "gen --seed -1": (["gen", "--kind", "blobs", "--seed", "-1"], None, "seed must be >= 0"),
+    "sweep --seed -1": (["sweep", "--data", "{data}", "--algo", "dbscrn", "--seed", "-1"], None,
+                        "base_seed must be >= 0"),
+    # once wrote the labels CSV first
+    "--plot on 4-D data": (["cluster", "--data", _IRIS, "--header", "--label-col", "-1", *_K5,
+                            "--plot"], None, "plotting needs 2-D data, got shape (150, 4)"),
+}
+
+
+@pytest.mark.parametrize("name", list(REFUSALS))
+def test_every_refused_input_ends_in_one_error_line_and_status_2(tmp_path, capsys, name):
+    template, sweep, message = REFUSALS[name]
+    paths = {"data": "" if "{data}" not in template else str(_gen(tmp_path)),
+             "out": str(tmp_path / "out"), "sweep": str(tmp_path / "sweep.json"),
+             "tmp": str(tmp_path)}
+    if sweep is not None:
+        text = sweep if isinstance(sweep, str) else json.dumps(sweep)
+        (tmp_path / "sweep.json").write_text(text)
+    argv = [arg.format(**paths) for arg in template] + ["--out", paths["out"]]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"rnncluster {argv[0]}: error: ") and err.count("\n") == 1, err
+    assert message.format(**paths) in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_the_report_refusals_start_from_a_sweep_json_it_reads(tmp_path):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(_SWEEP))
+    assert main(["report", "--results", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
+def test_a_missing_data_file_ends_the_process_with_status_2_and_no_traceback(tmp_path):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-m", "rnncluster.cli", "cluster", "--data", str(tmp_path / "none.csv"),
+         *_K5, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("rnncluster cluster: error: ")
 
 
 def test_bench_and_cluster_clamp_k_to_n_minus_one(tmp_path, capsys):

@@ -29,7 +29,9 @@ from rnncluster import (
     canonicalize_labels,
     contingency_table,
     dbcv,
+    dbscan,
     dbscrn,
+    generate_synthetic,
     isdbscan,
     kmeans,
     make_blobs,
@@ -217,6 +219,48 @@ def test_count_parameters_must_be_integers(name):
     with pytest.raises(ValueError, match=f"^{re.escape(field)} must be >= 1$"):
         make(0)
     assert make(np.int32(4)) == 4
+
+
+def _passed(call):
+    # make(v) for an entry point that keeps no seed: the seed as passed
+    def make(seed):
+        call(seed)
+        return seed
+
+    return make
+
+
+# name -> (make, field): make(v) sets the seed `field` to v and returns it as stored
+SEED_PARAMETERS = {
+    "isdbscan-seed": (lambda v: IsdbscanParams(k=1, seed=v).seed, "seed"),
+    "kmeans-seed": (lambda v: KmeansParams(k_clusters=2, seed=v).seed, "seed"),
+    "sweep-base_seed": (lambda v: SweepSpec("dbscrn", base_seed=v).base_seed, "base_seed"),
+    "bench-base_seed": (_passed(lambda v: bench(_four, DbscrnParams(k=3), 1, v)), "base_seed"),
+    "dbscan-seed": (_passed(lambda v: dbscan(_x, DbscanParams(0.01, 3), v)), "seed"),
+    "dbscan_from_neighborhoods-seed": (
+        _passed(lambda v: dbscan_from_neighborhoods(neighborhood_lists(_x, 0.01), 3, v)),
+        "seed",
+    ),
+    "blobs-seed": (_passed(lambda v: make_blobs(seed=v)), "seed"),
+    "two_moons-seed": (_passed(lambda v: make_two_moons(seed=v)), "seed"),
+    "nested_rings-seed": (_passed(lambda v: make_nested_rings(seed=v)), "seed"),
+    "spirals-seed": (_passed(lambda v: make_spirals(seed=v)), "seed"),
+    "generate_synthetic-seed": (_passed(lambda v: generate_synthetic("blobs", seed=v)), "seed"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEED_PARAMETERS))
+def test_seed_parameters_must_be_integers_from_zero(name):
+    make, field = SEED_PARAMETERS[name]
+    # -1 once reached numpy's unnamed "expected non-negative integer"
+    for value in (2.5, "3", True):
+        message = f"^{re.escape(field)} must be an integer, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            make(value)
+    with pytest.raises(ValueError, match=f"^{re.escape(field)} must be >= 0$"):
+        make(-1)
+    assert make(0) == 0
+    assert make(np.uint32(7)) == 7
 
 
 def _neighborhood_lists_with_epsilon(epsilon):

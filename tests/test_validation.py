@@ -12,6 +12,7 @@ from oracles import (
     dbcv_report_oracle,
     pairwise_squared_distances,
     prim_mst_oracle,
+    spread_noise_ari_oracle,
 )
 from rnncluster import (
     DbscrnParams,
@@ -74,6 +75,34 @@ def test_ari_noise_policies():
     # each noise entity is its own cluster
     manual = np.array([0, 0, 1, 1, 2, 3])
     assert adjusted_rand_index(pred, truth) == adjusted_rand_index(manual, truth)
+
+
+@st.composite
+def ari_inputs(draw):
+    n = draw(st.integers(1, 60))
+    pred = draw(st.lists(st.integers(-3, 6), min_size=n, max_size=n))  # -3, -2 are clusters
+    truth_ids = st.integers(-2**62, 2**62) if draw(st.booleans()) else st.integers(-2, 6)
+    return pred, draw(st.lists(truth_ids, min_size=n, max_size=n))
+
+
+@given(ari_inputs())
+@settings(max_examples=300, deadline=None)
+def test_ari_matches_the_spread_noise_table_bit_for_bit(inputs):
+    pred, truth = inputs
+    got, want = adjusted_rand_index(pred, truth), spread_noise_ari_oracle(pred, truth)
+    assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64)  # sign of zero too
+
+
+def test_ari_keeps_no_cell_for_a_noise_entity():
+    truth = np.arange(4000) % 2000
+    tracemalloc.start()
+    try:
+        assert adjusted_rand_index(np.full(4000, -1), truth) == 0.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # each noise entity once had its own row of a 4,000 x 2,000 int64 table: 183 MB
+    assert peak < 2**20
 
 
 def test_ari_length_mismatch():
