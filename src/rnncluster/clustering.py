@@ -8,8 +8,8 @@ each cluster's smallest member, so equal partitions compare equal.
 
 ISDBSCAN and DBSCAN both draw entities in a seeded order from a symmetric
 graph whose linked dense entities form seed-free groups (`group_roots`): a
-group is claimed at its first member's draw, and an entity goes to the
-first claimed group linked to it (`claim_in_draw_order`, a pass per draw).
+group is claimed at its first member's draw, and an entity goes to the first
+claimed group linked to it (`claim_in_draw_order`, a pass per draw over sparse rows).
 """
 
 from __future__ import annotations
@@ -95,12 +95,14 @@ def canonicalize_labels(labels: np.ndarray) -> Clustering:
 
 
 def group_roots(offsets, members, dense):
-    """root[i]: the smallest id in dense i's group, or n for a sparse i.
+    """(root, rows, starts, links): the seed-free half of every draw's claim.
 
     The graph is symmetric and in CSR form (offsets, members), the
     package's one graph format (`rnn_csr` shares it, without symmetry):
     row i, members[offsets[i]:offsets[i+1]], holds i itself and every j
-    whose row holds i. Dense entities joined by an edge form a group.
+    whose row holds i. Dense entities joined by an edge form a group;
+    root[i] is the smallest id in i's group, or n for a sparse i. Segment
+    s of `links`, from starts[s], holds the roots of sparse row rows[s]'s dense links.
     """
     n = dense.size
     dense_ids = np.flatnonzero(dense)
@@ -110,26 +112,34 @@ def group_roots(offsets, members, dense):
     while True:
         low = np.minimum.reduceat(root[members], offsets[:-1])[dense_ids]
         if np.array_equal(low, root[dense_ids]):
-            return root[:n]
+            break
         np.minimum.at(root, root[dense_ids], low)  # hook each root to its lowest linked root
         while not np.array_equal(jumped := root[root], root):
             root = jumped
+    # sparse rows' dense links; a row with none gets no segment, never an empty one
+    at = np.flatnonzero(np.repeat(~dense, np.diff(offsets)) & dense[members])
+    row = np.searchsorted(offsets, at, side="right") - 1
+    starts = np.flatnonzero(np.diff(row, prepend=-1))
+    return root[:n], row[starts], starts, root[members[at]]
 
 
-def claim_in_draw_order(offsets, members, root, order):
+def claim_in_draw_order(groups, order):
     """Claim each entity for the earliest-drawn dense group linked to it.
 
-    `root` is the graph's `group_roots`. A group is drawn at the first
+    `groups` is the graph's `group_roots`. A group is drawn at the first
     position in `order` (a permutation of the n entities) that any member takes.
 
     Returns (group, drawn): group[i] is the draw position of the earliest
     group in row i, which names that group, or n when the row has none;
     drawn[i] is i's own position in `order`.
     """
+    root, rows, starts, links = groups
     n = root.size
     drawn = np.empty(n, dtype=np.int64)
     drawn[order] = np.arange(n)
     first = np.full(n + 1, n, dtype=np.int64)
     np.minimum.at(first, root, drawn)
     first[n] = n  # the sparse entities' root names no group
-    return np.minimum.reduceat(first[root][members], offsets[:-1]), drawn
+    group = first[root]  # a dense row links only its own group and sparse entities
+    group[rows] = np.minimum.reduceat(first[links], starts)
+    return group, drawn

@@ -87,17 +87,19 @@ def dbscan_from_neighborhoods(neigh, min_pts: int, seed: int = 0, *, roots=None)
     `neigh` is the CSR pair (offsets, members) of `neighborhood_lists`, read
     in place: each row holds its own entity, and j is in row i iff i is in j.
     Raises ValueError unless min_pts is an integer >= 1 and seed one >= 0.
-    `roots`, a memo the caller owns for one `neigh`, maps min_pts to the
-    `group_roots` of its core entities, so the caller's seeded runs at one
-    min_pts group once.
+    `roots`, a memo the caller owns for one `neigh`, maps a core count to
+    the `group_roots` of that core set (the cores only shrink as min_pts
+    grows), so the caller's runs with one core set group once.
     """
     check_count("min_pts", min_pts)
     check_count("seed", seed, minimum=0)
     offsets, members = neigh
     n = offsets.size - 1
+    core = np.diff(offsets) >= min_pts
+    cores = int(np.count_nonzero(core))
     roots = {} if roots is None else roots
-    if min_pts not in roots:
-        roots[min_pts] = group_roots(offsets, members, np.diff(offsets) >= min_pts)
+    if cores not in roots:
+        roots[cores] = group_roots(offsets, members, core)
     order = np.random.default_rng(seed).permutation(n)
-    group, _ = claim_in_draw_order(offsets, members, roots[min_pts], order)
+    group, _ = claim_in_draw_order(roots[cores], order)
     return canonicalize_labels(np.where(group < n, group, NOISE))

@@ -53,10 +53,10 @@ def isdbscan(data: np.ndarray, index: NeighborIndex, params: IsdbscanParams) -> 
     if k >= n:
         return Clustering(labels=np.full(n, NOISE, dtype=np.int64))
     offsets, members = index.influence_csr(k)  # row i: i, then IS_k(i)
-    root = index.per_k("isdbscan", k, lambda: group_roots(
+    groups = index.per_k("isdbscan", k, lambda: group_roots(
         offsets, members, np.diff(offsets) - 1 > 2.0 * k / 3.0))  # dense: |IS_k(i)| > 2k/3
     order = np.random.default_rng(params.seed).permutation(n)
-    group, drawn = claim_in_draw_order(offsets, members, root, order)
+    group, drawn = claim_in_draw_order(groups, order)
     collected = drawn >= group  # a sparse entity drawn before its group stays noise
     sizes = np.bincount(group[collected], minlength=n + 1)
     return canonicalize_labels(np.where(collected & (sizes[group] > k), group, NOISE))

@@ -68,11 +68,12 @@ def _move_centroids(x: np.ndarray, centroids: np.ndarray, labels: np.ndarray, co
     """Set every run's centroids (runs, k, m) to the means of its clusters, in place."""
     runs, k, m = centroids.shape
     if m == 1:
-        # the mean of one contiguous column is a pairwise sum, which a
-        # grouped sum does not repeat
-        for run in range(runs):
-            for c in range(k):
-                centroids[run, c] = x[labels[run] == c].mean(axis=0)
+        # the mean of one contiguous column is a pairwise sum, which a grouped
+        # sum does not repeat: add.reduce over a cluster's run of a stable sort does
+        column = x[np.argsort(labels, axis=1, kind="stable"), 0].ravel()
+        ends = np.cumsum(counts).tolist()  # run by run, cluster by cluster
+        sums = [np.add.reduce(column[start:end]) for start, end in zip([0, *ends[:-1]], ends)]
+        centroids[:, :, 0] = np.reshape(sums, counts.shape) / counts
         return
     # bincount adds each group's rows in row order, as mean(axis=0) does
     keys = (labels + k * np.arange(runs)[:, None]).ravel()

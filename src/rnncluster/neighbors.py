@@ -65,7 +65,7 @@ class NeighborIndex:
             )
 
     def per_k(self, kind: str, k: int, build):
-        """`build()`, made once per (kind, k): "rnn", "influence" or "isdbscan" (its roots)."""
+        """`build()`, made once per (kind, k): "rnn", "influence" or "isdbscan" (`group_roots`)."""
         self._check_k(k)
         if (kind, k) not in self._per_k:
             self._per_k[kind, k] = build()

@@ -23,8 +23,9 @@ field. The per-k graph a kNN algorithm reads (DBSCRN's reverse lists,
 index on first use and cached per k, so the first fit at each k pays that
 one build inside its `cluster_seconds` and ISDBSCAN's other seeded runs
 reuse it. ISDBSCAN's dense groups sit in the same cache, and DBSCAN's in a
-memo the chunk loop keeps per epsilon: the first run of each setting pays
-for them inside its `cluster_seconds`. `bench` is the rigorous protocol:
+memo the chunk loop keeps per epsilon, shared by every min_pts with the same
+core set: the first run at each k or core set pays for them inside its
+`cluster_seconds`. `bench` is the rigorous protocol:
 sequential runs, each timed end-to-end including that run's own index
 build (and so its own per-k graph and groups) and DBCV evaluation.
 
@@ -199,6 +200,9 @@ def _sweep_from_json(payload) -> SimpleNamespace:
         raise ValueError("a sweep JSON holds a nonempty list of records")
     if not isinstance(dataset, str):
         raise ValueError(f"dataset must be a name, got {dataset!r}")
+    integer, real = (int, "an integer"), ((int, float), "a real number")
+    numbers = {"run": integer, "n_clusters": integer, "dbcv": real, "cluster_seconds": real,
+               "ari": ((int, float, type(None)), "a real number or null")}
     read = []
     for i, r in enumerate(records):
         try:
@@ -211,6 +215,9 @@ def _sweep_from_json(payload) -> SimpleNamespace:
             raise ValueError(f"record {i} has no {error} key") from None
         except TypeError as error:
             raise ValueError(f"record {i} is malformed: {error}") from None
+        for key, (kinds, what) in numbers.items():
+            if isinstance(r[key], bool) or not isinstance(r[key], kinds):
+                raise ValueError(f"record {i}: {key} must be {what}, got {r[key]!r}")
     return SimpleNamespace(dataset_name=dataset, algorithm=algorithm, records=read)
 
 

@@ -701,6 +701,22 @@ def spread_noise_ari_oracle(pred, truth):
     return float((index - expected) / denominator)
 
 
+def full_scan_claim_oracle(offsets, members, root, order):
+    """The replaced claim, which scans all P links: (group, drawn).
+
+    `root` is the first item of `group_roots`; every row's minimum is taken
+    over the first draws of its links' groups. `claim_in_draw_order` must
+    match it bit for bit.
+    """
+    n = root.size
+    drawn = np.empty(n, dtype=np.int64)
+    drawn[order] = np.arange(n)
+    first = np.full(n + 1, n, dtype=np.int64)
+    np.minimum.at(first, root, drawn)
+    first[n] = n  # the sparse entities' root names no group
+    return np.minimum.reduceat(first[root][members], offsets[:-1]), drawn
+
+
 def squared_euclidean(a, b):
     """The package's removed two-row helper: the kernel's distance between rows a and b."""
     a = np.asarray(a, dtype=np.float64)

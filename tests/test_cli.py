@@ -174,6 +174,21 @@ REFUSALS = {
     "record not an object": (_REPORT, {**_SWEEP, "records": [3]},
                              "{sweep}: record 0 is malformed"),
     "not JSON": (_REPORT, "{", "{sweep}: Expecting"),
+    # a string dbcv once ended in a TypeError traceback from select_best
+    "record with a string dbcv": (_REPORT, {**_SWEEP, "records": [{**_RECORD, "dbcv": "x"}]},
+                                  "{sweep}: record 0: dbcv must be a real number, got 'x'"),
+    "record with a list cluster_seconds": (
+        _REPORT, {**_SWEEP, "records": [{**_RECORD, "cluster_seconds": [1]}]},
+        "{sweep}: record 0: cluster_seconds must be a real number, got [1]"),
+    "record with a string ari": (_REPORT, {**_SWEEP, "records": [{**_RECORD, "ari": "1"}]},
+                                 "{sweep}: record 0: ari must be a real number or null, got '1'"),
+    "record with a float run": (_REPORT, {**_SWEEP, "records": [{**_RECORD, "run": 0.5}]},
+                                "{sweep}: record 0: run must be an integer, got 0.5"),
+    "record with a bool n_clusters": (
+        _REPORT, {**_SWEEP, "records": [{**_RECORD, "n_clusters": True}]},
+        "{sweep}: record 0: n_clusters must be an integer, got True"),
+    "record with a bool dbcv": (_REPORT, {**_SWEEP, "records": [{**_RECORD, "dbcv": False}]},
+                                "{sweep}: record 0: dbcv must be a real number, got False"),
     # -1 once reached numpy's unnamed "expected non-negative integer"
     "cluster --seed -1": (["cluster", "--data", "{data}", "--algo", "isdbscan", "--k", "5",
                            "--seed", "-1"], None, "seed must be >= 0"),

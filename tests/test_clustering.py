@@ -3,7 +3,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import canonicalize_oracle, contiguous_ids_oracle, draw_order_claim_oracle
+from oracles import (
+    canonicalize_oracle,
+    contiguous_ids_oracle,
+    draw_order_claim_oracle,
+    full_scan_claim_oracle,
+)
 from rnncluster import NOISE, Clustering, canonicalize_labels
 from rnncluster.clustering import claim_in_draw_order, group_roots
 
@@ -49,43 +54,71 @@ PATH_ORDER = np.array([4, 2, 0, 5, 1, 3])
 def test_claim_in_draw_order_example():
     # entity 2 is sparse, so the dense groups are {0, 1} and {3, 4}, and 2 links to both
     dense = np.array([True, True, False, True, True, False])
-    root = group_roots(PATH_OFFSETS, PATH_MEMBERS, dense)
-    assert root.tolist() == [0, 0, 6, 3, 3, 6]
-    group, drawn = claim_in_draw_order(PATH_OFFSETS, PATH_MEMBERS, root, PATH_ORDER)
+    groups = group_roots(PATH_OFFSETS, PATH_MEMBERS, dense)
+    assert groups[0].tolist() == [0, 0, 6, 3, 3, 6]
+    group, drawn = claim_in_draw_order(groups, PATH_ORDER)
     assert drawn.tolist() == [2, 4, 1, 5, 0, 3]
     # {0, 1} is drawn at 2, {3, 4} at 0 and claims 2; nothing links to 5
     assert group.tolist() == [2, 2, 0, 0, 0, 6]
 
 
 def test_claim_with_no_dense_entity_claims_nothing():
-    root = group_roots(PATH_OFFSETS, PATH_MEMBERS, np.zeros(6, dtype=bool))
-    assert root.tolist() == [6] * 6
-    group, _ = claim_in_draw_order(PATH_OFFSETS, PATH_MEMBERS, root, PATH_ORDER)
+    groups = group_roots(PATH_OFFSETS, PATH_MEMBERS, np.zeros(6, dtype=bool))
+    assert groups[0].tolist() == [6] * 6
+    group, _ = claim_in_draw_order(groups, PATH_ORDER)
     assert group.tolist() == [6] * 6
 
 
 def test_claim_with_every_entity_dense_follows_the_components():
-    root = group_roots(PATH_OFFSETS, PATH_MEMBERS, np.ones(6, dtype=bool))
-    assert root.tolist() == [0, 0, 0, 0, 0, 5]
-    group, _ = claim_in_draw_order(PATH_OFFSETS, PATH_MEMBERS, root, PATH_ORDER)
+    groups = group_roots(PATH_OFFSETS, PATH_MEMBERS, np.ones(6, dtype=bool))
+    assert groups[0].tolist() == [0, 0, 0, 0, 0, 5]
+    group, _ = claim_in_draw_order(groups, PATH_ORDER)
     # the path's first draw is entity 4, at 0; entity 5 is drawn alone at 3
     assert group.tolist() == [0, 0, 0, 0, 0, 3]
 
 
-@given(st.integers(1, 30), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
-@settings(max_examples=100, deadline=None)
-def test_one_set_of_roots_serves_every_draw(n, seed, p_dense):
-    # a random symmetric graph with self loops; roots built once, claims per draw
+def _random_graph(n, seed, p_dense):
+    """A random symmetric graph with self loops, in CSR form, and a dense mask."""
     rng = np.random.default_rng(seed)
     adjacency = np.triu(rng.random((n, n)) < 0.2, 1)
     adjacency |= adjacency.T | np.eye(n, dtype=bool)
     row, col = np.nonzero(adjacency)
     offsets = np.searchsorted(row, np.arange(n + 1))
     dense = rng.random(n) < p_dense
-    root = group_roots(offsets, col, dense)
+    return rng, adjacency, offsets, col, dense
+
+
+@given(st.integers(1, 30), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+@settings(max_examples=100, deadline=None)
+def test_one_set_of_roots_serves_every_draw(n, seed, p_dense):
+    # roots built once, claims per draw
+    rng, adjacency, offsets, col, dense = _random_graph(n, seed, p_dense)
+    groups = group_roots(offsets, col, dense)
     for _ in range(3):
         order = rng.permutation(n)
-        group, drawn = claim_in_draw_order(offsets, col, root, order)
+        group, drawn = claim_in_draw_order(groups, order)
         assert group.tolist() == draw_order_claim_oracle(adjacency, dense, order)
         assert drawn[order].tolist() == list(range(n))
 
+
+@given(st.integers(1, 30), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+@example(12, 0, 0.0)  # no dense entity
+@example(12, 0, 1.0)  # every entity dense
+@example(12, 0, 0.5)  # sparse row 9 links only sparse entities; rows 1, 3, 5 and 11 link dense ones
+@settings(max_examples=200, deadline=None)
+def test_the_claim_reads_only_sparse_rows_and_matches_the_full_scan(n, seed, p_dense):
+    rng, adjacency, offsets, col, dense = _random_graph(n, seed, p_dense)
+    groups = group_roots(offsets, col, dense)
+    root, rows, starts, links = groups
+    # the kept rows are the sparse ones with a dense link, so no segment is empty
+    kept = [i for i in range(n) if not dense[i] and (adjacency[i] & dense).any()]
+    assert rows.tolist() == kept
+    assert np.diff(np.append(starts, links.size)).tolist() == [
+        int(np.count_nonzero(adjacency[i] & dense)) for i in kept]
+    for _ in range(3):
+        order = rng.permutation(n)
+        group, drawn = claim_in_draw_order(groups, order)
+        scanned, scanned_drawn = full_scan_claim_oracle(offsets, col, root, order)
+        assert group.dtype == scanned.dtype and drawn.dtype == scanned_drawn.dtype
+        assert group.tobytes() == scanned.tobytes() and drawn.tobytes() == scanned_drawn.tobytes()
+        assert group.tolist() == draw_order_claim_oracle(adjacency, dense, order)

@@ -103,19 +103,19 @@ def test_repeated_fits_at_one_k_build_the_influence_graph_once(monkeypatch):
     index = build_index(x, k_max=6)
     graphs = []
 
-    def spy(offsets, members, root, order):
-        graphs.append((offsets, members, root))
-        return claim_in_draw_order(offsets, members, root, order)
+    def spy(groups, order):
+        graphs.append(groups)
+        return claim_in_draw_order(groups, order)
 
     # the package exports the function under the module's name
     monkeypatch.setattr(importlib.import_module("rnncluster.isdbscan"),
                         "claim_in_draw_order", spy)
     for seed in range(5):
         isdbscan(x, index, IsdbscanParams(k=5, seed=seed))
-    offsets, members = index.influence_csr(5)
     assert len(graphs) == 5
-    # the group roots are cached beside the graph: every seed claims from one array
-    assert all(o is offsets and m is members and r is graphs[0][2] for o, m, r in graphs)
+    # the group roots are cached beside the graph: every seed claims from one object
+    assert all(groups is graphs[0] for groups in graphs)
+    assert index.per_k("isdbscan", 5, None) is graphs[0]
 
 
 def test_k_beyond_index_capacity_raises():

@@ -27,7 +27,7 @@ from rnncluster import (
 )
 import rnncluster.sweep as sweep_module
 import rnncluster.validation as validation_module
-from rnncluster import adjusted_rand_index, dbcv, range_standardize
+from rnncluster import adjusted_rand_index, dbcv, dbscan, range_standardize
 from rnncluster.clustering import Clustering
 from rnncluster.dbscan import neighborhood_lists
 from rnncluster.sweep import build_grid
@@ -163,19 +163,51 @@ def test_seeded_runs_group_once_per_setting_and_match_the_oracles(spec, monkeypa
     moons = make_two_moons(n=200, seed=0)
     result = run_sweep(moons, spec)
     x, _ = range_standardize(moons.matrix)
-    assert len(grouped) == len({r.params for r in result.records})  # per k, or (epsilon, min_pts)
     index, lists = build_index(x, k_max=25), {}
-    by_setting = defaultdict(set)
+    by_setting, grouping = defaultdict(set), set()  # per k, or per (epsilon, core set)
     for r in result.records:
         if spec.algorithm == "isdbscan":
             expected = isdbscan_worklist_oracle(index, r.params.k, r.seed)
+            grouping.add(r.params.k)
         else:
             if r.params.epsilon not in lists:
                 lists[r.params.epsilon] = neighborhood_lists(x, r.params.epsilon)
             expected = dbscan_bfs_oracle(lists[r.params.epsilon], r.params.min_pts, r.seed)
+            core = np.diff(lists[r.params.epsilon][0]) >= r.params.min_pts
+            grouping.add((r.params.epsilon, core.tobytes()))
         assert r.labels.tolist() == expected
         by_setting[r.params].add(r.labels.tobytes())
+    assert len(grouped) == len(grouping)
     assert max(len(labelings) for labelings in by_setting.values()) > 1  # the seed matters
+
+
+def test_a_dbscan_sweep_groups_each_epsilon_graph_once_per_core_set(monkeypatch):
+    # the package exports dbscan under the module's name
+    module = importlib.import_module("rnncluster.dbscan")
+    grouped = []
+
+    def counting_roots(offsets, members, dense, _original=module.group_roots):
+        grouped.append(int(np.count_nonzero(dense)))
+        return _original(offsets, members, dense)
+
+    monkeypatch.setattr(module, "group_roots", counting_roots)
+    moons = make_two_moons()
+    x, _ = range_standardize(moons.matrix)
+    top = build_grid(SweepSpec(algorithm="dbscan"), x)[-1].epsilon
+    # the top of the default grid links every pair; 0.008 is in the band that recovers the moons
+    groupings = {}
+    for eps in (top, 0.008):
+        grouped.clear()
+        spec = SweepSpec(algorithm="dbscan", runs_per_setting=3, eps_range=(eps, eps))
+        result = run_sweep(moons, spec)
+        degrees = np.diff(neighborhood_lists(x, eps)[0])
+        cores = {int(np.count_nonzero(degrees >= min_pts)) for min_pts in range(3, 21)}
+        assert len(result.records) == 18 * 3
+        assert sorted(grouped) == sorted(cores)
+        groupings[eps] = len(grouped)
+        for r in result.records:
+            assert r.labels.tolist() == dbscan(x, r.params, seed=r.seed).labels.tolist()
+    assert groupings[top] == 1 and 1 < groupings[0.008] < 18
 
 
 def test_parallel_equals_sequential(small_blobs):
