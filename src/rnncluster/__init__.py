@@ -51,7 +51,6 @@ from .synthetic import (
 from .validation import (
     DbcvReport,
     adjusted_rand_index,
-    contingency_table,
     dbcv,
     select_best,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "best_ari_summary",
     "build_index",
     "canonicalize_labels",
-    "contingency_table",
     "dbcv",
     "dbcv_selection_summary",
     "dbscan",

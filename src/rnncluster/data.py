@@ -48,7 +48,7 @@ __all__ = [
 # bytes of one block of `squared_distance_blocks`, counted as m floats per pair
 _BLOCK_BYTES = 4 * 2**20
 # most rows in one block of `compact_blocks`, and in one chunk of DBCV's
-# within-cluster rows (`validation._cluster_terms`)
+# within-cluster rows (`validation._mutual_reachability`)
 _BLOCK_ROWS = 128
 
 

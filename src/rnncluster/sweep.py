@@ -7,15 +7,18 @@ wall-clock for every grid point. Seeded algorithms get `runs_per_setting`
 runs with seeds derived deterministically from the base seed; DBSCRN is
 deterministic and gets exactly one run per setting.
 
-Each record times its fit (`cluster_seconds`) apart from its DBCV call
-(`dbcv_seconds`). Within one evaluated chunk of the grid, DBCV and ARI are
-computed once per distinct labeling: labels are canonical, so equal
-partitions have equal bytes, and a repeat reuses the stored scores with
-`dbcv_seconds` 0.0. DBCV's per-cluster terms are kept for the chunk too
-(the `cluster_terms` memo of `dbcv`, keyed by member ids), so a cluster
-that recurs inside a different labeling is built once, and
-`dbcv_seconds` leaves out the terms of clusters the chunk has already
-scored. The shared index and each epsilon's neighbourhood
+Each record times its fit (`cluster_seconds`) apart from its DBCV
+(`dbcv_seconds`). An evaluated chunk of the grid runs in two phases.
+First every grid point is fitted. Then DBCV's per-cluster terms (the
+`cluster_terms` memo of `dbcv`, keyed by member ids) are built once for
+all of the chunk's distinct labelings by `validation.fill_cluster_terms`,
+which grows the new clusters' spanning trees together, and DBCV and ARI
+run once per distinct labeling, reading the memo. Labels are canonical,
+so equal partitions have equal bytes. A distinct labeling's
+`dbcv_seconds` is its own `dbcv` call plus, for each cluster it is the
+first to contain, that cluster's share of its stack's build time (a
+stack's time split by n_c^2); a repeat reads 0.0, so a chunk's records
+sum to its DBCV time. The shared index and each epsilon's neighbourhood
 graph, both streamed from the blocked distance kernel in O(block * n)
 memory, are amortized across the grid by design and timed in neither
 field. The per-k graph a kNN algorithm reads (DBSCRN's reverse lists,
@@ -60,6 +63,7 @@ from .data import (
 from .dbscan import DbscanParams, dbscan_from_neighborhoods, neighborhood_lists
 from .dbscrn import DbscrnParams, dbscrn
 from .isdbscan import IsdbscanParams, isdbscan
+from . import validation
 from .neighbors import build_index
 from .validation import adjusted_rand_index, dbcv, select_best
 
@@ -269,12 +273,11 @@ def _fit(x, prepared, params, seed, roots=None) -> Clustering:
 
 
 def _evaluate_chunk(x, truth, spec, grid, first_point_index):
-    """Evaluate a slice of the grid; deterministic given its arguments."""
-    records: list[SweepRecord] = []
-    # labels bytes -> (DBCV, ARI); x and truth are fixed within the chunk,
-    # so DBCV's per-cluster memo (member ids -> terms) is valid for it too
-    scores: dict[bytes, tuple[float, float | None]] = {}
-    cluster_terms: dict = {}
+    """Evaluate a slice of the grid; deterministic given its arguments.
+
+    First every grid point is fitted; then DBCV's memo is filled once from
+    the distinct labelings, and DBCV and ARI run once per distinct labeling.
+    """
     runs = 1 if spec.algorithm == "dbscrn" else spec.runs_per_setting
     # one index per chunk (for its largest k) and one set of lists per
     # epsilon, built outside the timed regions: sweep timings cover the fit
@@ -282,6 +285,7 @@ def _evaluate_chunk(x, truth, spec, grid, first_point_index):
     knn = spec.algorithm != "dbscan"
     prepared = _prepare(x, max(grid, key=lambda p: p.k)) if knn else None
     prepared_eps = roots = None
+    fits = []  # (params, run, seed, clustering, cluster_seconds)
     for offset, params in enumerate(grid):
         point_index = first_point_index + offset
         if not knn and prepared_eps != params.epsilon:
@@ -292,30 +296,44 @@ def _evaluate_chunk(x, truth, spec, grid, first_point_index):
             )
             start = time.perf_counter()
             clustering = _fit(x, prepared, params, seed, roots)
-            cluster_seconds = time.perf_counter() - start
-            key = clustering.labels.tobytes()
-            dbcv_seconds = 0.0
-            if key not in scores:
-                start = time.perf_counter()
-                score = dbcv(x, clustering, cluster_terms=cluster_terms).overall
-                dbcv_seconds = time.perf_counter() - start
-                ari = None if truth is None else adjusted_rand_index(clustering, truth)
-                scores[key] = score, ari
-            score, ari = scores[key]
-            records.append(
-                SweepRecord(
-                    params=params,
-                    run=run,
-                    seed=seed,
-                    labels=clustering.labels,
-                    n_clusters=clustering.n_clusters,
-                    n_noise=clustering.n_noise,
-                    dbcv_score=score,
-                    ari=ari,
-                    cluster_seconds=cluster_seconds,
-                    dbcv_seconds=dbcv_seconds,
-                )
+            fits.append((params, run, seed, clustering, time.perf_counter() - start))
+
+    # labels bytes -> the first clustering with them; labels are canonical,
+    # so equal partitions have equal bytes. x is fixed within the chunk, so
+    # DBCV's per-cluster memo (member ids -> terms) is valid for all of it
+    distinct: dict[bytes, Clustering] = {}
+    for fit in fits:
+        distinct.setdefault(fit[3].labels.tobytes(), fit[3])
+    cluster_terms: dict = {}
+    built = validation.fill_cluster_terms(x, list(distinct.values()), cluster_terms)
+    scores: dict[bytes, tuple[float, float | None, float]] = {}  # DBCV, ARI, seconds
+    for (key, clustering), build_seconds in zip(distinct.items(), built):
+        start = time.perf_counter()
+        score = dbcv(x, clustering, cluster_terms=cluster_terms).overall
+        seconds = time.perf_counter() - start + build_seconds
+        ari = None if truth is None else adjusted_rand_index(clustering, truth)
+        scores[key] = score, ari, seconds
+
+    records: list[SweepRecord] = []
+    scored: set[bytes] = set()
+    for params, run, seed, clustering, cluster_seconds in fits:
+        key = clustering.labels.tobytes()
+        score, ari, seconds = scores[key]
+        records.append(
+            SweepRecord(
+                params=params,
+                run=run,
+                seed=seed,
+                labels=clustering.labels,
+                n_clusters=clustering.n_clusters,
+                n_noise=clustering.n_noise,
+                dbcv_score=score,
+                ari=ari,
+                cluster_seconds=cluster_seconds,
+                dbcv_seconds=0.0 if key in scored else seconds,
             )
+        )
+        scored.add(key)
     return records
 
 
@@ -326,8 +344,8 @@ def run_sweep(dataset: DataSet, spec: SweepSpec, n_jobs: int = 1) -> SweepResult
     a process pool; records are merged in grid order, so results equal the
     sequential run except for wall-clock fields. Each worker keeps its own
     memos: DBCV/ARI per distinct labeling, and DBCV's terms per distinct
-    cluster, so a record's `dbcv_seconds` excludes the terms of clusters
-    its chunk scored before. No memo outlives the call.
+    cluster, so a cluster's build is charged to the first labeling of its
+    chunk that contains it. No memo outlives the call.
     """
     check_count("n_jobs", n_jobs)
     x, report = range_standardize(dataset.matrix)

@@ -12,18 +12,24 @@ DBCV works on plain (non-squared) Euclidean distances, unlike the
 clustering algorithms; the two scales never mix.
 
 DBCV has two parts. Each cluster's terms (core distances, sparseness and
-the pool of internal MST nodes, `_cluster_terms`) depend only on its own
-members, and are built over one n_c x n_c array at a time. The
-separations then take one blocked distance pass per cluster, from its
-pool to the pools of every later cluster. A caller that scores many
-labelings of one dataset, as a sweep does, can pass a `cluster_terms`
-dict to `dbcv` so that a cluster recurring in another labeling is not
-rebuilt; the report is bit-identical either way.
+the pool of internal MST nodes) depend only on its own members. They are
+built many clusters at a time (`_build_terms`): the clusters, sorted by
+size, are packed into stacks of padded n_c x n_c slots under a fixed byte
+budget, one buffer holds each stack in turn, and one Prim loop grows every
+tree of a stack in lockstep (`_spanning_trees`). A cluster larger than the
+budget forms a stack of one. The separations then take one blocked
+distance pass per cluster, from its pool to the pools of every later
+cluster. A caller that scores many labelings of one dataset, as a sweep
+does, can pass a `cluster_terms` dict to `dbcv` so that a cluster
+recurring in another labeling is not rebuilt, and can fill that dict for
+all of its labelings at once with `fill_cluster_terms`, so that their new
+clusters share stacks; the report is bit-identical either way.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,22 +41,10 @@ from .data import as_feature_matrix, as_labels, row_squared_distances, squared_d
 __all__ = [
     "DbcvReport",
     "adjusted_rand_index",
-    "contingency_table",
     "dbcv",
+    "fill_cluster_terms",
     "select_best",
 ]
-
-
-def contingency_table(pred, truth) -> np.ndarray:
-    """Cross-tabulation of two labelings (rows: pred, columns: truth)."""
-    pred, truth = as_labels(pred), as_labels(truth)
-    if pred.shape != truth.shape:
-        raise ValueError(f"label arrays differ in length: {pred.shape} vs {truth.shape}")
-    _, pi = np.unique(pred, return_inverse=True)
-    _, ti = np.unique(truth, return_inverse=True)
-    table = np.zeros((pi.max() + 1, ti.max() + 1), dtype=np.int64)
-    np.add.at(table, (pi, ti), 1)
-    return table
 
 
 def _comb2(x: np.ndarray) -> np.ndarray:
@@ -108,62 +102,33 @@ class DbcvReport:
     overall: float
 
 
-def _prim_mst(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dense Prim MST; returns (edges (n-1, 2), edge weights, node degrees).
-
-    Grown from node 0: each step adds the node nearest the tree, the lowest
-    index on ties; a node's parent changes only on a strictly smaller
-    distance.
-    """
-    nc = weights.shape[0]
-    outside = np.ones(nc, dtype=bool)
-    outside[0] = False
-    best = weights[0].copy()
-    best[0] = np.inf
-    parent = np.zeros(nc, dtype=np.int64)
-    closer = np.empty(nc, dtype=bool)
-    edges = np.empty((nc - 1, 2), dtype=np.int64)
-    edge_w = np.empty(nc - 1, dtype=np.float64)
-    for t in range(nc - 1):
-        j = best.argmin()
-        edges[t] = parent[j], j
-        edge_w[t] = best[j]
-        outside[j] = False
-        best[j] = np.inf
-        row = weights[j]
-        np.less(row, best, out=closer)
-        closer &= outside
-        np.copyto(best, row, where=closer)
-        parent[closer] = j
-    degrees = np.bincount(edges.ravel(), minlength=nc)
-    return edges, edge_w, degrees
+# bytes of one stack in `_build_terms`: its padded n_c x n_c slots and the
+# lockstep loop's state; a cluster larger than this forms a stack of one
+_STACK_BYTES = 2 * 2**20
+_LARGEST = np.finfo(np.float64).max
 
 
-def _cluster_terms(points: np.ndarray, m: int) -> tuple[np.ndarray, float, np.ndarray]:
-    """(core distances, sparseness, pool) of one cluster of >= 2 `points`.
+def _mutual_reachability(points: np.ndarray, m: int, reach: np.ndarray) -> np.ndarray:
+    """Core distances of one cluster of >= 2 `points`; its reachability goes into `reach`.
 
-    The within-cluster distances come from the package kernel,
-    `data._BLOCK_ROWS` rows at a time: the temporaries stay a small,
-    cache-sized fraction of the one n_c x n_c array, and are reused from
-    chunk to chunk instead of being mapped afresh for every cluster. Each
-    chunk also gives its rows' core distances, ((sum over the other members
-    of (1/d)^m) / (n_c - 1)) ** (-1/m) with m the feature count (0 for a
-    duplicate point; a mean outside float64's normal range is taken again
-    relative to the nearest member s, as s * (mean of (s/d)^m) ** (-1/m)).
-    The mutual-reachability matrix is built in place over the distances,
-    and its Prim MST gives the sparseness (the largest internal edge, or
-    the largest edge when no edge is internal). The pool holds the local
-    positions of the internal MST nodes, or of every member when no node
-    is internal: separations are measured between pools.
+    `reach` is the cluster's n_c x n_c slot, its only matrix. The
+    within-cluster distances come from the package kernel,
+    `data._BLOCK_ROWS` rows at a time, and each chunk also gives its rows'
+    core distances, ((sum over the other members of (1/d)^m) / (n_c - 1))
+    ** (-1/m) with m the feature count (0 for a duplicate point; a mean
+    outside float64's normal range is taken again relative to the nearest
+    member s, as s * (mean of (s/d)^m) ** (-1/m)). Each sum runs over one
+    row's n_c entries. The mutual reachability max(d, core_i, core_j) then
+    overwrites the distances in place. A core distance is finite wherever
+    every distance is, so a reach is infinite only where a distance is.
     """
     nc = points.shape[0]
-    dist = np.empty((nc, nc))
     core = np.empty(nc)
     with np.errstate(divide="ignore", over="ignore"):
         for lo in range(0, nc, _data._BLOCK_ROWS):
             rows = slice(lo, lo + _data._BLOCK_ROWS)
-            np.sqrt(row_squared_distances(points, points[rows, None, :]), out=dist[rows])
-            inv = np.divide(1.0, dist[rows])
+            np.sqrt(row_squared_distances(points, points[rows, None, :]), out=reach[rows])
+            inv = np.divide(1.0, reach[rows])
             np.fill_diagonal(inv[:, lo:], 0.0)
             inv **= m
             inv.sum(axis=1, out=core[rows])
@@ -171,20 +136,163 @@ def _cluster_terms(points: np.ndarray, m: int) -> tuple[np.ndarray, float, np.nd
         redo = np.flatnonzero((core < np.finfo(float).tiny) | (core == np.inf))
         core **= -1.0 / m
     if redo.size:
-        d = dist[redo]
+        d = reach[redo]
         d[np.arange(redo.size), redo] = np.inf
         s = d.min(axis=1)
         keep = (0 < s) & (s < np.inf)  # a duplicate's core stays 0
         redo, d, s = redo[keep], d[keep], s[keep]  # each sum is in [1, n_c - 1]
         core[redo] = s * (((s[:, None] / d) ** m).sum(axis=1) / (nc - 1)) ** (-1.0 / m)
-    np.maximum(dist, core[:, None], out=dist)
-    np.maximum(dist, core[None, :], out=dist)
-    edges, edge_w, degrees = _prim_mst(dist)
-    internal_edge = (degrees[edges[:, 0]] > 1) & (degrees[edges[:, 1]] > 1)
-    sparseness = float(edge_w[internal_edge].max() if internal_edge.any() else edge_w.max())
-    internal_nodes = np.flatnonzero(degrees > 1)
-    pool = internal_nodes if internal_nodes.size else np.arange(nc)
-    return core, sparseness, pool
+    np.maximum(reach, core[:, None], out=reach)
+    np.maximum(reach, core[None, :], out=reach)
+    return core
+
+
+def _spanning_trees(slab: np.ndarray, sizes) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Prim's minimum spanning tree of every cluster in a stack, grown in lockstep.
+
+    slab[s, :n, :n], n = sizes[s] >= 2, holds cluster s's weights (+0.0 or
+    more), an infinite one stored as the largest float, and every other
+    cell is +inf. Each tree grows from node 0: a step adds the node nearest
+    the tree, the lowest index on ties, and a node's parent changes only on
+    a strictly smaller distance. One loop steps every cluster at once; a
+    finished cluster's steps change nothing. The diagonals are first
+    overwritten with NaN, and a node in the tree holds NaN in `best`: no
+    weight compares below it, a minimum keeps it, and the step's argmin,
+    over `best`'s bits, ranks it above every weight and the padding. So
+    when every node left is at infinite distance, the lowest-index one
+    joins, from the root. A node's parent is final once it joins, so each
+    node keeps only the step that last lowered its distance, and the edges
+    are read after the loop. Returns each cluster's (edges (n - 1, 2) in
+    join order, edge weights with inf for an infinite one, node degrees).
+    """
+    count, width = slab.shape[0], slab.shape[1]
+    rows = slab.reshape(count * width, width)
+    rows.reshape(count, width * width)[:, :: width + 1] = np.nan  # the diagonals
+    best = slab[:, 0].copy()
+    joined = np.zeros((width, count), dtype=np.int64)  # the node added at each step; root at 0
+    lowered = np.zeros((count, width), dtype=np.int64)  # the step whose node last lowered best
+    closer = np.empty((count, width), dtype=bool)
+    row = np.empty((count, width))
+    at = np.empty(count, dtype=np.int64)  # the flat row of the added node in `rows`
+    base = np.arange(0, count * width, width)
+    # read as unsigned integers, floats from +0.0 to +inf keep their order and NaN ranks above
+    rank = best.view(np.uint64)
+    for t in range(1, width):
+        j = joined[t]
+        rank.argmin(axis=1, out=j)
+        np.add(base, j, out=at)
+        rows.take(at, axis=0, out=row, mode="clip")  # "clip" writes `row` unbuffered
+        np.less(row, best, out=closer)
+        np.minimum(best, row, out=best)  # NaN from row j's diagonal puts j in the tree
+        np.putmask(lowered, closer, t)
+    trees = []
+    for s, n in enumerate(sizes):
+        edges = np.empty((n - 1, 2), dtype=np.int64)
+        edges[:, 1] = joined[1:n, s]
+        edges[:, 0] = joined[lowered[s, edges[:, 1]], s]
+        edge_w = slab[s, edges[:, 0], edges[:, 1]]
+        edge_w[edge_w == _LARGEST] = np.inf
+        trees.append((edges, edge_w, np.bincount(edges.ravel(), minlength=n)))
+    return trees
+
+
+def _build_terms(x: np.ndarray, missing: dict, cluster_terms: dict) -> np.ndarray:
+    """Put each cluster of `missing` (key -> ascending member ids) into `cluster_terms`.
+
+    A cluster's terms are (core distances, sparseness, pool). Its Prim MST
+    over the mutual reachability gives the sparseness (the largest
+    internal edge, or the largest edge when no edge is internal) and the
+    pool: the local positions of the internal MST nodes, or of every
+    member when no node is internal. Separations are measured between
+    pools.
+
+    The clusters are sorted by size and packed into stacks of padded
+    slots, as many as fit `_STACK_BYTES` together with the loop's state.
+    One buffer, as large as the largest stack, holds every stack in turn,
+    and `_spanning_trees` grows a stack's trees in lockstep. Returns each
+    cluster's share of the build seconds, in the order of `missing`: a
+    stack's time split by n_c^2.
+    """
+    keys = list(missing)
+    seconds = np.zeros(len(keys))
+    if not keys:
+        return seconds
+    sizes = np.array([missing[key].size for key in keys])
+    stacks, stack = [], []
+    for c in np.argsort(sizes, kind="stable"):
+        # a padded width-n slot, and its share of the loop's state: five arrays of n
+        if stack and (len(stack) + 1) * 8 * int(sizes[c]) * (int(sizes[c]) + 5) > _STACK_BYTES:
+            stacks.append(stack)
+            stack = []
+        stack.append(c)
+    stacks.append(stack)
+    buffer = np.empty(max(len(stack) * int(sizes[stack[-1]]) ** 2 for stack in stacks))
+    m = x.shape[1]
+    # every rounding in the kernel is monotone, so no distance overflows to
+    # inf unless the distance across the data's extent does
+    extent = np.ptp(x, axis=0)
+    overflows = not np.isfinite(row_squared_distances(extent, np.zeros(m)))
+    for stack in stacks:
+        start = time.perf_counter()
+        width = sizes[stack[-1]]
+        slab = buffer[: len(stack) * width * width].reshape(len(stack), width, width)
+        cores = []
+        for slot, c in zip(slab, stack):
+            n = sizes[c]
+            slot[n:] = np.inf  # the padding
+            slot[:n, n:] = np.inf
+            cores.append(_mutual_reachability(x[missing[keys[c]]], m, slot[:n, :n]))
+            if overflows:  # `_spanning_trees` stores an infinite reach as the largest float
+                np.minimum(slot[:n, :n], _LARGEST, out=slot[:n, :n])
+        for c, core, (edges, edge_w, degrees) in zip(
+            stack, cores, _spanning_trees(slab, sizes[stack])
+        ):
+            internal_edge = (degrees[edges[:, 0]] > 1) & (degrees[edges[:, 1]] > 1)
+            sparseness = float(edge_w[internal_edge].max() if internal_edge.any() else edge_w.max())
+            internal_nodes = np.flatnonzero(degrees > 1)
+            pool = internal_nodes if internal_nodes.size else np.arange(sizes[c])
+            cluster_terms[keys[c]] = core, sparseness, pool
+        squares = sizes[stack].astype(np.float64) ** 2
+        seconds[stack] = (time.perf_counter() - start) * squares / squares.sum()
+    return seconds
+
+
+def _scored_clusters(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """(ids, sizes, ascending member ids) of the clusters with >= 2 members."""
+    ids, counts = np.unique(labels[labels >= 0], return_counts=True)
+    scored = counts >= 2
+    return ids[scored], counts[scored], [np.flatnonzero(labels == cid) for cid in ids[scored]]
+
+
+def fill_cluster_terms(data: np.ndarray, labelings, cluster_terms: dict) -> np.ndarray:
+    """Build into `cluster_terms` the terms of every cluster `dbcv` would score.
+
+    `labelings` is a sequence of labelings of `data`; `cluster_terms` is
+    the memo of `dbcv`. Every cluster of >= 2 members that the memo lacks
+    is built, in one lockstep pass over all of them, unless its labeling
+    has fewer than two such clusters (`dbcv` scores that 0 and builds
+    nothing). Later `dbcv` calls with the memo then build nothing, and
+    their reports are the same. Returns the build seconds charged to each
+    labeling: each cluster's share of its stack's time goes to the first
+    labeling that contains it.
+    """
+    x = as_feature_matrix(data)
+    missing, owner = {}, []
+    for i, labeling in enumerate(labelings):
+        labels = as_labels(labeling)
+        if labels.shape[0] != x.shape[0]:
+            raise ValueError("clustering and data disagree on the number of entities")
+        _, _, members = _scored_clusters(labels)
+        if len(members) < 2:
+            continue
+        for idx in members:
+            key = idx.tobytes()
+            if key not in cluster_terms and key not in missing:
+                missing[key] = idx
+                owner.append(i)
+    seconds = np.zeros(len(labelings))
+    np.add.at(seconds, np.array(owner, dtype=np.int64), _build_terms(x, missing, cluster_terms))
+    return seconds
 
 
 def _separations(points: np.ndarray, core: np.ndarray, cuts: np.ndarray) -> np.ndarray:
@@ -225,7 +333,8 @@ def dbcv(data: np.ndarray, clustering, *, cluster_terms: dict | None = None) -> 
 
     `cluster_terms` is an optional memo that the caller owns: a dict from
     a cluster's member ids (the bytes of its ascending int64 entity ids)
-    to its `_cluster_terms`. A cluster already in it is not rebuilt, so a
+    to its terms (core distances, sparseness, pool). A cluster already in
+    it is not rebuilt, and the clusters it lacks are built together, so a
     caller that scores many labelings of the same data pays for each
     distinct cluster once. The entries depend on `data`, so one dict must
     only ever see one dataset. The report is the same with or without it.
@@ -234,23 +343,20 @@ def dbcv(data: np.ndarray, clustering, *, cluster_terms: dict | None = None) -> 
     x = as_feature_matrix(data)
     if labels.shape[0] != x.shape[0]:
         raise ValueError("clustering and data disagree on the number of entities")
-    ids, counts = np.unique(labels[labels >= 0], return_counts=True)
-    scored = ids[counts >= 2]
+    scored, sizes, members = _scored_clusters(labels)
     empty = np.array([], dtype=np.float64)
     if scored.size < 2:
         return DbcvReport(scored, empty, empty, empty, overall=0.0)
 
     if cluster_terms is None:
         cluster_terms = {}
-    m = x.shape[1]
+    keys = [idx.tobytes() for idx in members]
+    missing = {key: idx for key, idx in zip(keys, members) if key not in cluster_terms}
+    _build_terms(x, missing, cluster_terms)
     sparseness = np.empty(scored.size)
     pool_ids: list[np.ndarray] = []  # each cluster's pool, as entity ids
     pool_core: list[np.ndarray] = []
-    for c, cid in enumerate(scored):
-        idx = np.flatnonzero(labels == cid)
-        key = idx.tobytes()
-        if key not in cluster_terms:
-            cluster_terms[key] = _cluster_terms(x[idx], m)
+    for c, (key, idx) in enumerate(zip(keys, members)):
         core, sparseness[c], pool = cluster_terms[key]
         pool_ids.append(idx[pool])
         pool_core.append(core[pool])
@@ -270,8 +376,7 @@ def dbcv(data: np.ndarray, clustering, *, cluster_terms: dict | None = None) -> 
             denom = max(sep, spa)
             validity[c] = (sep - spa) / denom if denom > 0 else 0.0
 
-    sizes = counts[counts >= 2].astype(np.float64)
-    overall = float(np.sum(sizes / labels.shape[0] * validity))
+    overall = float(np.sum(sizes.astype(np.float64) / labels.shape[0] * validity))
     return DbcvReport(scored, sparseness, separation, validity, overall)
 
 

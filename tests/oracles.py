@@ -4,7 +4,7 @@ Everything here is deliberately written with plain Python loops, sets and
 Kruskal-style algorithms so it shares no code path with the package
 implementations it checks. The exceptions are the replaced implementations
 at the end of the file: they are kept as references that a rewrite must
-match bit for bit. The last two are helpers the package no longer exports,
+match bit for bit. The last three are helpers the package no longer exports,
 because nothing but the tests called them.
 """
 
@@ -25,7 +25,6 @@ from rnncluster.data import (
     row_squared_distances,
     squared_distance_blocks,
 )
-from rnncluster.validation import contingency_table
 
 
 def sq_dist(x, a, b):
@@ -334,7 +333,13 @@ def dbscan_bfs_oracle(neigh, min_pts, seed):
 
 
 def prim_mst_oracle(weights):
-    """The replaced dense Prim loop: (edges (n-1, 2), edge weights, node degrees)."""
+    """The replaced dense Prim loop: (edges (n-1, 2), edge weights, node degrees).
+
+    It differs from the lockstep loop, `validation._spanning_trees`, only
+    when weights are infinite: once every node outside the tree is at
+    infinite distance, `argmin` picks a node already in the tree, so those
+    nodes never join and a tree node gets a self-edge instead.
+    """
     nc = weights.shape[0]
     in_tree = np.zeros(nc, dtype=bool)
     in_tree[0] = True
@@ -737,3 +742,18 @@ def epsilon_neighborhood(data, i, epsilon):
     if not 0 <= i < x.shape[0]:
         raise ValueError(f"entity i={i} outside the range 0..n-1 (n={x.shape[0]})")
     return np.flatnonzero(row_squared_distances(x, x[i]) <= epsilon)
+
+
+def contingency_table(pred, truth) -> np.ndarray:
+    """The package's removed cross-tabulation of two labelings (rows: pred, columns: truth).
+
+    It holds a dense (distinct pred ids x distinct truth ids) int64 table.
+    """
+    pred, truth = as_labels(pred), as_labels(truth)
+    if pred.shape != truth.shape:
+        raise ValueError(f"label arrays differ in length: {pred.shape} vs {truth.shape}")
+    _, pi = np.unique(pred, return_inverse=True)
+    _, ti = np.unique(truth, return_inverse=True)
+    table = np.zeros((pi.max() + 1, ti.max() + 1), dtype=np.int64)
+    np.add.at(table, (pi, ti), 1)
+    return table

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    contingency_table,
     dbscan_bfs_oracle,
     dbscrn_oracle,
     epsilon_neighborhood,
@@ -27,7 +28,6 @@ from rnncluster import (
     bench,
     build_index,
     canonicalize_labels,
-    contingency_table,
     dbcv,
     dbscan,
     dbscrn,
@@ -299,7 +299,8 @@ def test_radius_parameters_must_be_real_numbers(name):
 
 _other = np.arange(10) % 3
 # name -> take: hands a labelling of _x's rows to one entry point and returns
-# what that entry point made of it
+# what that entry point made of it (contingency_table is the tests' oracle
+# now, and still reads labels through `as_labels`)
 LABEL_INPUTS = {
     "Clustering": lambda v: Clustering(v).labels,
     "canonicalize_labels": lambda v: canonicalize_labels(v).labels,

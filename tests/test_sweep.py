@@ -122,13 +122,13 @@ def test_each_distinct_labeling_is_scored_once(small_blobs, spec, monkeypatch):
 
 @pytest.mark.parametrize("spec", MEMO_SPECS[:2], ids=lambda s: s.algorithm)
 def test_each_distinct_cluster_is_built_once_per_sweep(small_blobs, spec, monkeypatch):
-    built = []
+    built = []  # the member-id key of every cluster whose terms are built
 
-    def counting_terms(points, m, _original=validation_module._cluster_terms):
-        built.append(points.shape[0])
-        return _original(points, m)
+    def counting_build(x, missing, cluster_terms, _original=validation_module._build_terms):
+        built.extend(missing)
+        return _original(x, missing, cluster_terms)
 
-    monkeypatch.setattr(validation_module, "_cluster_terms", counting_terms)
+    monkeypatch.setattr(validation_module, "_build_terms", counting_build)
     result = run_sweep(small_blobs, spec)
     distinct, scored = set(), 0
     for labels in {r.labels.tobytes(): r.labels for r in result.records}.values():
@@ -138,6 +138,7 @@ def test_each_distinct_cluster_is_built_once_per_sweep(small_blobs, spec, monkey
                 distinct.add(np.flatnonzero(labels == cid).tobytes())
                 scored += 1
     assert len(built) == len(distinct) < scored
+    assert set(built) == distinct
 
 
 # ISDBSCAN's default grid, and DBSCAN settings on two moons where the cluster of a

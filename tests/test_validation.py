@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import rnncluster.data
 from oracles import (
     ari_pairs_oracle,
+    contingency_table,
     dbcv_oracle,
     dbcv_report_oracle,
     pairwise_squared_distances,
@@ -20,7 +21,6 @@ from rnncluster import (
     adjusted_rand_index,
     build_index,
     canonicalize_labels,
-    contingency_table,
     dbcv,
     dbscrn,
     isdbscan,
@@ -29,7 +29,8 @@ from rnncluster import (
     range_standardize,
     select_best,
 )
-from rnncluster.validation import _prim_mst
+import rnncluster.validation as validation_module
+from rnncluster.validation import _spanning_trees, fill_cluster_terms
 
 
 def test_ari_trivial_cases():
@@ -110,7 +111,7 @@ def test_ari_length_mismatch():
         adjusted_rand_index([0, 1], [0, 1, 2])
 
 
-def test_contingency_table_counts():
+def test_contingency_table_counts():  # the oracle that spread_noise_ari_oracle reads
     table = contingency_table([0, 0, 1, 1], [0, 0, 1, 2])
     assert table.sum() == 4
     assert table.sum(axis=1).tolist() == [2, 2]
@@ -185,11 +186,92 @@ def reachability_matrices(draw):
     return np.maximum(dist, np.maximum(core[:, None], core[None, :]))
 
 
-@given(reachability_matrices())
+def _stack(matrices):
+    """One slab as `_build_terms` lays it out: each matrix in the corner of its
+    slot, an infinite weight stored as the largest float, the padding +inf."""
+    width = max(w.shape[0] for w in matrices)
+    slab = np.full((len(matrices), width, width), np.inf)
+    for slot, w in zip(slab, matrices):
+        slot[: w.shape[0], : w.shape[0]] = np.minimum(w, validation_module._LARGEST)
+    return slab, [w.shape[0] for w in matrices]
+
+
+def _assert_spanning_tree(edges, n):
+    """Every node but the root joins once, each from a node already in the tree."""
+    assert sorted(edges[:, 1].tolist()) == list(range(1, n))
+    in_tree = {0}
+    for parent, child in edges.tolist():
+        assert parent in in_tree
+        in_tree.add(child)
+
+
+@given(st.lists(reachability_matrices(), min_size=1, max_size=5))
 @settings(max_examples=200, deadline=None)
-def test_prim_matches_the_loop_oracle_on_ties(weights):
-    for got, want in zip(_prim_mst(weights), prim_mst_oracle(weights)):
-        assert np.array_equal(got, want)
+def test_prim_matches_the_loop_oracle_on_ties(matrices):
+    # one lockstep loop over clusters of mixed sizes, in any order
+    trees = _spanning_trees(*_stack(matrices))
+    assert len(trees) == len(matrices)
+    for weights, tree in zip(matrices, trees):
+        for got, want in zip(tree, prim_mst_oracle(weights)):
+            assert np.array_equal(got, want)
+
+
+def test_prim_adds_every_node_once_at_infinite_reach():
+    inf = np.inf
+    cut_off = np.array([[inf, 1.0, inf], [1.0, inf, inf], [inf, inf, inf]])
+    # the replaced loop adds the root again: edges [[0, 1], [0, 0]], degrees [3, 1, 0]
+    old_edges, _, old_degrees = prim_mst_oracle(cut_off)
+    assert old_edges.tolist() == [[0, 1], [0, 0]] and old_degrees.tolist() == [3, 1, 0]
+    # two finite blocks, {0, 1} and {2, 3, 4}, at infinite reach from each other
+    blocks = np.full((5, 5), inf)
+    blocks[:2, :2] = [[0.0, 2.0], [2.0, 0.0]]
+    blocks[2:, 2:] = [[0.0, 1.0, 3.0], [1.0, 0.0, 1.0], [3.0, 1.0, 0.0]]
+    (edges, edge_w, degrees), (block_edges, block_w, _) = _spanning_trees(
+        *_stack([cut_off, blocks])
+    )
+    _assert_spanning_tree(edges, 3)
+    _assert_spanning_tree(block_edges, 5)
+    assert edges.tolist() == [[0, 1], [0, 2]]  # from the root to the lowest unreached node
+    assert edge_w.tolist() == [1.0, inf]
+    assert degrees.tolist() == [2, 1, 1]
+    # node 2 joins from the root, and its row then gives 3 and 4 their parents
+    assert block_edges.tolist() == [[0, 1], [0, 2], [2, 3], [3, 4]]
+    assert block_w.tolist() == [2.0, inf, 1.0, 1.0]
+    # a 1-D cluster of two blocks 1e160 apart: that distance's square
+    # overflows, so reach and sparseness are infinite between the blocks
+    x = np.array([[0.0], [1.0], [2.0], [1e160], [1e160 + 1e145], [5.0], [6.0]])
+    labels = np.array([0, 0, 0, 0, 0, 1, 1])
+    memo: dict = {}
+    fill_cluster_terms(x, [labels], memo)
+    core, sparseness, pool = memo[np.arange(5).tobytes()]
+    assert np.isfinite(core).all() and sparseness == inf
+    assert pool.tolist() == [0, 3]  # both blocks; [0] if nodes 3 and 4 never join
+
+
+def test_fill_charges_each_cluster_to_the_first_labeling_that_has_it(monkeypatch):
+    x = np.vstack([np.arange(6.0)[:, None], np.arange(6.0)[:, None] + 20.0])
+    a, b, c = [0] * 6, [1] * 6, [1, 1, 1, -1, -1, -1]
+    labelings = [np.array(a + b), np.array(b + a),  # the same clusters, relabelled
+                 np.array(a + [-1] * 6),  # one scored cluster: DBCV builds nothing
+                 np.array(a + c)]
+    memo: dict = {}
+    seconds = fill_cluster_terms(x, labelings, memo)
+    assert seconds.shape == (4,)
+    assert seconds[0] > 0 and seconds[1] == seconds[2] == 0.0 and seconds[3] > 0
+    assert sorted(memo) == sorted(np.arange(lo, hi).tobytes() for lo, hi in
+                                  ((0, 6), (6, 12), (6, 9)))
+    fresh = [dbcv(x, labels) for labels in labelings]
+    built = []
+
+    def counting_build(data, missing, cluster_terms, _original=validation_module._build_terms):
+        built.extend(missing)
+        return _original(data, missing, cluster_terms)
+
+    monkeypatch.setattr(validation_module, "_build_terms", counting_build)
+    for labels, want in zip(labelings, fresh):
+        assert_same_report(dbcv(x, labels, cluster_terms=memo),
+                           [getattr(want, name) for name in _REPORT_FIELDS])
+    assert built == []  # the filled memo held every cluster the reports read
 
 
 _REPORT_FIELDS = ("cluster_ids", "sparseness", "separation", "validity", "overall")
@@ -275,6 +357,25 @@ def test_dbcv_holds_one_cluster_matrix_at_a_time():
     # about 3 MB; distances, reciprocals, their powers and the reach matrix
     # held at once came to 68.8 MB
     assert peak < 22 * 2**20
+
+
+def test_filling_many_clusters_holds_one_stack_at_a_time():
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(300 * 40, 2))
+    labels = np.repeat(np.arange(300), 40)
+    budget = validation_module._STACK_BYTES
+    assert 300 * 40 * 40 * 8 > budget + 2**20  # the slots do not fit one stack
+    memo: dict = {}
+    tracemalloc.start()
+    try:
+        fill_cluster_terms(x, [labels], memo)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(memo) == 300
+    # one buffer holds each stack in turn; the memo, the member ids and a copy
+    # of x take the rest, under 1 MiB
+    assert peak < budget + 2**20
 
 
 @pytest.mark.parametrize("m", [2, 30, 150, 500])
