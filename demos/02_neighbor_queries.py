@@ -17,11 +17,15 @@ from rnncluster import build_index
 x = np.array([[0.0], [1.0], [2.0], [4.0], [8.0]])
 index = build_index(x, k_max=4)
 
+# in bulk: NN_k(i) is row i's first k columns of knn_idx, RNN_k(i) is row i
+# of the reverse lists, and row i of the influence graph is i, then IS_k(i)
+rnn_offsets, rnn_members = index.rnn_csr(2)
+is_offsets, is_members = index.influence_csr(2)
 print("point layout: 0 1 2 4 8   (squared Euclidean distances)\n")
 for i in range(5):
-    knn = index.knn(i, 2).tolist()
-    rnn = index.rnn(i, 2).tolist()
-    inf = index.influence_space(i, 2).tolist()
+    knn = index.knn_idx[i, :2].tolist()
+    rnn = rnn_members[rnn_offsets[i] : rnn_offsets[i + 1]].tolist()
+    inf = sorted(is_members[is_offsets[i] + 1 : is_offsets[i + 1]].tolist())
     print(f"entity {i} (coord {x[i,0]:3.0f}):  NN_2={knn}  RNN_2={rnn}  IS_2={inf}")
 
 # |RNN_k| is unbounded above, unlike |NN_k| = k: watch the middle of a clump
@@ -35,7 +39,8 @@ print(f"  |RNN_5| of the stragglers: {sizes[30:].tolist()}")
 
 # duality: j in RNN_k(i) exactly when i in NN_k(j)
 i = int(np.argmax(sizes))
-assert all(i in clump_index.knn(j, 5) for j in clump_index.rnn(i, 5))
+offsets, members = clump_index.rnn_csr(5)
+assert all(i in clump_index.knn_idx[j, :5] for j in members[offsets[i] : offsets[i + 1]])
 print(f"  duality verified around the most popular entity ({i})")
 
 # the spatial backend, a best-first search over the same leaves, returns bit-identical lists

@@ -56,10 +56,6 @@ class Clustering:
     def n_noise(self) -> int:
         return int(np.count_nonzero(self.labels == NOISE))
 
-    def sizes(self) -> np.ndarray:
-        """Cluster sizes indexed by cluster id (noise excluded)."""
-        return np.bincount(self.labels[self.labels >= 0], minlength=self.n_clusters)
-
 
 def check_count(name: str, value, minimum: int = 1) -> None:
     """ValueError naming `name` unless `value` is a Python or numpy integer >= `minimum`.

@@ -1,11 +1,13 @@
-"""kNN, reverse-kNN and k-influence-space queries over a prebuilt index.
+"""The exact kNN index, and what the algorithms derive from it per k.
 
 The index stores, for every entity, its k_max nearest other entities sorted
-by (squared distance ascending, entity index ascending). For any k <= k_max
-it derives, in O(n*k) and cached per k, the reverse lists (`rnn_csr`) and
-the k-influence spaces IS_k(i) = NN_k(i) ∩ RNN_k(i) (`influence_csr`), so a
-parameter sweep over k reuses a single build and ISDBSCAN's repeated seeded
-runs at one k reuse one influence graph and its group roots (`per_k`).
+by (squared distance ascending, entity index ascending). In bulk, NN_k is
+`knn_idx[:, :k]` for any k <= k_max. DBSCRN reads only |RNN_k(i)|
+(`rnn_sizes`), one count over those columns. ISDBSCAN reads the
+k-influence spaces IS_k(i) = NN_k(i) ∩ RNN_k(i) (`influence_csr`), built in
+O(n*k) and cached per k with their group roots (`per_k`), so a parameter
+sweep over k reuses a single build and the repeated seeded runs at one k
+reuse one influence graph.
 
 Two backends share the leaves of `data.compact_blocks` and the distance
 kernel, and produce bit-identical lists. The default, "brute", scans block
@@ -52,10 +54,6 @@ class NeighborIndex:
         if not 1 <= k <= self.k_max:
             raise ValueError(f"k={k} outside the index's range 1..k_max={self.k_max}")
 
-    def _check_entity(self, i: int) -> None:
-        if not 0 <= i < self.n:
-            raise ValueError(f"entity i={i} outside the index's range 0..n-1 (n={self.n})")
-
     def check_data(self, data) -> None:
         """Raise unless `data` has the shape of the matrix the index was built on."""
         if np.shape(data) != self.data.shape:
@@ -71,31 +69,21 @@ class NeighborIndex:
             self._per_k[kind, k] = build()
         return self._per_k[kind, k]
 
-    def knn(self, i: int, k: int) -> np.ndarray:
-        """The k nearest entities to entity i, nearest first."""
-        self._check_entity(i)
+    def rnn_sizes(self, k: int) -> np.ndarray:
+        """|RNN_k(i)| for every entity i: how many kNN rows hold i among their first k."""
         self._check_k(k)
-        return self.knn_idx[i, :k]
+        return np.bincount(self.knn_idx[:, :k].ravel(), minlength=self.n)
 
     def rnn_csr(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Inverted lists for one k, in CSR form (offsets, members), as `influence_csr`.
 
-        members[offsets[i]:offsets[i+1]] are the entities that count i
-        among their k nearest, in ascending id order (never i; may be none).
-        Built once per k and cached; `rnn` and `rnn_sizes` (DBSCRN's
-        density counts) read it.
+        members[offsets[i]:offsets[i+1]] is RNN_k(i): the entities that count
+        i among their k nearest, in ascending id order (never i; may be
+        none). Built once per k and cached. No fit reads it: perfbench's
+        blob protocol calls it and its tracer wraps it, so it and
+        `_rnn_lists` stay until perfbench may change (ROADMAP item 8).
         """
         return self.per_k("rnn", k, lambda: _rnn_lists(self, k))
-
-    def rnn(self, i: int, k: int) -> np.ndarray:
-        """Entities having i among their k nearest; ascending ids, may be empty."""
-        self._check_entity(i)
-        offsets, members = self.rnn_csr(k)
-        return members[offsets[i] : offsets[i + 1]]
-
-    def rnn_sizes(self, k: int) -> np.ndarray:
-        """|RNN_k(i)| for every entity i."""
-        return np.diff(self.rnn_csr(k)[0])
 
     def influence_csr(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """The influence graph for one k, in CSR form: (offsets, members).
@@ -109,7 +97,8 @@ class NeighborIndex:
 
     def influence_space(self, i: int, k: int) -> np.ndarray:
         """NN_k(i) intersected with RNN_k(i); ascending ids, size <= k."""
-        self._check_entity(i)
+        if not 0 <= i < self.n:
+            raise ValueError(f"entity i={i} outside the index's range 0..n-1 (n={self.n})")
         offsets, members = self.influence_csr(k)
         return np.sort(members[offsets[i] + 1 : offsets[i + 1]])
 

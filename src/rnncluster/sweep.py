@@ -21,25 +21,24 @@ stack's time split by n_c^2); a repeat reads 0.0, so a chunk's records
 sum to its DBCV time. The shared index and each epsilon's neighbourhood
 graph, both streamed from the blocked distance kernel in O(block * n)
 memory, are amortized across the grid by design and timed in neither
-field. The per-k graph a kNN algorithm reads (DBSCRN's reverse lists,
-`rnn_csr`; ISDBSCAN's influence graph, `influence_csr`) is built by the
-index on first use and cached per k, so the first fit at each k pays that
-one build inside its `cluster_seconds` and ISDBSCAN's other seeded runs
-reuse it. ISDBSCAN's dense groups sit in the same cache, and DBSCAN's in a
-memo the chunk loop keeps per epsilon, shared by every min_pts with the same
-core set: the first run at each k or core set pays for them inside its
-`cluster_seconds`. `bench` is the rigorous protocol:
-sequential runs, each timed end-to-end including that run's own index
-build (and so its own per-k graph and groups) and DBCV evaluation.
+field. DBSCRN reads only the index's kNN lists, counting |RNN_k| from
+them in each fit. ISDBSCAN's influence graph (`influence_csr`) and its
+dense groups are built by the index on first use and cached per k, and
+DBSCAN's groups sit in a memo that comes with each epsilon's lists, shared
+by every min_pts with the same core set: the first run at each k or core
+set pays for them inside its `cluster_seconds`, and the other runs reuse
+them. `bench` is the rigorous protocol: sequential runs, each timed
+end-to-end including that run's own index build or epsilon-lists (and so
+its own per-k graph and groups) and DBCV evaluation.
 
 Sweeps, `bench` and the CLI's `cluster` share one fit path: `_prepare`
-builds what a fit reads (a kNN index with k_max = min(k, n - 1), or the
-epsilon-lists) and `_fit` runs one fit from it. The summaries read only
-the algorithm and each record's params, run, DBCV score and ARI, so the
-CLI's `report` feeds them the records of a sweep JSON (`_sweep_from_json`,
-which refuses a malformed one with ValueError). The JSON records, in
-`SweepResult.to_json_dict`, are the one record schema: the CLI writes the
-sweep CSV from them.
+builds the one structure a fit reads (a kNN index with k_max = min(k,
+n - 1), or the epsilon-lists with their memo) and `_fit` runs one fit
+from it. The summaries read only the algorithm and each record's params,
+run, DBCV score and ARI, so the CLI's `report` feeds them the records of
+a sweep JSON (`_sweep_from_json`, which refuses a malformed one with
+ValueError). The JSON records, in `SweepResult.to_json_dict`, are the one
+record schema: the CLI writes the sweep CSV from them.
 """
 
 from __future__ import annotations
@@ -253,20 +252,24 @@ def build_grid(spec: SweepSpec, x: np.ndarray) -> list:
 
 
 def _prepare(x, params):
-    """What a fit at `params` reads: the epsilon-lists, or a kNN index.
+    """What a fit at `params` reads: a kNN index, or the epsilon-lists and a memo.
 
     The index serves k_max = min(k, n - 1): ISDBSCAN answers k >= n with
     all noise, and DBSCRN raises ValueError for a k the index cannot serve.
+    It caches what its fits derive per k. The epsilon-lists come with an
+    empty `roots` memo that their fits fill, one grouping per core set, as
+    `dbscan_from_neighborhoods` describes.
     """
     if isinstance(params, DbscanParams):
-        return neighborhood_lists(x, params.epsilon)
+        return neighborhood_lists(x, params.epsilon), {}
     return build_index(x, k_max=min(params.k, x.shape[0] - 1))
 
 
-def _fit(x, prepared, params, seed, roots=None) -> Clustering:
-    """One fit from `_prepare`'s output; `seed` drives DBSCAN and ISDBSCAN, `roots` DBSCAN."""
+def _fit(x, prepared, params, seed) -> Clustering:
+    """One fit from `_prepare`'s output; `seed` drives DBSCAN and ISDBSCAN."""
     if isinstance(params, DbscanParams):
-        return dbscan_from_neighborhoods(prepared, params.min_pts, seed, roots=roots)
+        neigh, roots = prepared
+        return dbscan_from_neighborhoods(neigh, params.min_pts, seed, roots=roots)
     if isinstance(params, IsdbscanParams):
         return isdbscan(x, prepared, replace(params, seed=seed))
     return dbscrn(x, prepared, params)
@@ -284,18 +287,18 @@ def _evaluate_chunk(x, truth, spec, grid, first_point_index):
     # and DBCV only (bench times full runs)
     knn = spec.algorithm != "dbscan"
     prepared = _prepare(x, max(grid, key=lambda p: p.k)) if knn else None
-    prepared_eps = roots = None
+    prepared_eps = None
     fits = []  # (params, run, seed, clustering, cluster_seconds)
     for offset, params in enumerate(grid):
         point_index = first_point_index + offset
         if not knn and prepared_eps != params.epsilon:
-            prepared, prepared_eps, roots = _prepare(x, params), params.epsilon, {}
+            prepared, prepared_eps = _prepare(x, params), params.epsilon
         for run in range(runs):
             seed = None if spec.algorithm == "dbscrn" else _derived_seed(
                 spec.base_seed, point_index, run
             )
             start = time.perf_counter()
-            clustering = _fit(x, prepared, params, seed, roots)
+            clustering = _fit(x, prepared, params, seed)
             fits.append((params, run, seed, clustering, time.perf_counter() - start))
 
     # labels bytes -> the first clustering with them; labels are canonical,
@@ -315,10 +318,10 @@ def _evaluate_chunk(x, truth, spec, grid, first_point_index):
         scores[key] = score, ari, seconds
 
     records: list[SweepRecord] = []
-    scored: set[bytes] = set()
     for params, run, seed, clustering, cluster_seconds in fits:
         key = clustering.labels.tobytes()
         score, ari, seconds = scores[key]
+        scores[key] = score, ari, 0.0  # a repeat of this labeling was already scored
         records.append(
             SweepRecord(
                 params=params,
@@ -330,10 +333,9 @@ def _evaluate_chunk(x, truth, spec, grid, first_point_index):
                 dbcv_score=score,
                 ari=ari,
                 cluster_seconds=cluster_seconds,
-                dbcv_seconds=0.0 if key in scored else seconds,
+                dbcv_seconds=seconds,
             )
         )
-        scored.add(key)
     return records
 
 

@@ -299,9 +299,10 @@ def test_criterion_5_duality_and_backend_equivalence():
             assert np.array_equal(brute.knn_idx, idx)
             assert np.array_equal(brute.knn_d2, d2)
         for k in {1, k_max}:
-            forward = [set(brute.knn(i, k).tolist()) for i in range(n)]
+            forward = [set(brute.knn_idx[i, :k].tolist()) for i in range(n)]
+            offsets, members = brute.rnn_csr(k)
             for i in range(n):
-                assert set(brute.rnn(i, k).tolist()) == {
+                assert set(members[offsets[i] : offsets[i + 1]].tolist()) == {
                     j for j in range(n) if i in forward[j]
                 }
     check("criterion-5", True, "kNN/RNN duality and brute/spatial/full-sort equality on 50 datasets")

@@ -14,7 +14,7 @@ from oracles import (
     expand_cluster,
     rnn_oracle,
 )
-from rnncluster import DbscrnParams, build_index, dbscrn, range_standardize
+from rnncluster import DbscrnParams, build_index, dbscrn, neighbors, range_standardize
 
 LINE = np.array([[0.0], [1.0], [2.0], [4.0], [8.0]])
 
@@ -116,6 +116,30 @@ def test_every_cluster_contains_a_core_entity():
 def test_params_validated():
     with pytest.raises(ValueError):
         DbscrnParams(k=0)
+
+
+@pytest.mark.parametrize("k", [0, 6])
+def test_a_k_the_index_cannot_serve_is_refused(k):
+    # knn_idx[:, :k] would silently truncate a k above k_max to k_max
+    x = np.random.default_rng(8).normal(size=(30, 2))
+    index = build_index(x, k_max=5)
+    with pytest.raises(ValueError, match=rf"k={k} outside .*k_max=5"):
+        index.rnn_sizes(k)
+    with pytest.raises(ValueError, match=r"\bk\b"):  # k = 0 fails in DbscrnParams
+        dbscrn(x, index, DbscrnParams(k=k))
+
+
+def test_a_fit_leaves_the_reverse_lists_unbuilt(monkeypatch):
+    # DBSCRN reads |RNN_k| alone, counted from the kNN lists
+    def refuse(index, k):
+        raise AssertionError("a DBSCRN fit built the reverse lists")
+
+    monkeypatch.setattr(neighbors, "_rnn_lists", refuse)
+    x = np.random.default_rng(9).normal(size=(60, 2))
+    index = build_index(x, k_max=8)
+    for k in range(1, 9):
+        dbscrn(x, index, DbscrnParams(k=k))
+    assert not any(kind == "rnn" for kind, _ in index._per_k)
 
 
 def test_data_not_matching_the_index_is_rejected():

@@ -21,26 +21,31 @@ from rnncluster.dbscan import neighborhood_lists
 LINE = np.array([[0.0], [1.0], [2.0], [4.0], [8.0]])
 
 
+def rnn_row(index, i, k):
+    """RNN_k(i), row i of the index's reverse lists."""
+    offsets, members = index.rnn_csr(k)
+    return members[offsets[i] : offsets[i + 1]]
+
+
 def test_knn_examples_on_line():
     index = build_index(LINE, k_max=4)
     # squared distances from point 2: 1 then a 4-vs-4 tie won by index 0
-    assert index.knn(2, 2).tolist() == [1, 0]
-    assert index.knn(1, 1).tolist() == [0]  # 1-vs-1 tie between 0 and 2
-    assert index.knn(0, 4).tolist() == knn_oracle(LINE, 0, 4)
+    assert index.knn_idx[2, :2].tolist() == [1, 0]
+    assert index.knn_idx[1, :1].tolist() == [0]  # 1-vs-1 tie between 0 and 2
+    assert index.knn_idx[0, :4].tolist() == knn_oracle(LINE, 0, 4)
 
 
 def test_two_entities_list_each_other():
     index = build_index(np.array([[0.0], [1.0]]), k_max=1)
-    assert index.knn(0, 1).tolist() == [1]
-    assert index.knn(1, 1).tolist() == [0]
-    assert index.rnn(0, 1).tolist() == [1]
+    assert index.knn_idx.tolist() == [[1], [0]]
+    assert rnn_row(index, 0, 1).tolist() == [1]
     assert index.influence_space(0, 1).tolist() == [1]
 
 
 def test_rnn_examples_on_line():
     index = build_index(LINE, k_max=4)
-    assert index.rnn(1, 1).tolist() == [0, 2]
-    assert index.rnn(4, 1).tolist() == []  # nobody's nearest is the far outlier
+    assert rnn_row(index, 1, 1).tolist() == [0, 2]
+    assert rnn_row(index, 4, 1).tolist() == []  # nobody's nearest is the far outlier
     assert index.influence_space(1, 1).tolist() == [0]
 
 
@@ -48,23 +53,25 @@ def test_rnn_empty_makes_influence_space_empty():
     index = build_index(LINE, k_max=4)
     for i in range(5):
         for k in (1, 2, 3):
-            if index.rnn(i, k).size == 0:
+            if rnn_row(index, i, k).size == 0:
                 assert index.influence_space(i, k).size == 0
 
 
 def test_k_bounds_are_enforced():
     index = build_index(LINE, k_max=2)
-    with pytest.raises(ValueError):
-        index.knn(0, 3)
-    with pytest.raises(ValueError):
-        index.rnn(0, 0)
+    for query in (index.rnn_sizes, index.rnn_csr, index.influence_csr):
+        for k in (0, 3):
+            with pytest.raises(ValueError, match=rf"k={k} outside .*k_max=2"):
+                query(k)
+        query(1)  # the first and last k are in range
+        query(2)
     with pytest.raises(ValueError):
         build_index(LINE, k_max=5)
     with pytest.raises(ValueError):
         build_index(LINE, k_max=0)
 
 
-@pytest.mark.parametrize("query", ["knn", "rnn", "influence_space"])
+@pytest.mark.parametrize("query", ["influence_space"])
 @pytest.mark.parametrize("i", [-1, 5])
 def test_entity_bounds_are_enforced(query, i):
     index = build_index(LINE, k_max=2)
@@ -91,16 +98,16 @@ def test_duality_and_nesting_properties():
         k_max = min(8, n - 1)
         index = build_index(x, k_max)
         for k in range(1, k_max + 1):
-            rnn_sets = [set(index.rnn(i, k).tolist()) for i in range(n)]
+            rnn_sets = [set(rnn_row(index, i, k).tolist()) for i in range(n)]
             for i in range(n):
-                knn_i = set(index.knn(i, k).tolist())
-                # duality: j in rnn(i,k) iff i in knn(j,k)
+                knn_i = set(index.knn_idx[i, :k].tolist())
+                # duality: j in RNN_k(i) iff i in NN_k(j)
                 for j in range(n):
-                    assert (j in rnn_sets[i]) == (i in set(index.knn(j, k).tolist()))
+                    assert (j in rnn_sets[i]) == (i in set(index.knn_idx[j, :k].tolist()))
                 assert len(index.influence_space(i, k)) <= k
                 assert set(index.influence_space(i, k).tolist()) <= knn_i
                 if k < k_max:
-                    assert knn_i <= set(index.knn(i, k + 1).tolist())
+                    assert knn_i <= set(index.knn_idx[i, : k + 1].tolist())
 
 
 def test_matches_plain_loop_oracle():
@@ -109,12 +116,17 @@ def test_matches_plain_loop_oracle():
         x = _random_dataset(rng)
         k_max = min(6, x.shape[0] - 1)
         index = build_index(x, k_max)
-        for i in range(x.shape[0]):
-            assert index.knn(i, k_max).tolist() == knn_oracle(x, i, k_max)
+        n = x.shape[0]
+        for i in range(n):
+            assert index.knn_idx[i].tolist() == knn_oracle(x, i, k_max)
             for k in (1, k_max):
-                assert index.rnn(i, k).tolist() == rnn_oracle(x, i, k)
+                assert rnn_row(index, i, k).tolist() == rnn_oracle(x, i, k)
             for k in range(1, k_max + 1):
                 assert index.influence_space(i, k).tolist() == influence_oracle(x, i, k)
+        for k in range(1, k_max + 1):
+            sizes = index.rnn_sizes(k)
+            np.testing.assert_array_equal(sizes, np.diff(index.rnn_csr(k)[0]))
+            assert sizes.tolist() == [len(rnn_oracle(x, i, k)) for i in range(n)]
 
 
 def test_backends_are_bit_identical():
@@ -208,7 +220,7 @@ def test_rebuild_is_deterministic():
     b = build_index(x, 10)
     np.testing.assert_array_equal(a.knn_idx, b.knn_idx)
     np.testing.assert_array_equal(a.knn_d2, b.knn_d2)
-    assert a.rnn(17, 7).tolist() == b.rnn(17, 7).tolist()
+    assert rnn_row(a, 17, 7).tolist() == rnn_row(b, 17, 7).tolist()
 
 
 def test_unknown_backend_rejected():
