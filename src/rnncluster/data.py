@@ -22,6 +22,11 @@ single-axis bound of kd-trees, applied to a block's bounding box). The
 kNN build and the epsilon-lists evaluate the kernel only on the rows a
 bound cannot rule out; the bound never exceeds the kernel's distance, so
 the pruning is exact.
+
+Both scans read the data feature-major, so each feature step of the
+kernel and each bound's max over the axes runs along contiguous memory;
+these are elementwise steps in the same order and exact maxima, so the
+layout changes no float.
 """
 
 from __future__ import annotations
@@ -199,10 +204,11 @@ def squared_distance_blocks(queries: np.ndarray, refs: np.ndarray):
 
     block[r, j] is `row_squared_distances(refs, queries[start + r])[j]`.
     Blocks cover the queries in order, each as many rows as fit in a fixed
-    byte budget (at least one), so memory is O(block * len(refs)).
+    byte budget (at least one), so memory is O(block * len(refs)). The
+    kernel reads one feature-major copy of `refs`; every block is C-ordered.
     """
     q = np.asarray(queries, dtype=np.float64)
-    r = np.asarray(refs, dtype=np.float64)
+    r = np.asfortranarray(refs, dtype=np.float64)
     rows = max(1, _BLOCK_BYTES // max(1, 8 * r.size))
     for start in range(0, q.shape[0], rows):
         yield start, row_squared_distances(r, q[start : start + rows, None, :])
@@ -224,22 +230,27 @@ def compact_blocks(data: np.ndarray):
     bound exceeds a threshold loses no row at or below it. Rows must be
     finite.
     """
-    x = np.asarray(data, dtype=np.float64)
-    parts = [np.arange(x.shape[0])]
+    # feature-major: one row per axis, so a max over the axes runs along whole rows
+    xt = np.asarray(data, dtype=np.float64).T.copy()
+    parts = [np.arange(xt.shape[1])]
     while parts:
         ids = parts.pop()
-        box = x[ids]
-        lo, hi = box.min(axis=0), box.max(axis=0)
+        box = xt[:, ids]
+        lo, hi = box.min(axis=1, keepdims=True), box.max(axis=1, keepdims=True)
         # a width, gap or bound may overflow to inf like the kernel's
         # distances; splits and bounds that read inf stay exact, so the
         # warning is noise
         with np.errstate(over="ignore"):
             if ids.size > _BLOCK_ROWS:
                 half = ids.size // 2
-                split = ids[np.argpartition(box[:, np.argmax(hi - lo)], half)]
+                split = ids[np.argpartition(box[np.argmax(hi - lo)], half)]
                 parts += [split[half:], split[:half]]
                 continue
-            bound = np.square(np.maximum(np.maximum(lo - x, x - hi), 0.0)).max(axis=1)
+            # in place: a fresh n-long temporary per step would pay its own page faults
+            gap = lo - xt
+            np.maximum(gap, xt - hi, out=gap)
+            np.maximum(gap, 0.0, out=gap)
+            bound = np.square(gap, out=gap).max(axis=0)
         yield ids, bound
 
 

@@ -58,10 +58,11 @@ def dbscrn(data: np.ndarray, index: NeighborIndex, params: DbscrnParams) -> Clus
     # last slot) when none does. Entities failing the guard never pull,
     # so they keep n and pass nothing on.
     guard = np.flatnonzero(sizes > 2.0 * k / math.pi)
-    nearest_k = index.knn_idx[guard, :k]
+    # (k, guard): a pull's minimum over the k nearest runs along whole rows
+    nearest_k = index.knn_idx[guard, :k].T.copy()
     label = np.append(np.where(core, np.arange(n), n), n)
     while True:
-        pulled = np.minimum(label[guard], label[nearest_k].min(axis=1))
+        pulled = np.minimum(label[guard], label[nearest_k].min(axis=0))
         if np.array_equal(pulled, label[guard]):
             break
         label[guard] = pulled

@@ -124,10 +124,11 @@ def _mutual_reachability(points: np.ndarray, m: int, reach: np.ndarray) -> np.nd
     """
     nc = points.shape[0]
     core = np.empty(nc)
+    columns = np.asfortranarray(points)  # the kernel reads one contiguous column per feature
     with np.errstate(divide="ignore", over="ignore"):
         for lo in range(0, nc, _data._BLOCK_ROWS):
             rows = slice(lo, lo + _data._BLOCK_ROWS)
-            np.sqrt(row_squared_distances(points, points[rows, None, :]), out=reach[rows])
+            np.sqrt(row_squared_distances(columns, points[rows, None, :]), out=reach[rows])
             inv = np.divide(1.0, reach[rows])
             np.fill_diagonal(inv[:, lo:], 0.0)
             inv **= m

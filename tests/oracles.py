@@ -17,6 +17,7 @@ from collections import deque
 
 import numpy as np
 
+from rnncluster import data as _data
 from rnncluster.clustering import NOISE, canonicalize_labels
 from rnncluster.data import (
     as_feature_matrix,
@@ -462,6 +463,28 @@ def einsum_squared_distances_oracle(rows, point):
     diff = rows - point
     with np.errstate(over="ignore"):
         return np.einsum("...j,...j->...", diff, diff)
+
+
+def compact_blocks_oracle(data):
+    """The replaced `compact_blocks`: each leaf's bound taken over the row-major data.
+
+    It reduces over the axes with `.max(axis=1)` of an (n, m) array;
+    `compact_blocks` must yield the same ids and bounds bit for bit.
+    """
+    x = np.asarray(data, dtype=np.float64)
+    parts = [np.arange(x.shape[0])]
+    while parts:
+        ids = parts.pop()
+        box = x[ids]
+        lo, hi = box.min(axis=0), box.max(axis=0)
+        with np.errstate(over="ignore"):
+            if ids.size > _data._BLOCK_ROWS:
+                half = ids.size // 2
+                split = ids[np.argpartition(box[:, np.argmax(hi - lo)], half)]
+                parts += [split[half:], split[:half]]
+                continue
+            bound = np.square(np.maximum(np.maximum(lo - x, x - hi), 0.0)).max(axis=1)
+        yield ids, bound
 
 
 def dbcv_report_oracle(x, labels, count_noise_in_weight=True):

@@ -3,14 +3,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import einsum_squared_distances_oracle, pairwise_squared_distances, squared_euclidean
+from oracles import (
+    compact_blocks_oracle,
+    einsum_squared_distances_oracle,
+    pairwise_squared_distances,
+    squared_euclidean,
+)
 from rnncluster import (
     DataSet,
+    build_index,
+    dbcv,
     load_dataset,
     pairwise_distance_extrema,
     range_standardize,
 )
-from rnncluster.data import row_squared_distances, squared_distance_blocks
+from rnncluster.data import compact_blocks, row_squared_distances, squared_distance_blocks
+from rnncluster.dbscan import neighborhood_lists
 
 finite_rows = st.lists(
     st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False), min_size=1, max_size=6
@@ -100,12 +108,12 @@ def _bits(values):
 
 
 @st.composite
-def kernel_rows(draw):
-    """Rows of 1..40 features: normal, or on an integer grid with duplicated
-    rows, scaled by powers of ten from 1e-170 to 1e170 (one for all entries,
-    one per row or one per entry), so squares overflow to inf and underflow
-    to 0."""
-    n = draw(st.integers(1, 12))
+def kernel_rows(draw, max_rows=12):
+    """1..max_rows rows of 1..40 features: normal, or on an integer grid with
+    duplicated rows, scaled by powers of ten from 1e-170 to 1e170 (one for
+    all entries, one per row or one per entry), so squares overflow to inf
+    and underflow to 0."""
+    n = draw(st.integers(1, max_rows))
     m = draw(st.integers(1, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x = rng.normal(size=(n, m))
@@ -135,6 +143,49 @@ def test_kernel_keeps_the_einsum_floats(x):
     blocks = np.concatenate([block for _, block in squared_distance_blocks(queries, x)])
     want = einsum_squared_distances_oracle(x, queries[:, None, :])
     assert np.array_equal(_bits(blocks), _bits(want))
+
+
+@given(kernel_rows(max_rows=300))
+@example(np.repeat(np.arange(150.0), 2)[:, None] * 1e170)  # one feature, cut in sorted order
+@settings(max_examples=150, deadline=None)
+def test_compact_blocks_keep_the_row_major_bounds(x):
+    # the feature-major bound is an exact max over the same squared gaps,
+    # so every leaf and every bound, inf included, is the oracle's
+    got, want = list(compact_blocks(x)), list(compact_blocks_oracle(x))
+    assert len(got) == len(want)
+    for (ids, bound), (want_ids, want_bound) in zip(got, want):
+        assert np.array_equal(ids, want_ids)
+        assert np.array_equal(_bits(bound), _bits(want_bound))
+
+
+def test_memory_layout_changes_no_float():
+    # the kernel reads refs feature-major whatever their layout, and the
+    # kNN build reads each block row by row, so blocks stay C-ordered
+    rng = np.random.default_rng(12)
+    wide = rng.normal(size=(600, 10))
+    wide[:300] += 4.0
+    x = np.ascontiguousarray(wide[:, ::2])
+    layouts = [x, np.asfortranarray(x), wide[:, ::2]]
+    want = [block for _, block in squared_distance_blocks(x, x)]
+    assert len(want) > 1
+    for queries in layouts:
+        for refs in layouts:
+            got = [block for _, block in squared_distance_blocks(queries, refs)]
+            assert len(got) == len(want)
+            assert all(block.flags.c_contiguous for block in got)
+            assert all(np.array_equal(_bits(a), _bits(b)) for a, b in zip(got, want))
+    fortran = np.asfortranarray(x)
+    index, f_index = build_index(x, 12), build_index(fortran, 12)
+    assert np.array_equal(f_index.knn_idx, index.knn_idx)
+    assert np.array_equal(_bits(f_index.knn_d2), _bits(index.knn_d2))
+    eps = float(np.median(index.knn_d2[:, 9]))
+    for got, want in zip(neighborhood_lists(fortran, eps), neighborhood_lists(x, eps)):
+        assert np.array_equal(got, want)
+    labels = np.repeat([0, 1], 300)
+    got, want = dbcv(fortran, labels), dbcv(x, labels)
+    for field in ("sparseness", "separation", "validity"):
+        assert np.array_equal(_bits(getattr(got, field)), _bits(getattr(want, field)))
+    assert _bits(got.overall) == _bits(want.overall)
 
 
 def test_kernel_pairs_fixture_counts_every_pair(kernel_pairs):
