@@ -1,0 +1,150 @@
+"""The scaling ladder: time the kNN build and the epsilon-lists on fixed rungs.
+
+    python ladder/run.py --label <label>
+
+writes BENCH_<label>.json at the repository root. Each rung runs in its own
+process (`--rung NAME` prints that rung's record), so each `ru_maxrss_mb`
+is that rung's alone. The library comes from this checkout's `src/`; to
+measure another revision, run this file from a checkout of it.
+
+Rungs: blobs `make_blobs(7, n/7, 0.08, seed=5)` at n = 791, 2,800, 7,000,
+21,000 and 70,000, two moons at 372 and Iris at 150, each range-standardized.
+Stages, each timed once:
+  - build: the default `build_index` at k_max = 30;
+  - eps_lists: `neighborhood_lists` at criterion 4's epsilon, the median
+    10th-neighbour squared distance, read from that build.
+A second pass repeats the stages under tracemalloc for their peaks, so
+tracing never touches the timings.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import resource
+import subprocess
+import sys
+import time
+import tracemalloc
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+import numpy as np  # noqa: E402
+
+from rnncluster import build_index, load_dataset, make_blobs, range_standardize  # noqa: E402
+from rnncluster.dbscan import neighborhood_lists  # noqa: E402
+from rnncluster.synthetic import make_two_moons  # noqa: E402
+
+K_MAX = 30
+BLOBS = (791, 2800, 7000, 21000, 70000)
+RUNGS = tuple(f"blobs-{n}" for n in BLOBS) + ("moons-372", "iris-150")
+UNITS = {"seconds": "s", "peak_mb": "MiB", "ru_maxrss_mb": "MiB"}
+
+
+def rung_matrix(name: str) -> np.ndarray:
+    """The range-standardized matrix of one rung."""
+    kind, n = name.split("-")
+    if kind == "blobs":
+        data = make_blobs(7, int(n) // 7, 0.08, seed=5)
+    elif kind == "moons":
+        data = make_two_moons(n=int(n), density_ratio=3.0, seed=0)
+    elif kind == "iris":
+        data = load_dataset(os.path.join(ROOT, "data", "iris.csv"), has_header=True, label_column=-1)
+    else:
+        raise ValueError(f"unknown rung {name!r} (expected one of {', '.join(RUNGS)})")
+    return range_standardize(data.matrix)[0]
+
+
+def _pass(x: np.ndarray, traced: bool) -> dict:
+    """One pass over the stages: each one's seconds, or its tracemalloc peak in MiB."""
+    out = {}
+
+    def measure(stage, run):
+        if traced:
+            tracemalloc.start()
+            result = run()
+            out[stage] = tracemalloc.get_traced_memory()[1] / 2**20
+            tracemalloc.stop()
+        else:
+            start = time.perf_counter()
+            result = run()
+            out[stage] = time.perf_counter() - start
+        return result
+
+    index = measure("build", lambda: build_index(x, K_MAX))
+    epsilon = float(np.median(index.knn_d2[:, 9]))
+    measure("eps_lists", lambda: neighborhood_lists(x, epsilon))
+    return out
+
+
+def run_rung(name: str) -> dict:
+    """Time one rung's stages, then trace their peaks; the rung's record."""
+    x = rung_matrix(name)
+    seconds = _pass(x, traced=False)
+    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+    peaks = _pass(x, traced=True)
+    return {
+        "rung": name,
+        "n": int(x.shape[0]),
+        "m": int(x.shape[1]),
+        "ru_maxrss_mb": round(rss_mb, 1),
+        "stages": [
+            {"stage": stage, "seconds": round(seconds[stage], 6), "peak_mb": round(peaks[stage], 3)}
+            for stage in seconds
+        ],
+    }
+
+
+def _revision() -> str | None:
+    try:
+        # "-dirty" marks a run on tracked files that differ from the revision
+        done = subprocess.run(["git", "-C", ROOT, "describe", "--always", "--dirty", "--abbrev=40"],
+                              capture_output=True, text=True, timeout=30)
+    except OSError:
+        return None
+    return done.stdout.strip() or None
+
+
+def header(label: str) -> dict:
+    """What the file records once: label, revision, numpy, cores and the setup."""
+    return {
+        "label": label,
+        "git_revision": _revision(),
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+        "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
+        "k_max": K_MAX,
+        "epsilon": "median 10th-neighbour squared distance (criterion 4)",
+        "units": UNITS,
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    group = parser.add_mutually_exclusive_group(required=True)
+    group.add_argument("--label", help="write BENCH_<label>.json at the repository root")
+    group.add_argument("--rung", choices=RUNGS, help="run one rung and print its record")
+    args = parser.parse_args(argv)
+    if args.rung:
+        print(json.dumps(run_rung(args.rung)))
+        return 0
+    records = []
+    for name in RUNGS:
+        done = subprocess.run([sys.executable, os.path.abspath(__file__), "--rung", name],
+                              capture_output=True, text=True, check=True)
+        records.append(json.loads(done.stdout))
+        print(f"{name}: " + ", ".join(f"{s['stage']} {s['seconds']:.4f} s" for s in records[-1]["stages"]),
+              file=sys.stderr)
+    path = os.path.join(ROOT, f"BENCH_{args.label}.json")
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump({**header(args.label), "rungs": records}, handle, indent=2)
+        handle.write("\n")
+    print(path)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

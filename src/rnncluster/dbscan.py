@@ -52,10 +52,11 @@ def neighborhood_lists(data: np.ndarray, epsilon: float) -> tuple[np.ndarray, np
     for ids, bound in compact_blocks(x):
         candidates = np.flatnonzero(bound <= epsilon)
         for start, block in squared_distance_blocks(x[ids], x[candidates]):
-            row, col = np.nonzero(block <= epsilon)  # row-major: ids ascend per row
+            hit = np.flatnonzero(block <= epsilon)  # row-major: ids ascend per row
+            row = hit // block.shape[1]
             own.append(ids[start : start + block.shape[0]])
             counts.append(np.bincount(row, minlength=block.shape[0]))
-            found.append(candidates[col])
+            found.append(candidates[hit - row * block.shape[1]])
     own, counts, found = np.concatenate(own), np.concatenate(counts), np.concatenate(found)
     offsets = np.zeros(x.shape[0] + 1, dtype=np.int64)
     offsets[own + 1] = counts

@@ -11,9 +11,11 @@ reuse one influence graph.
 
 Two backends share the leaves of `data.compact_blocks` and the distance
 kernel, and produce bit-identical lists. The default, "brute", scans block
-by block in O(block * n) memory; the first rows + k_max entities by lower
-bound cap every row's k-th distance, and only the entities whose lower
-bound is at or below that cap are ranked. "spatial" is the best-first
+by block in O(block * n) memory. The block's rows + k_max entities of
+lowest bound give each row a cap on its k-th distance; only the entities
+whose bound is at or below the largest cap are scanned, each row keeps the
+ones at or below its own cap, and one stable sort per row ranks those
+hits by (distance, id). "spatial" is the best-first
 search of Friedman, Bentley & Finkel (1977): each entity visits the leaves
 by ascending box bound until one exceeds the k_max-th distance found.
 """
@@ -123,6 +125,25 @@ def _influence_graph(index: NeighborIndex, k: int) -> tuple[np.ndarray, np.ndarr
     return offsets, nbrs[mutual]
 
 
+def _rank_hits(knn_idx, knn_d2, pieces, candidates) -> None:
+    """Write each row's first k_max hits by (d2, id) into the lists.
+
+    `pieces` holds (own, counts, hit, d2) per block of distances to
+    `candidates`: the rows' ids, their hit counts, and the hits' flat
+    positions in the block and distances, row by row, ids ascending in each
+    row. Each row is left-aligned in a +inf-padded array and sorted stably,
+    so ties keep id order and a real +inf (overflow) stays ahead of the
+    padding; every row has at least k_max hits.
+    """
+    own, counts, hit, d2 = (np.concatenate(part) for part in zip(*pieces))
+    padded = np.full((own.size, counts.max()), np.inf)
+    padded[np.arange(padded.shape[1]) < counts[:, None]] = d2
+    first = np.cumsum(counts) - counts
+    take = first[:, None] + np.argsort(padded, axis=1, kind="stable")[:, : knn_idx.shape[1]]
+    knn_idx[own] = candidates[hit[take] % candidates.size]  # a block row spans all candidates
+    knn_d2[own] = d2[take]
+
+
 def build_index(data: np.ndarray, k_max: int, backend: str = "brute") -> NeighborIndex:
     """Build the neighbour index for all k <= k_max.
 
@@ -142,35 +163,37 @@ def build_index(data: np.ndarray, k_max: int, backend: str = "brute") -> Neighbo
     knn_d2 = np.empty((n, k_max), dtype=np.float64)
     if backend == "brute":
         for ids, bound in compact_blocks(x):
-            candidates = np.arange(n)
-            near = ids.size + k_max
-            if near < n:
-                # a row's own distance is 0, so column k_max of a partition
-                # is its k-th distance to the others, or more when the row
-                # is not among `nearest`: tau bounds every row's k-th distance
-                nearest = np.argpartition(bound, near - 1)[:near]
-                tau = max(
-                    np.partition(block, k_max, axis=1)[:, k_max].max()
-                    for _, block in squared_distance_blocks(x[ids], x[nearest])
-                )
-                candidates = np.flatnonzero(bound <= tau)
+            # a row's own distance is 0, so column k_max of a partition over
+            # the rows + k_max entities of lowest bound is the row's k-th
+            # distance to the others among them, or more when the row is not
+            # among them: cap[r] bounds row r's k-th distance to all others
+            near = min(ids.size + k_max, n)
+            nearest = np.argpartition(bound, near - 1)[:near]
+            cap = np.concatenate([
+                np.partition(block, k_max, axis=1)[:, k_max]
+                for _, block in squared_distance_blocks(x[ids], x[nearest])
+            ])
+            candidates = np.flatnonzero(bound <= cap.max())
+            own_col = np.searchsorted(candidates, ids)
+            pieces, rows, widest = [], 0, 0
             for start, block in squared_distance_blocks(x[ids], x[candidates]):
-                rows = np.arange(block.shape[0])
-                own = ids[start : start + rows.size]
-                # the candidates hold the row itself and all within its k-th
-                # distance, so column k_max is that distance; rank only the
-                # candidates at or below it, by (d2, id), so ties straddling
-                # the k-th resolve to smaller ids; self is excluded by id, not
-                # by distance, which may overflow to inf like any other
-                kth = np.partition(block, k_max, axis=1)[:, k_max]
-                keep = block <= kth[:, None]
-                keep[rows, np.searchsorted(candidates, own)] = False
-                row, col = np.nonzero(keep)  # row-major: row ascends
-                d2 = block[row, col]
-                order = np.lexsort((col, d2, row))
-                take = order[np.searchsorted(row, rows)[:, None] + np.arange(k_max)]
-                knn_idx[own] = candidates[col[take]]
-                knn_d2[own] = d2[take]
+                # a row keeps the candidates at or below its cap, which hold
+                # all within its k-th distance; self is excluded by id, not by
+                # distance, which may overflow to inf like any other. Hits
+                # read flat in row-major order, so a row's ascend by id
+                span = slice(start, start + block.shape[0])
+                keep = block <= cap[span, None]
+                keep[np.arange(block.shape[0]), own_col[span]] = False
+                hit = np.flatnonzero(keep)
+                counts = np.bincount(hit // block.shape[1], minlength=block.shape[0])
+                # rank the hits of several blocks at once, in pieces whose
+                # padded rows fit one block
+                if pieces and (rows + counts.size) * max(widest, counts.max()) > block.size:
+                    _rank_hits(knn_idx, knn_d2, pieces, candidates)
+                    pieces, rows, widest = [], 0, 0
+                pieces.append((ids[span], counts, hit, block.take(hit)))
+                rows, widest = rows + counts.size, max(widest, counts.max())
+            _rank_hits(knn_idx, knn_d2, pieces, candidates)
     elif backend == "spatial":
         leaves = [ids for ids, _ in compact_blocks(x)]
         lo = np.array([x[ids].min(axis=0) for ids in leaves])

@@ -46,7 +46,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
 
@@ -364,6 +363,8 @@ def run_sweep(dataset: DataSet, spec: SweepSpec, n_jobs: int = 1) -> SweepResult
     if n_jobs == 1 or len(grid) < 2:
         result.records = _evaluate_chunk(x, truth, spec, grid, 0)
         return result
+    from concurrent.futures import ProcessPoolExecutor  # imported here: only this branch pays for it
+
     n_jobs = min(n_jobs, len(grid))
     bounds = np.linspace(0, len(grid), n_jobs + 1).astype(int)
     jobs = [

@@ -439,7 +439,7 @@ def pairwise_squared_distances(x):
 
 
 def neighborhood_lists_oracle(x, epsilon):
-    """The replaced epsilon-lists: one ascending id array per entity.
+    """The replaced epsilon-lists: one ascending id array per entity, read by 2-D nonzero.
 
     Row i of `neighborhood_lists`' CSR pair must equal entry i bit for bit.
     """
@@ -648,6 +648,46 @@ def kdtree_knn_oracle(x, k_max):
     rows = [tree.query(x[i], k_max, exclude=i) for i in range(x.shape[0])]
     knn_idx = np.array([idx for idx, _ in rows], dtype=np.int64).reshape(-1, k_max)
     knn_d2 = np.array([d2 for _, d2 in rows], dtype=np.float64).reshape(-1, k_max)
+    return knn_idx, knn_d2
+
+
+def leaf_tau_knn_oracle(x, k_max):
+    """The replaced default build: one tau per leaf, a second partition, a lexsort.
+
+    Each compact block's candidates are the entities whose bound is at or
+    below tau, the largest k-th distance of the block's rows to their rows
+    + k_max lowest-bound entities (all entities when those are all of
+    them). Each block row keeps the candidates at or below its own k-th
+    distance, read by a second partition, minus itself by id, and the hits
+    are ranked by a 3-key lexsort of (row, d2, id). Returns (knn_idx,
+    knn_d2); `build_index` must match it bit for bit.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    n = x.shape[0]
+    knn_idx = np.empty((n, k_max), dtype=np.int64)
+    knn_d2 = np.empty((n, k_max), dtype=np.float64)
+    for ids, bound in compact_blocks(x):
+        candidates = np.arange(n)
+        near = ids.size + k_max
+        if near < n:
+            nearest = np.argpartition(bound, near - 1)[:near]
+            tau = max(
+                np.partition(block, k_max, axis=1)[:, k_max].max()
+                for _, block in squared_distance_blocks(x[ids], x[nearest])
+            )
+            candidates = np.flatnonzero(bound <= tau)
+        for start, block in squared_distance_blocks(x[ids], x[candidates]):
+            rows = np.arange(block.shape[0])
+            own = ids[start : start + rows.size]
+            kth = np.partition(block, k_max, axis=1)[:, k_max]
+            keep = block <= kth[:, None]
+            keep[rows, np.searchsorted(candidates, own)] = False
+            row, col = np.nonzero(keep)  # row-major: row ascends
+            d2 = block[row, col]
+            order = np.lexsort((col, d2, row))
+            take = order[np.searchsorted(row, rows)[:, None] + np.arange(k_max)]
+            knn_idx[own] = candidates[col[take]]
+            knn_d2[own] = d2[take]
     return knn_idx, knn_d2
 
 

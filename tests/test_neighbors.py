@@ -11,6 +11,7 @@ from oracles import (
     influence_oracle,
     kdtree_knn_oracle,
     knn_oracle,
+    leaf_tau_knn_oracle,
     neighborhood_lists_oracle,
     rnn_oracle,
 )
@@ -173,12 +174,50 @@ def test_non_finite_data_is_rejected(backend, bad):
         build_index(x, 5, backend=backend)
 
 
+def assert_build_matches_oracles(x, k_max):
+    """The default build equals the full sort and the replaced ranking bit for bit."""
+    index = build_index(x, k_max)
+    for oracle_idx, oracle_d2 in (full_sort_knn_oracle(x, k_max), leaf_tau_knn_oracle(x, k_max)):
+        np.testing.assert_array_equal(index.knn_idx, oracle_idx)
+        assert np.array_equal(index.knn_d2.view(np.int64), oracle_d2.view(np.int64))
+
+
+def far_outlier():
+    # one leaf holds a row whose cap lies far above every other row's k-th distance
+    x = np.random.default_rng(8).normal(size=(300, 2))
+    x[7] = [40.0, -40.0]
+    return x, 10
+
+
+def overflowing_row():
+    # every distance from row 0 overflows to inf, so its k-th is inf and only
+    # ids order its list; the others rank it last, at inf
+    x = np.random.default_rng(9).normal(size=(200, 3))
+    x[0] = [1e200, -1e200, 1e200]
+    return x, 5
+
+
+def identical_points():
+    return np.zeros((40, 2)), 7
+
+
+def k_max_n_minus_1():
+    return np.random.default_rng(10).uniform(size=(200, 3)), 199
+
+
+@pytest.mark.parametrize("case", [far_outlier, overflowing_row, identical_points, k_max_n_minus_1])
+def test_build_examples_match_oracles(case):
+    assert_build_matches_oracles(*case())
+
+
 @st.composite
 def exactness_cases(draw):
     """Tie-heavy data over several compact blocks, at scales from 1e-150 to
-    1e150, with k from 1 to n-1 and an epsilon equal to some pair's distance."""
+    1e150, with k from 1 to n-1 and an epsilon equal to some pair's distance.
+    Up to 30 features, where bounds prune little and each row's cap lies far
+    above its k-th distance."""
     n = draw(st.integers(2, 450))
-    m = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 30))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x = rng.normal(size=(n, m))
     if draw(st.booleans()):
@@ -195,10 +234,7 @@ def exactness_cases(draw):
 @settings(max_examples=120, deadline=None)
 def test_pruned_scans_match_full_scans(case):
     x, k_max, epsilon = case
-    index = build_index(x, k_max)
-    oracle_idx, oracle_d2 = full_sort_knn_oracle(x, k_max)
-    np.testing.assert_array_equal(index.knn_idx, oracle_idx)
-    assert np.array_equal(index.knn_d2.view(np.int64), oracle_d2.view(np.int64))
+    assert_build_matches_oracles(x, k_max)
     offsets, members = neighborhood_lists(x, epsilon)
     assert offsets.size == x.shape[0] + 1
     for i, oracle in enumerate(neighborhood_lists_oracle(x, epsilon)):
@@ -239,13 +275,16 @@ def test_kdtree_handles_identical_points():
 
 
 def test_brute_build_memory_is_bounded():
-    # one n x n float64 at n = 6,000 is 275 MB; the blocked build stays far below
-    x = np.random.default_rng(6).uniform(size=(6000, 2))
-    tracemalloc.start()
-    try:
-        index = build_index(x, 10)
-        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
-    finally:
-        tracemalloc.stop()
-    assert peak_mb < 64
-    assert index.knn_idx.shape == (6000, 10)
+    # one n x n float64 at n = 6,000 is 275 MB; the blocked build stays far
+    # below. At 30 features caps are loose, so rows hold many hits: they are
+    # ranked in pieces no larger than a kernel block, never a leaf at once
+    for m, k_max, limit_mb in ((2, 10, 64), (30, 30, 12)):
+        x = np.random.default_rng(6).uniform(size=(6000, m))
+        tracemalloc.start()
+        try:
+            index = build_index(x, k_max)
+            peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert peak_mb < limit_mb, (m, k_max, peak_mb)
+        assert index.knn_idx.shape == (6000, k_max)
