@@ -1,4 +1,4 @@
-"""The scaling ladder: time the kNN build and the epsilon-lists on fixed rungs.
+"""The scaling ladder: time the kNN build, RNN lists, epsilon-lists and DBCV on fixed rungs.
 
     python ladder/run.py --label <label>
 
@@ -9,11 +9,16 @@ measure another revision, run this file from a checkout of it.
 
 Rungs: blobs `make_blobs(7, n/7, 0.08, seed=5)` at n = 791, 2,800, 7,000,
 21,000 and 70,000, two moons at 372 and Iris at 150, each range-standardized.
-Stages, each timed once:
+Stages:
   - build: the default `build_index` at k_max = 30;
+  - rnn_csr: the reverse lists at k = 10, on a fresh index over that build's
+    lists, so no call reads the per-k cache;
   - eps_lists: `neighborhood_lists` at criterion 4's epsilon, the median
-    10th-neighbour squared distance, read from that build.
-A second pass repeats the stages under tracemalloc for their peaks, so
+    10th-neighbour squared distance, read from that build;
+  - dbcv: DBCV on the labels of DBSCRN at k = 10 (the fit is not timed).
+A stage whose first call takes under 0.1 s counts that call as a warm-up
+and reports the median of 5 more (`calls`: 5); a longer one is timed once.
+A second pass runs each stage once more under tracemalloc for its peak, so
 tracing never touches the timings.
 """
 
@@ -34,14 +39,26 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import numpy as np  # noqa: E402
 
-from rnncluster import build_index, load_dataset, make_blobs, range_standardize  # noqa: E402
+from rnncluster import (  # noqa: E402
+    DbscrnParams,
+    build_index,
+    dbcv,
+    dbscrn,
+    load_dataset,
+    make_blobs,
+    range_standardize,
+)
 from rnncluster.dbscan import neighborhood_lists  # noqa: E402
+from rnncluster.neighbors import NeighborIndex  # noqa: E402
 from rnncluster.synthetic import make_two_moons  # noqa: E402
 
 K_MAX = 30
+K = 10  # the k of the rnn_csr and dbcv stages
+REPEATS = 5  # calls behind the median of a stage under SHORT_S
+SHORT_S = 0.1
 BLOBS = (791, 2800, 7000, 21000, 70000)
 RUNGS = tuple(f"blobs-{n}" for n in BLOBS) + ("moons-372", "iris-150")
-UNITS = {"seconds": "s", "peak_mb": "MiB", "ru_maxrss_mb": "MiB"}
+UNITS = {"seconds": "s", "calls": "count", "peak_mb": "MiB", "ru_maxrss_mb": "MiB"}
 
 
 def rung_matrix(name: str) -> np.ndarray:
@@ -59,7 +76,7 @@ def rung_matrix(name: str) -> np.ndarray:
 
 
 def _pass(x: np.ndarray, traced: bool) -> dict:
-    """One pass over the stages: each one's seconds, or its tracemalloc peak in MiB."""
+    """One pass over the stages: each one's (seconds, calls), or its tracemalloc peak in MiB."""
     out = {}
 
     def measure(stage, run):
@@ -68,15 +85,26 @@ def _pass(x: np.ndarray, traced: bool) -> dict:
             result = run()
             out[stage] = tracemalloc.get_traced_memory()[1] / 2**20
             tracemalloc.stop()
-        else:
-            start = time.perf_counter()
-            result = run()
-            out[stage] = time.perf_counter() - start
+            return result
+        start = time.perf_counter()
+        result = run()
+        seconds = [time.perf_counter() - start]
+        if seconds[0] < SHORT_S:  # that call was the warm-up
+            seconds = []
+            for _ in range(REPEATS):
+                start = time.perf_counter()
+                run()
+                seconds.append(time.perf_counter() - start)
+        out[stage] = (float(np.median(seconds)), len(seconds))
         return result
 
     index = measure("build", lambda: build_index(x, K_MAX))
+    lists = index.data, index.k_max, index.knn_idx, index.knn_d2
+    measure("rnn_csr", lambda: NeighborIndex(*lists).rnn_csr(K))
     epsilon = float(np.median(index.knn_d2[:, 9]))
     measure("eps_lists", lambda: neighborhood_lists(x, epsilon))
+    labels = dbscrn(x, index, DbscrnParams(k=K)).labels
+    measure("dbcv", lambda: dbcv(x, labels))
     return out
 
 
@@ -92,7 +120,8 @@ def run_rung(name: str) -> dict:
         "m": int(x.shape[1]),
         "ru_maxrss_mb": round(rss_mb, 1),
         "stages": [
-            {"stage": stage, "seconds": round(seconds[stage], 6), "peak_mb": round(peaks[stage], 3)}
+            {"stage": stage, "seconds": round(seconds[stage][0], 6), "calls": seconds[stage][1],
+             "peak_mb": round(peaks[stage], 3)}
             for stage in seconds
         ],
     }
@@ -117,7 +146,9 @@ def header(label: str) -> dict:
         "python": platform.python_version(),
         "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
         "k_max": K_MAX,
+        "k": K,
         "epsilon": "median 10th-neighbour squared distance (criterion 4)",
+        "timing": f"median of {REPEATS} calls after a warm-up for a stage under {SHORT_S} s, else one call",
         "units": UNITS,
     }
 

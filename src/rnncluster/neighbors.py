@@ -109,8 +109,11 @@ def _rnn_lists(index: NeighborIndex, k: int) -> tuple[np.ndarray, np.ndarray]:
     flat = index.knn_idx[:, :k].ravel()
     offsets = np.zeros(index.n + 1, dtype=np.int64)
     np.cumsum(np.bincount(flat, minlength=index.n), out=offsets[1:])
-    # stable sort keeps positions ascending, so members stay id-sorted
-    return offsets, np.argsort(flat, kind="stable") // k
+    # one sort of unique keys (target, position) keeps positions ascending
+    # within each target, so members stay id-sorted; n * nk < 2**63 holds for
+    # any index that fits in memory (n = 5e8 at k = 30 is a 120 GB `knn_idx`)
+    nk = flat.size
+    return offsets, np.sort(flat * nk + np.arange(nk)) % nk // k
 
 
 def _influence_graph(index: NeighborIndex, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -16,14 +16,16 @@ the pool of internal MST nodes) depend only on its own members. They are
 built many clusters at a time (`_build_terms`): the clusters, sorted by
 size, are packed into stacks of padded n_c x n_c slots under a fixed byte
 budget, one buffer holds each stack in turn, and one Prim loop grows every
-tree of a stack in lockstep (`_spanning_trees`). A cluster larger than the
-budget forms a stack of one. The separations then take one blocked
-distance pass per cluster, from its pool to the pools of every later
-cluster. A caller that scores many labelings of one dataset, as a sweep
-does, can pass a `cluster_terms` dict to `dbcv` so that a cluster
-recurring in another labeling is not rebuilt, and can fill that dict for
-all of its labelings at once with `fill_cluster_terms`, so that their new
-clusters share stacks; the report is bit-identical either way.
+tree of a stack in lockstep (`_spanning_trees`). A slot's distances are
+computed once per pair and mirrored into its lower triangle tile by tile
+(`_mutual_reachability`). A cluster larger than the budget forms a stack
+of one, whose Prim loop reads its rows in place. The separations then
+take one blocked distance pass per cluster, from its pool to the pools of
+every later cluster. A caller that scores many labelings of one dataset,
+as a sweep does, can pass a `cluster_terms` dict to `dbcv` so that a
+cluster recurring in another labeling is not rebuilt, and can fill that
+dict for all of its labelings at once with `fill_cluster_terms`, so that
+their new clusters share stacks; the report is bit-identical either way.
 """
 
 from __future__ import annotations
@@ -113,8 +115,12 @@ def _mutual_reachability(points: np.ndarray, m: int, reach: np.ndarray) -> np.nd
 
     `reach` is the cluster's n_c x n_c slot, its only matrix. The
     within-cluster distances come from the package kernel,
-    `data._BLOCK_ROWS` rows at a time, and each chunk also gives its rows'
-    core distances, ((sum over the other members of (1/d)^m) / (n_c - 1))
+    `data._BLOCK_ROWS` rows at a time, each block against itself and the
+    later members only: fl(a - b)**2 equals fl(b - a)**2, so d(j, i) is the
+    float d(i, j). A block's distances to the later members are copied,
+    transposed, into the later rows' columns of the block, one square tile
+    at a time, so a block's rows are whole once it is reached, and each
+    chunk also gives its rows' core distances, ((sum over the other members of (1/d)^m) / (n_c - 1))
     ** (-1/m) with m the feature count (0 for a duplicate point; a mean
     outside float64's normal range is taken again relative to the nearest
     member s, as s * (mean of (s/d)^m) ** (-1/m)). Each sum runs over one
@@ -125,10 +131,15 @@ def _mutual_reachability(points: np.ndarray, m: int, reach: np.ndarray) -> np.nd
     nc = points.shape[0]
     core = np.empty(nc)
     columns = np.asfortranarray(points)  # the kernel reads one contiguous column per feature
+    step = _data._BLOCK_ROWS
     with np.errstate(divide="ignore", over="ignore"):
-        for lo in range(0, nc, _data._BLOCK_ROWS):
-            rows = slice(lo, lo + _data._BLOCK_ROWS)
-            np.sqrt(row_squared_distances(columns, points[rows, None, :]), out=reach[rows])
+        for lo in range(0, nc, step):
+            rows = slice(lo, lo + step)
+            # this block against itself and the later members; the earlier
+            # columns were mirrored in by the earlier blocks
+            np.sqrt(row_squared_distances(columns[lo:], points[rows, None, :]), out=reach[rows, lo:])
+            for tile in range(lo + step, nc, step):
+                reach[tile : tile + step, rows] = reach[rows, tile : tile + step].T
             inv = np.divide(1.0, reach[rows])
             np.fill_diagonal(inv[:, lo:], 0.0)
             inv **= m
@@ -156,7 +167,8 @@ def _spanning_trees(slab: np.ndarray, sizes) -> list[tuple[np.ndarray, np.ndarra
     cell is +inf. Each tree grows from node 0: a step adds the node nearest
     the tree, the lowest index on ties, and a node's parent changes only on
     a strictly smaller distance. One loop steps every cluster at once; a
-    finished cluster's steps change nothing. The diagonals are first
+    finished cluster's steps change nothing. A stack of one cluster reads
+    each added node's row in place, with no gather. The diagonals are first
     overwritten with NaN, and a node in the tree holds NaN in `best`: no
     weight compares below it, a minimum keeps it, and the step's argmin,
     over `best`'s bits, ranks it above every weight and the padding. So
@@ -173,19 +185,29 @@ def _spanning_trees(slab: np.ndarray, sizes) -> list[tuple[np.ndarray, np.ndarra
     joined = np.zeros((width, count), dtype=np.int64)  # the node added at each step; root at 0
     lowered = np.zeros((count, width), dtype=np.int64)  # the step whose node last lowered best
     closer = np.empty((count, width), dtype=bool)
-    row = np.empty((count, width))
-    at = np.empty(count, dtype=np.int64)  # the flat row of the added node in `rows`
-    base = np.arange(0, count * width, width)
     # read as unsigned integers, floats from +0.0 to +inf keep their order and NaN ranks above
     rank = best.view(np.uint64)
-    for t in range(1, width):
-        j = joined[t]
-        rank.argmin(axis=1, out=j)
-        np.add(base, j, out=at)
-        rows.take(at, axis=0, out=row, mode="clip")  # "clip" writes `row` unbuffered
-        np.less(row, best, out=closer)
-        np.minimum(best, row, out=best)  # NaN from row j's diagonal puts j in the tree
-        np.putmask(lowered, closer, t)
+    if count == 1:  # a stack of one reads each row in place
+        weights, best, rank, closer = slab[0], best[0], rank[0], closer[0]
+        order, last = joined[:, 0], lowered[0]
+        for t in range(1, width):
+            order[t] = j = rank.argmin()
+            row = weights[j]
+            np.less(row, best, out=closer)
+            np.minimum(best, row, out=best)  # NaN from row j's diagonal puts j in the tree
+            last[closer] = t
+    else:
+        row = np.empty((count, width))
+        at = np.empty(count, dtype=np.int64)  # the flat row of the added node in `rows`
+        base = np.arange(0, count * width, width)
+        for t in range(1, width):
+            j = joined[t]
+            rank.argmin(axis=1, out=j)
+            np.add(base, j, out=at)
+            rows.take(at, axis=0, out=row, mode="clip")  # "clip" writes `row` unbuffered
+            np.less(row, best, out=closer)
+            np.minimum(best, row, out=best)  # NaN from row j's diagonal puts j in the tree
+            lowered[closer] = t
     trees = []
     for s, n in enumerate(sizes):
         edges = np.empty((n - 1, 2), dtype=np.int64)
@@ -260,9 +282,11 @@ def _build_terms(x: np.ndarray, missing: dict, cluster_terms: dict) -> np.ndarra
 
 def _scored_clusters(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """(ids, sizes, ascending member ids) of the clusters with >= 2 members."""
-    ids, counts = np.unique(labels[labels >= 0], return_counts=True)
-    scored = counts >= 2
-    return ids[scored], counts[scored], [np.flatnonzero(labels == cid) for cid in ids[scored]]
+    order = np.argsort(labels, kind="stable")  # stable: each cluster's members stay ascending
+    ids, starts, counts = np.unique(labels[order], return_index=True, return_counts=True)
+    scored = (ids >= 0) & (counts >= 2)
+    spans = zip(starts[scored].tolist(), counts[scored].tolist())
+    return ids[scored], counts[scored], [order[start : start + size] for start, size in spans]
 
 
 def fill_cluster_terms(data: np.ndarray, labelings, cluster_terms: dict) -> np.ndarray:

@@ -785,6 +785,29 @@ def full_scan_claim_oracle(offsets, members, root, order):
     return np.minimum.reduceat(first[root][members], offsets[:-1]), drawn
 
 
+def stable_argsort_rnn_oracle(knn_idx, k):
+    """The replaced reverse lists of `NeighborIndex.rnn_csr`: (offsets, members).
+
+    A stable argsort of the flattened kNN targets keeps each target's
+    positions ascending, so its members come out id-sorted.
+    """
+    flat = np.asarray(knn_idx)[:, :k].ravel()
+    offsets = np.zeros(knn_idx.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(flat, minlength=knn_idx.shape[0]), out=offsets[1:])
+    return offsets, np.argsort(flat, kind="stable") // k
+
+
+def unique_scan_clusters_oracle(labels):
+    """The replaced `validation._scored_clusters`, one full scan per cluster.
+
+    Returns (ids, sizes, ascending member ids) of the clusters with >= 2
+    members.
+    """
+    ids, counts = np.unique(labels[labels >= 0], return_counts=True)
+    scored = counts >= 2
+    return ids[scored], counts[scored], [np.flatnonzero(labels == cid) for cid in ids[scored]]
+
+
 def squared_euclidean(a, b):
     """The package's removed two-row helper: the kernel's distance between rows a and b."""
     a = np.asarray(a, dtype=np.float64)

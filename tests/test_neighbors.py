@@ -14,6 +14,7 @@ from oracles import (
     leaf_tau_knn_oracle,
     neighborhood_lists_oracle,
     rnn_oracle,
+    stable_argsort_rnn_oracle,
 )
 from rnncluster import build_index, make_blobs, range_standardize
 from rnncluster.data import compact_blocks
@@ -175,11 +176,16 @@ def test_non_finite_data_is_rejected(backend, bad):
 
 
 def assert_build_matches_oracles(x, k_max):
-    """The default build equals the full sort and the replaced ranking bit for bit."""
+    """The default build equals the full sort and the replaced ranking bit for bit,
+    and its reverse lists at k = 1 and k_max equal the replaced stable argsort."""
     index = build_index(x, k_max)
     for oracle_idx, oracle_d2 in (full_sort_knn_oracle(x, k_max), leaf_tau_knn_oracle(x, k_max)):
         np.testing.assert_array_equal(index.knn_idx, oracle_idx)
         assert np.array_equal(index.knn_d2.view(np.int64), oracle_d2.view(np.int64))
+    for k in {1, k_max}:
+        for got, want in zip(index.rnn_csr(k), stable_argsort_rnn_oracle(index.knn_idx, k)):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
 
 
 def far_outlier():
@@ -205,7 +211,14 @@ def k_max_n_minus_1():
     return np.random.default_rng(10).uniform(size=(200, 3)), 199
 
 
-@pytest.mark.parametrize("case", [far_outlier, overflowing_row, identical_points, k_max_n_minus_1])
+def integer_grid():
+    # tied distances everywhere: a row's members come from many positions
+    return np.round(2 * np.random.default_rng(11).normal(size=(300, 2))), 12
+
+
+@pytest.mark.parametrize(
+    "case", [far_outlier, overflowing_row, identical_points, k_max_n_minus_1, integer_grid]
+)
 def test_build_examples_match_oracles(case):
     assert_build_matches_oracles(*case())
 

@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from oracles import (
     pairwise_squared_distances,
     prim_mst_oracle,
     spread_noise_ari_oracle,
+    unique_scan_clusters_oracle,
 )
 from rnncluster import (
     DbscrnParams,
@@ -30,7 +32,7 @@ from rnncluster import (
     select_best,
 )
 import rnncluster.validation as validation_module
-from rnncluster.validation import _spanning_trees, fill_cluster_terms
+from rnncluster.validation import _scored_clusters, _spanning_trees, fill_cluster_terms
 
 
 def test_ari_trivial_cases():
@@ -311,6 +313,75 @@ def dbcv_inputs(draw):
 def test_dbcv_report_matches_the_replaced_implementation(case):
     x, labels = case
     assert_same_report(dbcv(x, labels), dbcv_report_oracle(x, labels))
+
+
+@st.composite
+def blocked_dbcv_inputs(draw):
+    """A few clusters that span one, two or several kernel blocks of a drawn
+    height, each built alone or in lockstep stacks.
+
+    Duplicate rows and an integer grid give core distances of 0 and tied
+    reaches. One cluster may sit 1e160 away along the first axis, so every
+    distance from it to another cluster overflows to inf.
+    """
+    n = draw(st.integers(2, 90))
+    m = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=(n, m))
+    if draw(st.booleans()):
+        x = np.round(2 * x)
+    if draw(st.booleans()):
+        x[n // 2 :] = x[: n - n // 2]
+    labels = rng.integers(-1, draw(st.integers(1, 5)), size=n)
+    if draw(st.booleans()):
+        far = labels == labels.max()
+        x[far, 0] = 1e160
+    return x, labels, draw(st.integers(2, 9)), draw(st.sampled_from([0, validation_module._STACK_BYTES]))
+
+
+@given(blocked_dbcv_inputs())
+@settings(max_examples=150, deadline=None)
+def test_dbcv_report_matches_the_replaced_implementation_across_blocks(case):
+    x, labels, block_rows, stack_bytes = case
+    want = dbcv_report_oracle(x, labels)
+    # rows mirrored into later blocks, tile by tile; a budget of 0 builds every cluster alone
+    with mock.patch.object(rnncluster.data, "_BLOCK_ROWS", block_rows), \
+            mock.patch.object(validation_module, "_STACK_BYTES", stack_bytes):
+        assert_same_report(dbcv(x, labels), want)
+
+
+def test_a_cluster_built_alone_equals_it_built_in_a_stack():
+    rng = np.random.default_rng(4)
+    sizes = (200, 90, 40, 7)  # 200 members span two kernel blocks
+    # the four padded slots and the loop's state fit one stack
+    assert len(sizes) * 8 * 200 * (200 + 5) <= validation_module._STACK_BYTES
+    x = np.round(4 * rng.normal(size=(sum(sizes), 2)))  # a grid: tied reaches everywhere
+    x[:60] = x[60:120]  # and duplicates in the largest cluster
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    stacked: dict = {}
+    fill_cluster_terms(x, [labels], stacked)
+    alone: dict = {}
+    with mock.patch.object(validation_module, "_STACK_BYTES", 0):
+        fill_cluster_terms(x, [labels], alone)
+    assert stacked.keys() == alone.keys() and len(alone) == len(sizes)
+    for key, (core, sparseness, pool) in stacked.items():
+        alone_core, alone_sparseness, alone_pool = alone[key]
+        assert np.array_equal(core.view(np.int64), alone_core.view(np.int64))
+        assert np.float64(sparseness).view(np.int64) == np.float64(alone_sparseness).view(np.int64)
+        np.testing.assert_array_equal(pool, alone_pool)
+
+
+@given(dbcv_inputs())
+@settings(max_examples=100, deadline=None)
+def test_scored_clusters_match_the_unique_scan(case):
+    _, labels = case
+    ids, sizes, members = _scored_clusters(labels)
+    want_ids, want_sizes, want_members = unique_scan_clusters_oracle(labels)
+    np.testing.assert_array_equal(ids, want_ids)
+    np.testing.assert_array_equal(sizes, want_sizes)
+    assert len(members) == len(want_members)
+    for got, want in zip(members, want_members):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_dbcv_report_is_the_same_when_separations_span_many_blocks(monkeypatch):
