@@ -1,4 +1,4 @@
-"""The scaling ladder: time the kNN build, RNN lists, epsilon-lists and DBCV on fixed rungs.
+"""The scaling ladder: time the kNN build, RNN lists, epsilon-lists, DBCV and ARI on fixed rungs.
 
     python ladder/run.py --label <label>
 
@@ -15,11 +15,12 @@ Stages:
     lists, so no call reads the per-k cache;
   - eps_lists: `neighborhood_lists` at criterion 4's epsilon, the median
     10th-neighbour squared distance, read from that build;
-  - dbcv: DBCV on the labels of DBSCRN at k = 10 (the fit is not timed).
-A stage whose first call takes under 0.1 s counts that call as a warm-up
-and reports the median of 5 more (`calls`: 5); a longer one is timed once.
-A second pass runs each stage once more under tracemalloc for its peak, so
-tracing never touches the timings.
+  - dbcv: DBCV on the labels of DBSCRN at k = 10 (the fit is not timed);
+  - ari: the adjusted Rand index of those labels against the rung's classes.
+Every stage makes one warm-up call and reports the median of a fixed number
+of timed calls, set per rung in CALLS (`calls`), so a stage is measured the
+same way at every revision. A second pass runs each stage once more under
+tracemalloc for its peak, so tracing never touches the timings.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ import numpy as np  # noqa: E402
 
 from rnncluster import (  # noqa: E402
     DbscrnParams,
+    adjusted_rand_index,
     build_index,
     dbcv,
     dbscrn,
@@ -53,16 +55,18 @@ from rnncluster.neighbors import NeighborIndex  # noqa: E402
 from rnncluster.synthetic import make_two_moons  # noqa: E402
 
 K_MAX = 30
-K = 10  # the k of the rnn_csr and dbcv stages
-REPEATS = 5  # calls behind the median of a stage under SHORT_S
-SHORT_S = 0.1
+K = 10  # the k of the rnn_csr, dbcv and ari stages
 BLOBS = (791, 2800, 7000, 21000, 70000)
 RUNGS = tuple(f"blobs-{n}" for n in BLOBS) + ("moons-372", "iris-150")
+# timed calls behind each stage's median, after one warm-up: enough to
+# read the small rungs warm and steady, one where a call takes seconds
+CALLS = {"blobs-791": 5, "blobs-2800": 5, "blobs-7000": 3, "blobs-21000": 1, "blobs-70000": 1,
+         "moons-372": 5, "iris-150": 5}
 UNITS = {"seconds": "s", "calls": "count", "peak_mb": "MiB", "ru_maxrss_mb": "MiB"}
 
 
-def rung_matrix(name: str) -> np.ndarray:
-    """The range-standardized matrix of one rung."""
+def rung_data(name: str) -> tuple[np.ndarray, np.ndarray]:
+    """The range-standardized matrix of one rung, and its classes."""
     kind, n = name.split("-")
     if kind == "blobs":
         data = make_blobs(7, int(n) // 7, 0.08, seed=5)
@@ -72,11 +76,11 @@ def rung_matrix(name: str) -> np.ndarray:
         data = load_dataset(os.path.join(ROOT, "data", "iris.csv"), has_header=True, label_column=-1)
     else:
         raise ValueError(f"unknown rung {name!r} (expected one of {', '.join(RUNGS)})")
-    return range_standardize(data.matrix)[0]
+    return range_standardize(data.matrix)[0], data.true_labels
 
 
-def _pass(x: np.ndarray, traced: bool) -> dict:
-    """One pass over the stages: each one's (seconds, calls), or its tracemalloc peak in MiB."""
+def _pass(x: np.ndarray, truth: np.ndarray, calls: int, traced: bool) -> dict:
+    """One pass over the stages: each one's median seconds over `calls`, or its traced peak in MiB."""
     out = {}
 
     def measure(stage, run):
@@ -86,16 +90,13 @@ def _pass(x: np.ndarray, traced: bool) -> dict:
             out[stage] = tracemalloc.get_traced_memory()[1] / 2**20
             tracemalloc.stop()
             return result
-        start = time.perf_counter()
-        result = run()
-        seconds = [time.perf_counter() - start]
-        if seconds[0] < SHORT_S:  # that call was the warm-up
-            seconds = []
-            for _ in range(REPEATS):
-                start = time.perf_counter()
-                run()
-                seconds.append(time.perf_counter() - start)
-        out[stage] = (float(np.median(seconds)), len(seconds))
+        result = run()  # the warm-up
+        seconds = []
+        for _ in range(calls):
+            start = time.perf_counter()
+            run()
+            seconds.append(time.perf_counter() - start)
+        out[stage] = float(np.median(seconds))
         return result
 
     index = measure("build", lambda: build_index(x, K_MAX))
@@ -105,22 +106,24 @@ def _pass(x: np.ndarray, traced: bool) -> dict:
     measure("eps_lists", lambda: neighborhood_lists(x, epsilon))
     labels = dbscrn(x, index, DbscrnParams(k=K)).labels
     measure("dbcv", lambda: dbcv(x, labels))
+    measure("ari", lambda: adjusted_rand_index(labels, truth))
     return out
 
 
 def run_rung(name: str) -> dict:
     """Time one rung's stages, then trace their peaks; the rung's record."""
-    x = rung_matrix(name)
-    seconds = _pass(x, traced=False)
+    x, truth = rung_data(name)
+    calls = CALLS[name]
+    seconds = _pass(x, truth, calls, traced=False)
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
-    peaks = _pass(x, traced=True)
+    peaks = _pass(x, truth, calls, traced=True)
     return {
         "rung": name,
         "n": int(x.shape[0]),
         "m": int(x.shape[1]),
         "ru_maxrss_mb": round(rss_mb, 1),
         "stages": [
-            {"stage": stage, "seconds": round(seconds[stage][0], 6), "calls": seconds[stage][1],
+            {"stage": stage, "seconds": round(seconds[stage], 6), "calls": calls,
              "peak_mb": round(peaks[stage], 3)}
             for stage in seconds
         ],
@@ -148,7 +151,8 @@ def header(label: str) -> dict:
         "k_max": K_MAX,
         "k": K,
         "epsilon": "median 10th-neighbour squared distance (criterion 4)",
-        "timing": f"median of {REPEATS} calls after a warm-up for a stage under {SHORT_S} s, else one call",
+        "timing": "one warm-up call, then the median of a fixed number of calls per rung",
+        "calls": CALLS,
         "units": UNITS,
     }
 

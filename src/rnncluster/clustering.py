@@ -79,14 +79,28 @@ def canonicalize_labels(labels: np.ndarray) -> Clustering:
 
     Accepts any labelling `data.as_labels` accepts whose values are >= -1
     (ids need not be contiguous) and produces the canonical `Clustering`.
+    When every id is below n, as every algorithm's are (draw positions,
+    core ids or centroid indices), each id's first position comes from one
+    O(n) pass, and an id's rank is the count of first positions up to its
+    own; larger ids go through a sort.
     """
     labels = as_labels(labels)
+    n = labels.size
     out = labels.copy()  # an id below NOISE stays, and `Clustering` refuses it
     clustered = labels >= 0
-    _, first, inverse = np.unique(labels[clustered], return_index=True, return_inverse=True)
-    rank = np.empty(first.size, dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(first.size)
-    out[clustered] = rank[inverse]
+    ids = labels[clustered]
+    if not ids.size or ids.max() < n:
+        first = np.full(n, n)
+        np.minimum.at(first, ids, np.flatnonzero(clustered))
+        at = first[ids]
+        starts = np.zeros(n, dtype=bool)
+        starts[at] = True
+        out[clustered] = np.cumsum(starts)[at] - 1
+    else:
+        _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+        rank = np.empty(first.size, dtype=np.int64)
+        rank[np.argsort(first)] = np.arange(first.size)
+        out[clustered] = rank[inverse]
     return Clustering(labels=out)
 
 

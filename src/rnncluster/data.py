@@ -50,10 +50,12 @@ __all__ = [
     "squared_distance_blocks",
 ]
 
-# bytes of one block of `squared_distance_blocks`, counted as m floats per pair
+# bytes of one block of `squared_distance_blocks` and of DBCV's separation
+# pass, counted as m floats per pair, and the cap on DBCV's pair table
+# (`validation._pair_table`)
 _BLOCK_BYTES = 4 * 2**20
 # most rows in one block of `compact_blocks`, and in one chunk of DBCV's
-# within-cluster rows (`validation._mutual_reachability`)
+# within-cluster rows and of its separation pass (`validation`)
 _BLOCK_ROWS = 128
 
 

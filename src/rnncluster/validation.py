@@ -18,14 +18,18 @@ size, are packed into stacks of padded n_c x n_c slots under a fixed byte
 budget, one buffer holds each stack in turn, and one Prim loop grows every
 tree of a stack in lockstep (`_spanning_trees`). A slot's distances are
 computed once per pair and mirrored into its lower triangle tile by tile
-(`_mutual_reachability`). A cluster larger than the budget forms a stack
-of one, whose Prim loop reads its rows in place. The separations then
-take one blocked distance pass per cluster, from its pool to the pools of
-every later cluster. A caller that scores many labelings of one dataset,
-as a sweep does, can pass a `cluster_terms` dict to `dbcv` so that a
-cluster recurring in another labeling is not rebuilt, and can fill that
-dict for all of its labelings at once with `fill_cluster_terms`, so that
-their new clusters share stacks; the report is bit-identical either way.
+(`_distance_rows`). A cluster larger than the budget forms a stack of
+one, whose Prim loop reads its rows in place. The separations then take
+one triangular pass over the pools of all clusters at once, in row
+blocks. A caller that scores many labelings of one dataset, as a sweep
+does, can pass a `cluster_terms` dict to `dbcv` so that a cluster
+recurring in another labeling is not rebuilt, and can fill that dict for
+all of its labelings at once with `fill_cluster_terms`, so that their new
+clusters share stacks. The clusters of many labelings overlap, so on data
+small enough for two n x n tables within the kernel's block budget such
+a fill computes every pair's distance and (1/d)^m once, in a pair table
+(`_pair_table`), and gathers each slot from it. The report is
+bit-identical either way.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ import numpy as np
 
 from . import data as _data
 from .clustering import NOISE
-from .data import as_feature_matrix, as_labels, row_squared_distances, squared_distance_blocks
+from .data import as_feature_matrix, as_labels, row_squared_distances
 
 __all__ = [
     "DbcvReport",
@@ -74,7 +78,13 @@ def adjusted_rand_index(pred, truth) -> float:
     _, cluster_of, cluster_sizes = np.unique(
         pred[clustered], return_inverse=True, return_counts=True
     )
-    _, cells = np.unique(cluster_of * n + class_of[clustered], return_counts=True)
+    # the contingency cells, empty ones included where the table is no
+    # larger than the labels; each comb2 is an integer-valued float below
+    # 2**53 and an empty cell adds a zero, so every sum is exact in any order
+    if cluster_sizes.size * class_sizes.size <= n:
+        cells = np.bincount(cluster_of * class_sizes.size + class_of[clustered])
+    else:
+        _, cells = np.unique(cluster_of * n + class_of[clustered], return_counts=True)
     index = _comb2(cells).sum()
     a = _comb2(cluster_sizes).sum()
     b = _comb2(class_sizes).sum()
@@ -110,53 +120,105 @@ _STACK_BYTES = 2 * 2**20
 _LARGEST = np.finfo(np.float64).max
 
 
-def _mutual_reachability(points: np.ndarray, m: int, reach: np.ndarray) -> np.ndarray:
-    """Core distances of one cluster of >= 2 `points`; its reachability goes into `reach`.
+def _distance_rows(points: np.ndarray, m: int, out: np.ndarray):
+    """Fill `out` with the distances among `points`; yield each row block's (1/d)^m.
 
-    `reach` is the cluster's n_c x n_c slot, its only matrix. The
-    within-cluster distances come from the package kernel,
+    `out` is n x n. The distances come from the package kernel,
     `data._BLOCK_ROWS` rows at a time, each block against itself and the
-    later members only: fl(a - b)**2 equals fl(b - a)**2, so d(j, i) is the
-    float d(i, j). A block's distances to the later members are copied,
+    later rows only: fl(a - b)**2 equals fl(b - a)**2, so d(j, i) is the
+    float d(i, j). A block's distances to the later rows are copied,
     transposed, into the later rows' columns of the block, one square tile
-    at a time, so a block's rows are whole once it is reached, and each
-    chunk also gives its rows' core distances, ((sum over the other members of (1/d)^m) / (n_c - 1))
-    ** (-1/m) with m the feature count (0 for a duplicate point; a mean
-    outside float64's normal range is taken again relative to the nearest
-    member s, as s * (mean of (s/d)^m) ** (-1/m)). Each sum runs over one
-    row's n_c entries. The mutual reachability max(d, core_i, core_j) then
-    overwrites the distances in place. A core distance is finite wherever
-    every distance is, so a reach is infinite only where a distance is.
+    at a time, so a block's rows are whole once it is reached. Yields
+    (rows, powers): the block's slice and its (1/d)^m, 0 on the diagonal
+    (inf for a distance of 0 off it).
     """
-    nc = points.shape[0]
-    core = np.empty(nc)
+    n = points.shape[0]
     columns = np.asfortranarray(points)  # the kernel reads one contiguous column per feature
     step = _data._BLOCK_ROWS
+    for lo in range(0, n, step):
+        rows = slice(lo, lo + step)
+        # this block against itself and the later rows; the earlier
+        # columns were mirrored in by the earlier blocks
+        np.sqrt(row_squared_distances(columns[lo:], points[rows, None, :]), out=out[rows, lo:])
+        for tile in range(lo + step, n, step):
+            out[tile : tile + step, rows] = out[rows, tile : tile + step].T
+        with np.errstate(divide="ignore", over="ignore"):
+            powers = np.divide(1.0, out[rows])
+            np.fill_diagonal(powers[:, lo:], 0.0)
+            powers **= m
+        yield rows, powers
+
+
+def _pair_table(x: np.ndarray, cells: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """(distances, (1/d)^m) over every pair of rows of x, or None where it does not pay.
+
+    The two n x n tables take 16 n^2 bytes. They are built only when that
+    fits `data._BLOCK_BYTES`, so they stay as small as one kernel block,
+    and when the slots they fill hold more than their n^2 `cells`. The
+    clusters of one labeling are disjoint, so their slots never do: only
+    the clusters of several labelings, which share members, are gathered.
+    """
+    n, m = x.shape
+    if 16 * n * n > _data._BLOCK_BYTES or n * n >= cells:
+        return None
+    dist, power = np.empty((n, n)), np.empty((n, n))
+    for rows, powers in _distance_rows(x, m, dist):
+        power[rows] = powers
+    return dist, power
+
+
+def _distances_and_sums(x: np.ndarray, idx: np.ndarray, table, reach: np.ndarray, sums: np.ndarray):
+    """Fill `reach` with the distances among the rows `idx`, `sums` with each row's sum of (1/d)^m.
+
+    `reach` is the cluster's n_c x n_c slot, its only matrix. The
+    distances are gathered from the `_pair_table` when there is one, else
+    computed by `_distance_rows`. Each sum runs over one row's n_c entries
+    in member order, so a row gathered from the table sums the same floats
+    in the same order as a row computed here.
+    """
+    if table is None:
+        for rows, powers in _distance_rows(x[idx], x.shape[1], reach):
+            powers.sum(axis=1, out=sums[rows])
+        return
+    dist, power = table
+    step = _data._BLOCK_ROWS
+    for lo in range(0, idx.size, step):
+        rows = slice(lo, lo + step)
+        at = idx[rows, None] * dist.shape[0] + idx  # flat cells of the rows' members
+        dist.take(at, out=reach[rows], mode="clip")  # "clip" writes the rows unbuffered
+        power.take(at).sum(axis=1, out=sums[rows])
+
+
+def _mutual_reachability(slab: np.ndarray, sizes: np.ndarray, core: np.ndarray, m: int) -> None:
+    """Turn a stack's distances into mutual reachability, and its sums into core distances.
+
+    slab[s, :n, :n], n = sizes[s] >= 2, holds cluster s's distances and
+    core[s, :n] its sums from `_distances_and_sums`; the rest of `core`
+    holds 1, which no step below flags. The core distances of the whole
+    stack are taken at once: (sum / (n_c - 1)) ** (-1/m) with m the
+    feature count (0 for a duplicate point; a mean outside float64's
+    normal range is taken again relative to the nearest member s, as
+    s * (mean of (s/d)^m) ** (-1/m)). The mutual reachability
+    max(d, core_i, core_j) then overwrites each slot's distances in place.
+    A core distance is finite wherever every distance is, so a reach is
+    infinite only where a distance is.
+    """
     with np.errstate(divide="ignore", over="ignore"):
-        for lo in range(0, nc, step):
-            rows = slice(lo, lo + step)
-            # this block against itself and the later members; the earlier
-            # columns were mirrored in by the earlier blocks
-            np.sqrt(row_squared_distances(columns[lo:], points[rows, None, :]), out=reach[rows, lo:])
-            for tile in range(lo + step, nc, step):
-                reach[tile : tile + step, rows] = reach[rows, tile : tile + step].T
-            inv = np.divide(1.0, reach[rows])
-            np.fill_diagonal(inv[:, lo:], 0.0)
-            inv **= m
-            inv.sum(axis=1, out=core[rows])
-        core /= nc - 1
-        redo = np.flatnonzero((core < np.finfo(float).tiny) | (core == np.inf))
+        core /= (sizes - 1)[:, None]
+        redo = (core < np.finfo(float).tiny) | (core == np.inf)
         core **= -1.0 / m
-    if redo.size:
-        d = reach[redo]
-        d[np.arange(redo.size), redo] = np.inf
-        s = d.min(axis=1)
-        keep = (0 < s) & (s < np.inf)  # a duplicate's core stays 0
-        redo, d, s = redo[keep], d[keep], s[keep]  # each sum is in [1, n_c - 1]
-        core[redo] = s * (((s[:, None] / d) ** m).sum(axis=1) / (nc - 1)) ** (-1.0 / m)
-    np.maximum(reach, core[:, None], out=reach)
-    np.maximum(reach, core[None, :], out=reach)
-    return core
+    for s in np.flatnonzero(redo.any(axis=1)):
+        nc, rows = sizes[s], np.flatnonzero(redo[s])
+        d = slab[s, rows, :nc]
+        d[np.arange(rows.size), rows] = np.inf
+        near = d.min(axis=1)
+        keep = (0 < near) & (near < np.inf)  # a duplicate's core stays 0
+        rows, d, near = rows[keep], d[keep], near[keep]  # each sum is in [1, n_c - 1]
+        core[s, rows] = near * (((near[:, None] / d) ** m).sum(axis=1) / (nc - 1)) ** (-1.0 / m)
+    for slot, row, n in zip(slab, core, sizes):  # a slot's corner only: the padding stays +inf
+        reach = slot[:n, :n]
+        np.maximum(reach, row[:n, None], out=reach)
+        np.maximum(reach, row[None, :n], out=reach)
 
 
 def _spanning_trees(slab: np.ndarray, sizes) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -232,15 +294,21 @@ def _build_terms(x: np.ndarray, missing: dict, cluster_terms: dict) -> np.ndarra
     The clusters are sorted by size and packed into stacks of padded
     slots, as many as fit `_STACK_BYTES` together with the loop's state.
     One buffer, as large as the largest stack, holds every stack in turn,
-    and `_spanning_trees` grows a stack's trees in lockstep. Returns each
-    cluster's share of the build seconds, in the order of `missing`: a
-    stack's time split by n_c^2.
+    and `_spanning_trees` grows a stack's trees in lockstep. When a
+    `_pair_table` pays, every slot is gathered from it, so each pair's
+    distance and power are computed once for all the clusters.
+    Returns each cluster's share of the build seconds, in the order of
+    `missing`: a stack's time, and the table's, split by n_c^2.
     """
     keys = list(missing)
     seconds = np.zeros(len(keys))
     if not keys:
         return seconds
     sizes = np.array([missing[key].size for key in keys])
+    squares = sizes.astype(np.float64) ** 2
+    start = time.perf_counter()
+    table = _pair_table(x, squares.sum())  # before the buffer, so their peaks do not add
+    seconds += (time.perf_counter() - start) * squares / squares.sum()
     stacks, stack = [], []
     for c in np.argsort(sizes, kind="stable"):
         # a padded width-n slot, and its share of the loop's state: five arrays of n
@@ -259,13 +327,15 @@ def _build_terms(x: np.ndarray, missing: dict, cluster_terms: dict) -> np.ndarra
         start = time.perf_counter()
         width = sizes[stack[-1]]
         slab = buffer[: len(stack) * width * width].reshape(len(stack), width, width)
-        cores = []
-        for slot, c in zip(slab, stack):
+        cores = np.ones((len(stack), width))
+        for slot, sums, c in zip(slab, cores, stack):
             n = sizes[c]
             slot[n:] = np.inf  # the padding
             slot[:n, n:] = np.inf
-            cores.append(_mutual_reachability(x[missing[keys[c]]], m, slot[:n, :n]))
-            if overflows:  # `_spanning_trees` stores an infinite reach as the largest float
+            _distances_and_sums(x, missing[keys[c]], table, slot[:n, :n], sums[:n])
+        _mutual_reachability(slab, sizes[stack], cores, m)
+        if overflows:  # `_spanning_trees` stores an infinite reach as the largest float
+            for slot, n in zip(slab, sizes[stack]):
                 np.minimum(slot[:n, :n], _LARGEST, out=slot[:n, :n])
         for c, core, (edges, edge_w, degrees) in zip(
             stack, cores, _spanning_trees(slab, sizes[stack])
@@ -274,9 +344,8 @@ def _build_terms(x: np.ndarray, missing: dict, cluster_terms: dict) -> np.ndarra
             sparseness = float(edge_w[internal_edge].max() if internal_edge.any() else edge_w.max())
             internal_nodes = np.flatnonzero(degrees > 1)
             pool = internal_nodes if internal_nodes.size else np.arange(sizes[c])
-            cluster_terms[keys[c]] = core, sparseness, pool
-        squares = sizes[stack].astype(np.float64) ** 2
-        seconds[stack] = (time.perf_counter() - start) * squares / squares.sum()
+            cluster_terms[keys[c]] = core[: sizes[c]].copy(), sparseness, pool
+        seconds[stack] += (time.perf_counter() - start) * squares[stack] / squares[stack].sum()
     return seconds
 
 
@@ -324,25 +393,35 @@ def _separations(points: np.ndarray, core: np.ndarray, cuts: np.ndarray) -> np.n
     """Minimum density separation of each pool to any other pool.
 
     The pools are concatenated in `points` and `core`; pool c spans
-    cuts[c]:cuts[c + 1]. For each pool a, one blocked pass reaches every
-    later pool: max(d, core_a, core_b) over the pass, then a minimum per
-    pool (`np.minimum.reduceat` on the column cuts) and over rows gives
-    each pair (a, b) its separation. A minimum is exact in any order, so
-    every pair gets the float a pass over that pair alone would give.
+    cuts[c]:cuts[c + 1]. One triangular pass covers every pool at once: each
+    block of `data._BLOCK_ROWS` rows, fewer where the kernel's byte budget
+    (`data._BLOCK_BYTES`, m floats per pair) asks, runs against every row
+    past the pool of its first row. max(d, core_j) over the block, reduced
+    to its minimum per column pool (`np.minimum.reduceat`), then raised to
+    core_i, gives each row's separation from each later pool: a max with
+    core_i commutes with a minimum over j. A row's own pool is set to inf;
+    the row minima go to the rows' pools and the column minima to the column
+    pools. Every pair of points from two pools is evaluated in the block of
+    the earlier one, and a minimum is exact in any order, so every pool gets
+    the float a pass over each pair of pools alone would give.
     """
-    n_pools = cuts.size - 1
-    separation = np.full(n_pools, np.inf)
-    for a in range(n_pools - 1):
-        lo, mid = cuts[a], cuts[a + 1]
-        later = np.full(n_pools - a - 1, np.inf)
-        for start, d2 in squared_distance_blocks(points[lo:mid], points[mid:]):
-            np.sqrt(d2, out=d2)
-            np.maximum(d2, core[lo + start : lo + start + d2.shape[0], None], out=d2)
-            np.maximum(d2, core[mid:], out=d2)
-            per_pool = np.minimum.reduceat(d2, cuts[a + 1 : -1] - mid, axis=1)
-            np.minimum(later, per_pool.min(axis=0), out=later)
-        separation[a] = min(separation[a], later.min())
-        np.minimum(separation[a + 1 :], later, out=separation[a + 1 :])
+    pool = np.repeat(np.arange(cuts.size - 1), np.diff(cuts))
+    separation = np.full(cuts.size - 1, np.inf)
+    columns = np.asfortranarray(points)
+    step = min(_data._BLOCK_ROWS, max(1, _data._BLOCK_BYTES // (8 * points.size)))
+    for lo in range(0, cuts[-2], step):  # the last pool's rows have no later pool
+        rows, first = slice(lo, min(lo + step, cuts[-2])), pool[lo] + 1  # the first column pool
+        later = cuts[first]
+        reach = row_squared_distances(columns[later:], points[rows, None, :])
+        np.sqrt(reach, out=reach)
+        np.maximum(reach, core[later:], out=reach)
+        per_pool = np.minimum.reduceat(reach, cuts[first:-1] - later, axis=1)
+        np.maximum(per_pool, core[rows, None], out=per_pool)
+        own = pool[rows] - first  # -1 for the rows of the first row's pool
+        inside = np.flatnonzero(own >= 0)
+        per_pool[inside, own[inside]] = np.inf
+        np.minimum.at(separation, pool[rows], per_pool.min(axis=1))
+        np.minimum(separation[first:], per_pool.min(axis=0), out=separation[first:])
     return separation
 
 

@@ -26,8 +26,22 @@ def test_ids_below_noise_are_refused_with_one_message():
             make(np.array([-3, 1, 1]))
 
 
-@given(st.lists(st.integers(-1, 12), min_size=1, max_size=60))
-@settings(max_examples=200, deadline=None)
+@st.composite
+def labelings_of_both_paths(draw):
+    """Ids all below n (the first-position pass) or some at n and beyond, up
+    to 2**62 (the sort)."""
+    n = draw(st.integers(1, 60))
+    ids = st.integers(-1, n - 1)
+    if draw(st.booleans()):
+        ids = st.one_of(ids, st.integers(n, n + 3), st.integers(2**62 - 3, 2**62))
+    return draw(st.lists(ids, min_size=n, max_size=n))
+
+
+@given(labelings_of_both_paths())
+@example([0, 2**62])
+@example([1, 1, -1])
+@example([2**62, 0, 2**62 - 1, -1, 0])
+@settings(max_examples=300, deadline=None)
 def test_canonicalize_labels_matches_loop_oracle(labels):
     got = canonicalize_labels(np.array(labels, dtype=np.int64)).labels
     assert got.tolist() == canonicalize_oracle(labels)

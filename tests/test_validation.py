@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import rnncluster.data
@@ -83,7 +83,11 @@ def test_ari_noise_policies():
 @st.composite
 def ari_inputs(draw):
     n = draw(st.integers(1, 60))
-    pred = draw(st.lists(st.integers(-3, 6), min_size=n, max_size=n))  # -3, -2 are clusters
+    # -3 and -2 are clusters, and so are ids near +-2**62; many classes
+    # (far truth ids) count the cells by a sort, few by a bincount
+    pred_ids = st.integers(-3, 6) if draw(st.booleans()) else st.sampled_from(
+        [-2**62, -7, -2, -1, 0, 5, 2**61, 2**62 - 1, 2**62])
+    pred = draw(st.lists(pred_ids, min_size=n, max_size=n))
     truth_ids = st.integers(-2**62, 2**62) if draw(st.booleans()) else st.integers(-2, 6)
     return pred, draw(st.lists(truth_ids, min_size=n, max_size=n))
 
@@ -94,6 +98,18 @@ def test_ari_matches_the_spread_noise_table_bit_for_bit(inputs):
     pred, truth = inputs
     got, want = adjusted_rand_index(pred, truth), spread_noise_ari_oracle(pred, truth)
     assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64)  # sign of zero too
+
+
+def test_ari_of_n_clusters_by_n_classes_holds_no_n_by_n_cells():
+    labels = np.arange(4000)
+    tracemalloc.start()
+    try:
+        assert adjusted_rand_index(labels, labels[::-1]) == 1.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a bincount over every (cluster, class) cell would take 128 MB here
+    assert peak < 2**20
 
 
 def test_ari_keeps_no_cell_for_a_noise_entity():
@@ -348,6 +364,140 @@ def test_dbcv_report_matches_the_replaced_implementation_across_blocks(case):
     with mock.patch.object(rnncluster.data, "_BLOCK_ROWS", block_rows), \
             mock.patch.object(validation_module, "_STACK_BYTES", stack_bytes):
         assert_same_report(dbcv(x, labels), want)
+
+
+def _memo_bits(memo):
+    """Each memo entry's core distances and sparseness as int64 bits, and its pool."""
+    return {key: (core.view(np.int64).tolist(), np.float64(sparseness).view(np.int64), pool.tolist())
+            for key, (core, sparseness, pool) in memo.items()}
+
+
+def _spying_on_the_pair_table(calls):
+    """Patch `_pair_table` to append each call's (cells, whether it built the table)."""
+
+    def spy(data, cells, _real=validation_module._pair_table):
+        table = _real(data, cells)
+        calls.append((cells, table is not None))
+        return table
+
+    return mock.patch.object(validation_module, "_pair_table", spy)
+
+
+def _overlapping_labelings(n):
+    """One cluster of n - 2 members and one of 2, three ways: for n >= 5 six
+    distinct clusters of more than n^2 cells, so a fill gathers from the table."""
+    return [np.isin(np.arange(n), [j, j + 1]).astype(np.int64) for j in range(3)]
+
+
+def _assert_the_pair_table_changes_no_bit(x, labels):
+    """Fill a memo for `labels` and three overlapping labelings with the pair
+    table and without it: every entry and every report is bit-identical."""
+    n = labels.size
+    labelings = [labels] + _overlapping_labelings(n)
+    calls = []
+    gathered, computed = {}, {}
+    with _spying_on_the_pair_table(calls):
+        fill_cluster_terms(x, labelings, gathered)
+        with mock.patch.object(rnncluster.data, "_BLOCK_BYTES", 16 * n * n - 1):  # off
+            fill_cluster_terms(x, labelings, computed)
+    assert [built for _, built in calls] == [True, False]
+    assert _memo_bits(gathered) == _memo_bits(computed)
+    for labeling in labelings:
+        fresh = dbcv(x, labeling)  # a single labeling never builds the table
+        assert_same_report(dbcv(x, labeling, cluster_terms=gathered),
+                           [getattr(fresh, name) for name in _REPORT_FIELDS])
+    assert_same_report(dbcv(x, labels, cluster_terms=gathered), dbcv_report_oracle(x, labels))
+
+
+@given(dbcv_inputs())
+@settings(max_examples=100, deadline=None)
+def test_the_pair_table_changes_no_bit(case):
+    x, labels = case
+    assume(labels.size >= 5)
+    _assert_the_pair_table_changes_no_bit(x, labels)
+
+
+@given(blocked_dbcv_inputs())
+@settings(max_examples=100, deadline=None)
+def test_the_pair_table_changes_no_bit_across_blocks(case):
+    x, labels, block_rows, stack_bytes = case
+    assume(labels.size >= 5)
+    # gathers that span several row blocks, into slots of lockstep stacks or alone;
+    # duplicates, grid ties and distances that overflow to inf
+    with mock.patch.object(rnncluster.data, "_BLOCK_ROWS", block_rows), \
+            mock.patch.object(validation_module, "_STACK_BYTES", stack_bytes):
+        _assert_the_pair_table_changes_no_bit(x, labels)
+
+
+def test_the_pair_table_is_built_once_per_fill_and_only_when_it_pays():
+    moons = make_two_moons(n=372, density_ratio=3.0, seed=0)
+    x, _ = range_standardize(moons.matrix)
+    index = build_index(x, k_max=12)
+    labelings = [isdbscan(x, index, IsdbscanParams(k=k, seed=seed)).labels
+                 for k in (6, 9, 12) for seed in range(3)]
+    calls = []
+    with _spying_on_the_pair_table(calls):
+        fill_cluster_terms(x, labelings, {})
+        dbcv(x, labelings[0])
+        fill_cluster_terms(np.vstack([x, x]), [np.tile(labels, 2) for labels in labelings], {})
+    # the sweep's fill: its clusters hold more cells than the 372^2 table
+    assert calls[0][0] > 372**2 and calls[0][1]
+    # one labeling's clusters are disjoint, so they never hold more
+    assert calls[1][0] <= 372**2 and not calls[1][1]
+    # every cluster twice as large on the data twice over: 4x the cells, but
+    # 16 * 744^2 bytes exceed the kernel's block budget
+    assert calls[2][0] == 4 * calls[0][0] and not calls[2][1]
+
+
+def test_the_pair_table_stays_within_its_budget():
+    n = 500
+    assert 16 * n * n <= rnncluster.data._BLOCK_BYTES  # the largest tables the budget allows
+    x = np.random.default_rng(0).normal(size=(n, 2))
+    # three clusters of 498 members, each a stack of one, and three of two
+    calls = []
+    memo: dict = {}
+    with _spying_on_the_pair_table(calls):
+        tracemalloc.start()
+        try:
+            fill_cluster_terms(x, _overlapping_labelings(n), memo)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert [built for _, built in calls] == [True] and len(memo) == 6
+    # the two tables, one stack's buffer, and a gathered row block with its indices
+    assert peak < validation_module._STACK_BYTES + rnncluster.data._BLOCK_BYTES + 2**20
+
+
+@pytest.mark.parametrize("block_rows", [1, 5, 9, 128])
+def test_separations_of_many_small_pools_across_row_blocks(monkeypatch, block_rows):
+    rng = np.random.default_rng(7)
+    sizes = rng.integers(2, 7, size=40)
+    labels = np.repeat(np.arange(40), sizes)
+    rng.shuffle(labels)  # each pool's entities are scattered over the data
+    labels[rng.random(labels.size) < 0.1] = -1
+    x = np.round(3 * rng.normal(size=(labels.size, 2)))  # a grid: duplicates and tied reaches
+    want = dbcv_report_oracle(x, labels)
+    # 40 pools of 1 to 6 points: a row block spans several pools, and a pool
+    # may span two blocks
+    monkeypatch.setattr(rnncluster.data, "_BLOCK_ROWS", block_rows)
+    assert_same_report(dbcv(x, labels), want)
+
+
+def test_the_separation_pass_keeps_its_blocks_within_the_kernel_budget():
+    rng = np.random.default_rng(0)
+    n = 4000
+    points, core = rng.normal(size=(n, 2)), rng.random(n)
+    cuts = np.concatenate([[0], np.sort(rng.choice(np.arange(1, n), 999, replace=False)), [n]])
+    tracemalloc.start()
+    try:
+        validation_module._separations(points, core, cuts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a block's kernel takes m floats per pair within the budget, while the
+    # previous block is still held; blocks of 128 rows of 4,000 columns
+    # would peak at 12 MiB
+    assert peak < 2 * rnncluster.data._BLOCK_BYTES
 
 
 def test_a_cluster_built_alone_equals_it_built_in_a_stack():
