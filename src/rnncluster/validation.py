@@ -117,7 +117,6 @@ class DbcvReport:
 # bytes of one stack in `_build_terms`: its padded n_c x n_c slots and the
 # lockstep loop's state; a cluster larger than this forms a stack of one
 _STACK_BYTES = 2 * 2**20
-_LARGEST = np.finfo(np.float64).max
 
 
 def _distance_rows(points: np.ndarray, m: int, out: np.ndarray):
@@ -224,21 +223,22 @@ def _mutual_reachability(slab: np.ndarray, sizes: np.ndarray, core: np.ndarray, 
 def _spanning_trees(slab: np.ndarray, sizes) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Prim's minimum spanning tree of every cluster in a stack, grown in lockstep.
 
-    slab[s, :n, :n], n = sizes[s] >= 2, holds cluster s's weights (+0.0 or
-    more), an infinite one stored as the largest float, and every other
-    cell is +inf. Each tree grows from node 0: a step adds the node nearest
-    the tree, the lowest index on ties, and a node's parent changes only on
-    a strictly smaller distance. One loop steps every cluster at once; a
-    finished cluster's steps change nothing. A stack of one cluster reads
-    each added node's row in place, with no gather. The diagonals are first
-    overwritten with NaN, and a node in the tree holds NaN in `best`: no
-    weight compares below it, a minimum keeps it, and the step's argmin,
-    over `best`'s bits, ranks it above every weight and the padding. So
-    when every node left is at infinite distance, the lowest-index one
-    joins, from the root. A node's parent is final once it joins, so each
-    node keeps only the step that last lowered its distance, and the edges
-    are read after the loop. Returns each cluster's (edges (n - 1, 2) in
-    join order, edge weights with inf for an infinite one, node degrees).
+    slab[s, :n, :n], n = sizes[s] >= 2, holds cluster s's weights (+0.0 to
+    +inf), and every other cell, its padding, is +inf. Each tree grows from
+    node 0: a step adds the node nearest the tree, the lowest index on ties,
+    and a node's parent changes only on a strictly smaller distance. One
+    loop steps every cluster at once; a finished cluster's steps change
+    nothing. A stack of one cluster reads each added node's row in place,
+    with no gather. The diagonals are first overwritten with NaN, and a node
+    in the tree holds NaN in `best`: no weight compares below it, a minimum
+    keeps it, and the step's argmin, over `best`'s bits, ranks it above
+    every weight and the padding. The argmin takes the first of equal keys,
+    and a cluster's nodes come before its padding, so when every node left
+    is at infinite distance, the lowest-index one joins, from the root,
+    before any padding. A node's parent is final once it joins, so each node
+    keeps only the step that last lowered its distance, and the edges are
+    read after the loop. Returns each cluster's (edges (n - 1, 2) in join
+    order, edge weights, node degrees).
     """
     count, width = slab.shape[0], slab.shape[1]
     rows = slab.reshape(count * width, width)
@@ -276,7 +276,6 @@ def _spanning_trees(slab: np.ndarray, sizes) -> list[tuple[np.ndarray, np.ndarra
         edges[:, 1] = joined[1:n, s]
         edges[:, 0] = joined[lowered[s, edges[:, 1]], s]
         edge_w = slab[s, edges[:, 0], edges[:, 1]]
-        edge_w[edge_w == _LARGEST] = np.inf
         trees.append((edges, edge_w, np.bincount(edges.ravel(), minlength=n)))
     return trees
 
@@ -291,10 +290,13 @@ def _build_terms(x: np.ndarray, missing: dict, cluster_terms: dict) -> np.ndarra
     member when no node is internal. Separations are measured between
     pools.
 
-    The clusters are sorted by size and packed into stacks of padded
-    slots, as many as fit `_STACK_BYTES` together with the loop's state.
-    One buffer, as large as the largest stack, holds every stack in turn,
-    and `_spanning_trees` grows a stack's trees in lockstep. When a
+    The clusters are sorted by size and packed into stacks of padded slots,
+    as many as fit `_STACK_BYTES` together with the loop's state. One
+    buffer, as large as the largest stack, holds every stack in turn, and
+    `_spanning_trees` grows a stack's trees in lockstep. A slot holds its
+    cluster's mutual reachability at 0..n_c - 1, before the +inf padding, so
+    a reach that overflows to +inf is kept as it is: the lowest index wins a
+    tie, and a node at +inf joins before the padding does. When a
     `_pair_table` pays, every slot is gathered from it, so each pair's
     distance and power are computed once for all the clusters.
     Returns each cluster's share of the build seconds, in the order of
@@ -319,10 +321,6 @@ def _build_terms(x: np.ndarray, missing: dict, cluster_terms: dict) -> np.ndarra
     stacks.append(stack)
     buffer = np.empty(max(len(stack) * int(sizes[stack[-1]]) ** 2 for stack in stacks))
     m = x.shape[1]
-    # every rounding in the kernel is monotone, so no distance overflows to
-    # inf unless the distance across the data's extent does
-    extent = np.ptp(x, axis=0)
-    overflows = not np.isfinite(row_squared_distances(extent, np.zeros(m)))
     for stack in stacks:
         start = time.perf_counter()
         width = sizes[stack[-1]]
@@ -334,9 +332,6 @@ def _build_terms(x: np.ndarray, missing: dict, cluster_terms: dict) -> np.ndarra
             slot[:n, n:] = np.inf
             _distances_and_sums(x, missing[keys[c]], table, slot[:n, :n], sums[:n])
         _mutual_reachability(slab, sizes[stack], cores, m)
-        if overflows:  # `_spanning_trees` stores an infinite reach as the largest float
-            for slot, n in zip(slab, sizes[stack]):
-                np.minimum(slot[:n, :n], _LARGEST, out=slot[:n, :n])
         for c, core, (edges, edge_w, degrees) in zip(
             stack, cores, _spanning_trees(slab, sizes[stack])
         ):

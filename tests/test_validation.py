@@ -205,12 +205,12 @@ def reachability_matrices(draw):
 
 
 def _stack(matrices):
-    """One slab as `_build_terms` lays it out: each matrix in the corner of its
-    slot, an infinite weight stored as the largest float, the padding +inf."""
+    """One slab as `_build_terms` lays it out: each matrix, infinite weights
+    as they are, at 0..n - 1 of its slot, before the +inf padding."""
     width = max(w.shape[0] for w in matrices)
     slab = np.full((len(matrices), width, width), np.inf)
     for slot, w in zip(slab, matrices):
-        slot[: w.shape[0], : w.shape[0]] = np.minimum(w, validation_module._LARGEST)
+        slot[: w.shape[0], : w.shape[0]] = w
     return slab, [w.shape[0] for w in matrices]
 
 
@@ -264,6 +264,58 @@ def test_prim_adds_every_node_once_at_infinite_reach():
     core, sparseness, pool = memo[np.arange(5).tobytes()]
     assert np.isfinite(core).all() and sparseness == inf
     assert pool.tolist() == [0, 3]  # both blocks; [0] if nodes 3 and 4 never join
+
+
+@st.composite
+def split_cluster_inputs(draw):
+    """2-5 clusters of 2-40 members on a coarse grid, some split in two.
+
+    A split cluster's second sub-block sits 1e160 away on axis 0, so the
+    distances between its sub-blocks overflow to inf inside the cluster.
+    Clusters of different sizes share a stack, so every slot but the
+    widest is padded. Returns the data, the labels, and for each split
+    cluster its id and sub-block sizes.
+    """
+    sizes = draw(st.lists(st.integers(2, 40), min_size=2, max_size=5))
+    m = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.integers(0, draw(st.integers(1, 4)), size=(sum(sizes), m)).astype(np.float64)
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    splits = []
+    for c, size in enumerate(sizes):
+        if draw(st.booleans()):
+            near = draw(st.integers(1, size - 1))
+            x[np.flatnonzero(labels == c)[near:], 0] += 1e160
+            splits.append((c, near, size - near))
+    return x, labels, splits
+
+
+@given(split_cluster_inputs())
+@settings(max_examples=150, deadline=None)
+def test_infinite_reach_inside_padded_stacks(case):
+    x, labels, splits = case
+    memos = []
+    for stack_bytes in (validation_module._STACK_BYTES, 0):  # in padded stacks, then alone
+        trees = []
+
+        def spy(slab, sizes, _real=_spanning_trees):
+            got = _real(slab, sizes)
+            trees.extend(zip(sizes, got))
+            return got
+
+        memo: dict = {}
+        with mock.patch.object(validation_module, "_STACK_BYTES", stack_bytes), \
+                mock.patch.object(validation_module, "_spanning_trees", spy):
+            fill_cluster_terms(x, [labels], memo)
+        assert len(trees) == len(memo) == labels.max() + 1
+        for n, (edges, _, _) in trees:
+            _assert_spanning_tree(edges, n)
+        memos.append(_memo_bits(memo))
+    assert memos[0] == memos[1]
+    for c, near, far in splits:
+        if near >= 2 and far >= 2:  # the tree crosses on an internal edge
+            _, sparseness, _ = memo[np.flatnonzero(labels == c).tobytes()]
+            assert sparseness == np.inf
 
 
 def test_fill_charges_each_cluster_to_the_first_labeling_that_has_it(monkeypatch):
