@@ -1,4 +1,4 @@
-"""The scaling ladder: time the kNN build, RNN lists, epsilon-lists, DBCV and ARI on fixed rungs.
+"""The scaling ladder: time the kNN build, RNN lists, epsilon-lists, fits, DBCV and ARI on fixed rungs.
 
     python ladder/run.py --label <label>
 
@@ -15,7 +15,12 @@ Stages:
     lists, so no call reads the per-k cache;
   - eps_lists: `neighborhood_lists` at criterion 4's epsilon, the median
     10th-neighbour squared distance, read from that build;
-  - dbcv: DBCV on the labels of DBSCRN at k = 10 (the fit is not timed);
+  - dbscrn: DBSCRN at k = 10 on the build's index;
+  - isdbscan: ISDBSCAN at k = 10, seed 0, on a fresh index over the build's
+    lists, so every call pays for the k = 10 influence graph and its groups;
+  - dbscan: `dbscan_from_neighborhoods` on the eps_lists stage's lists at
+    criterion 4's MinPts of 10, seed 0, with no `roots` memo;
+  - dbcv: DBCV on the labels of the dbscrn stage;
   - ari: the adjusted Rand index of those labels against the rung's classes.
 Every stage makes one warm-up call and reports the median of a fixed number
 of timed calls, set per rung in CALLS (`calls`), so a stage is measured the
@@ -42,20 +47,23 @@ import numpy as np  # noqa: E402
 
 from rnncluster import (  # noqa: E402
     DbscrnParams,
+    IsdbscanParams,
     adjusted_rand_index,
     build_index,
     dbcv,
     dbscrn,
+    isdbscan,
     load_dataset,
     make_blobs,
     range_standardize,
 )
-from rnncluster.dbscan import neighborhood_lists  # noqa: E402
+from rnncluster.dbscan import dbscan_from_neighborhoods, neighborhood_lists  # noqa: E402
 from rnncluster.neighbors import NeighborIndex  # noqa: E402
 from rnncluster.synthetic import make_two_moons  # noqa: E402
 
 K_MAX = 30
-K = 10  # the k of the rnn_csr, dbcv and ari stages
+K = 10  # the k of the rnn_csr and fit stages, and so of the dbcv and ari stages
+MIN_PTS = 10  # criterion 4's MinPts, for the dbscan stage
 BLOBS = (791, 2800, 7000, 21000, 70000)
 RUNGS = tuple(f"blobs-{n}" for n in BLOBS) + ("moons-372", "iris-150")
 # timed calls behind each stage's median, after one warm-up: enough to
@@ -103,8 +111,10 @@ def _pass(x: np.ndarray, truth: np.ndarray, calls: int, traced: bool) -> dict:
     lists = index.data, index.k_max, index.knn_idx, index.knn_d2
     measure("rnn_csr", lambda: NeighborIndex(*lists).rnn_csr(K))
     epsilon = float(np.median(index.knn_d2[:, 9]))
-    measure("eps_lists", lambda: neighborhood_lists(x, epsilon))
-    labels = dbscrn(x, index, DbscrnParams(k=K)).labels
+    neighborhoods = measure("eps_lists", lambda: neighborhood_lists(x, epsilon))
+    labels = measure("dbscrn", lambda: dbscrn(x, index, DbscrnParams(k=K))).labels
+    measure("isdbscan", lambda: isdbscan(x, NeighborIndex(*lists), IsdbscanParams(k=K, seed=0)))
+    measure("dbscan", lambda: dbscan_from_neighborhoods(neighborhoods, MIN_PTS, 0))
     measure("dbcv", lambda: dbcv(x, labels))
     measure("ari", lambda: adjusted_rand_index(labels, truth))
     return out

@@ -83,7 +83,7 @@ class NeighborIndex:
         i among their k nearest, in ascending id order (never i; may be
         none). Built once per k and cached. No fit reads it: perfbench's
         blob protocol calls it and its tracer wraps it, so it and
-        `_rnn_lists` stay until perfbench may change (ROADMAP item 8).
+        `_rnn_lists` stay until perfbench may change (ROADMAP item 9).
         """
         return self.per_k("rnn", k, lambda: _rnn_lists(self, k))
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .clustering import Clustering
+from .data import as_feature_matrix
 
 __all__ = ["plot_clustering", "render_svg"]
 
@@ -29,9 +30,13 @@ def _f(value: float) -> str:
 
 
 def render_svg(points: np.ndarray, clustering: Clustering) -> str:
-    """Render a clustering of 2-D points as an SVG document string."""
-    x = np.asarray(points, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != 2:
+    """Render a clustering of 2-D points as an SVG document string.
+
+    The points are read by `data.as_feature_matrix`, so a NaN or infinite
+    coordinate is refused with a ValueError that names its row and column.
+    """
+    x = as_feature_matrix(points)
+    if x.shape[1] != 2:
         raise ValueError(f"plotting needs 2-D data, got shape {x.shape}")
     labels = clustering.labels
     if labels.shape[0] != x.shape[0]:

@@ -124,7 +124,12 @@ class SweepSpec:
 
 @dataclass
 class SweepRecord:
-    """One clustering run at one grid point."""
+    """One clustering run at one grid point.
+
+    Equal labelings share one read-only array: the records of a sweep
+    chunk (the whole grid when `n_jobs` is 1) whose labels are equal hold
+    the same `labels` object.
+    """
 
     params: object
     run: int
@@ -277,8 +282,9 @@ def _fit(x, prepared, params, seed) -> Clustering:
 def _evaluate_chunk(x, truth, spec, grid, first_point_index):
     """Evaluate a slice of the grid; deterministic given its arguments.
 
-    First every grid point is fitted; then DBCV's memo is filled once from
-    the distinct labelings, and DBCV and ARI run once per distinct labeling.
+    First every grid point is fitted, and each fit's labels are keyed by
+    their bytes as it ends; then DBCV's memo is filled once from the
+    distinct labelings, and DBCV and ARI run once per distinct labeling.
     """
     runs = 1 if spec.algorithm == "dbscrn" else spec.runs_per_setting
     # one index per chunk (for its largest k) and one set of lists per
@@ -288,6 +294,10 @@ def _evaluate_chunk(x, truth, spec, grid, first_point_index):
     prepared = _prepare(x, max(grid, key=lambda p: p.k)) if knn else None
     prepared_eps = None
     fits = []  # (params, run, seed, clustering, cluster_seconds)
+    # labels bytes -> the first clustering with them; labels are canonical,
+    # so equal partitions have equal bytes. Every fit with those labels reads
+    # that clustering's read-only array, and a repeat's own array is freed at once
+    distinct: dict[bytes, Clustering] = {}
     for offset, params in enumerate(grid):
         point_index = first_point_index + offset
         if not knn and prepared_eps != params.epsilon:
@@ -298,14 +308,13 @@ def _evaluate_chunk(x, truth, spec, grid, first_point_index):
             )
             start = time.perf_counter()
             clustering = _fit(x, prepared, params, seed)
-            fits.append((params, run, seed, clustering, time.perf_counter() - start))
+            seconds = time.perf_counter() - start
+            clustering = distinct.setdefault(clustering.labels.tobytes(), clustering)
+            clustering.labels.flags.writeable = False
+            fits.append((params, run, seed, clustering, seconds))
 
-    # labels bytes -> the first clustering with them; labels are canonical,
-    # so equal partitions have equal bytes. x is fixed within the chunk, so
-    # DBCV's per-cluster memo (member ids -> terms) is valid for all of it
-    distinct: dict[bytes, Clustering] = {}
-    for fit in fits:
-        distinct.setdefault(fit[3].labels.tobytes(), fit[3])
+    # x is fixed within the chunk, so DBCV's per-cluster memo (member ids ->
+    # terms) is valid for all of it
     cluster_terms: dict = {}
     built = validation.fill_cluster_terms(x, list(distinct.values()), cluster_terms)
     scores: dict[bytes, tuple[float, float | None, float]] = {}  # DBCV, ARI, seconds
@@ -374,6 +383,8 @@ def run_sweep(dataset: DataSet, spec: SweepSpec, n_jobs: int = 1) -> SweepResult
     ]
     with ProcessPoolExecutor(max_workers=n_jobs) as pool:
         for chunk_records in pool.map(_evaluate_chunk, *zip(*jobs)):
+            for record in chunk_records:  # a chunk's arrays come back shared but writeable
+                record.labels.flags.writeable = False
             result.records.extend(chunk_records)
     return result
 
@@ -506,7 +517,8 @@ def write_reports(reports: list[dict], out_dir) -> dict:
     None), as the summaries and `timing_summary` return them. Produces
     best_ari.{csv,json}, dbcv_selected_ari.{csv,json}, timing.{csv,json}
     and summary.txt in `out_dir`; a table's CSV skips the rows whose
-    statistics are None, its JSON holds every row.
+    statistics are None, its JSON holds every row. The summary ends with
+    the footnote on starred (approximate) datasets only when a row is one.
     """
     os.makedirs(out_dir, exist_ok=True)
     paths = {}
@@ -538,7 +550,8 @@ def write_reports(reports: list[dict], out_dir) -> dict:
                 f"{_fmt(sel['max']) if sel else '-'}  "
                 f"{_fmt(tim['mean']) if tim else '-'}\n"
             )
-        handle.write("* generated approximation of a dataset with no public source\n")
+        if any(row.get("approximate") for row in reports):
+            handle.write("* generated approximation of a dataset with no public source\n")
     paths["summary"] = summary_path
     return paths
 

@@ -2,12 +2,16 @@
 
 The half-moon and ring generators stand in for benchmark sets that have no
 canonical public download; reports flag results on them as approximations.
-All generators are deterministic for a fixed seed, an integer >= 0.
+All generators are deterministic for a fixed seed, an integer >= 0, and
+refuse a non-finite real parameter (and a zero `turns` or a `density_ratio`
+not > 0) with a ValueError that names it.
 """
 
 from __future__ import annotations
 
 import inspect
+import math
+import numbers
 
 import numpy as np
 
@@ -23,6 +27,12 @@ __all__ = [
 ]
 
 
+def _check_real(name: str, value, rule: str = "a finite real number", holds=math.isfinite) -> None:
+    """ValueError naming `name` unless `value` is a real number, no bool, for which `holds` is true."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not holds(value):
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
 def make_blobs(
     n_centers: int = 2,
     points_per_center: int = 20,
@@ -35,6 +45,8 @@ def make_blobs(
     check_count("n_centers", n_centers)
     check_count("points_per_center", points_per_center)
     check_count("seed", seed, minimum=0)
+    _check_real("spread", spread)
+    _check_real("center_box", center_box)
     rng = np.random.default_rng(seed)
     angles = 2.0 * np.pi * np.arange(n_centers) / n_centers
     centers = center_box * np.stack([np.cos(angles), np.sin(angles)], axis=1)
@@ -63,8 +75,8 @@ def make_two_moons(
     check_count("seed", seed, minimum=0)
     if n < 4:
         raise ValueError("need at least 4 points")
-    if density_ratio <= 0:
-        raise ValueError("density_ratio must be positive")
+    _check_real("density_ratio", density_ratio, "a finite real number > 0", lambda v: 0 < v < math.inf)
+    _check_real("noise", noise)
     rng = np.random.default_rng(seed)
     n_upper = int(round(n * density_ratio / (1.0 + density_ratio)))
     n_upper = min(max(n_upper, 2), n - 2)
@@ -94,6 +106,9 @@ def make_nested_rings(
     check_count("seed", seed, minimum=0)
     if points_per_ring < 3:
         raise ValueError("need n_rings >= 1 and points_per_ring >= 3")
+    _check_real("base_radius", base_radius)
+    _check_real("radius_step", radius_step)
+    _check_real("noise", noise)
     rng = np.random.default_rng(seed)
     points = []
     labels = []
@@ -118,6 +133,8 @@ def make_spirals(
     check_count("seed", seed, minimum=0)
     if n < 4:
         raise ValueError("need at least 4 points")
+    _check_real("turns", turns, "a finite nonzero real number", lambda v: math.isfinite(v) and v != 0)
+    _check_real("noise", noise)
     rng = np.random.default_rng(seed)
     sizes = (n // 2, n - n // 2)
     arms = []

@@ -21,15 +21,14 @@ computed once per pair and mirrored into its lower triangle tile by tile
 (`_distance_rows`). A cluster larger than the budget forms a stack of
 one, whose Prim loop reads its rows in place. The separations then take
 one triangular pass over the pools of all clusters at once, in row
-blocks. A caller that scores many labelings of one dataset, as a sweep
-does, can pass a `cluster_terms` dict to `dbcv` so that a cluster
-recurring in another labeling is not rebuilt, and can fill that dict for
-all of its labelings at once with `fill_cluster_terms`, so that their new
-clusters share stacks. The clusters of many labelings overlap, so on data
-small enough for two n x n tables within the kernel's block budget such
-a fill computes every pair's distance and (1/d)^m once, in a pair table
-(`_pair_table`), and gathers each slot from it. The report is
-bit-identical either way.
+blocks. `dbcv` and `fill_cluster_terms` reach a labeling's clusters by
+one reader and one collector, which builds together the clusters that a
+caller's `cluster_terms` memo lacks: a sweep fills the memo for all of
+its labelings at once, so that their new clusters share stacks. The
+clusters of many labelings overlap, so on data small enough for two
+n x n tables within the kernel's block budget such a fill computes every
+pair's distance and (1/d)^m once, in a pair table (`_pair_table`), and
+gathers each slot from it. The report is bit-identical either way.
 """
 
 from __future__ import annotations
@@ -119,10 +118,10 @@ class DbcvReport:
 _STACK_BYTES = 2 * 2**20
 
 
-def _distance_rows(points: np.ndarray, m: int, out: np.ndarray):
+def _distance_rows(points: np.ndarray, out: np.ndarray):
     """Fill `out` with the distances among `points`; yield each row block's (1/d)^m.
 
-    `out` is n x n. The distances come from the package kernel,
+    `points` is n x m and `out` is n x n. The distances come from the package kernel,
     `data._BLOCK_ROWS` rows at a time, each block against itself and the
     later rows only: fl(a - b)**2 equals fl(b - a)**2, so d(j, i) is the
     float d(i, j). A block's distances to the later rows are copied,
@@ -131,7 +130,7 @@ def _distance_rows(points: np.ndarray, m: int, out: np.ndarray):
     (rows, powers): the block's slice and its (1/d)^m, 0 on the diagonal
     (inf for a distance of 0 off it).
     """
-    n = points.shape[0]
+    n, m = points.shape
     columns = np.asfortranarray(points)  # the kernel reads one contiguous column per feature
     step = _data._BLOCK_ROWS
     for lo in range(0, n, step):
@@ -157,11 +156,11 @@ def _pair_table(x: np.ndarray, cells: float) -> tuple[np.ndarray, np.ndarray] | 
     clusters of one labeling are disjoint, so their slots never do: only
     the clusters of several labelings, which share members, are gathered.
     """
-    n, m = x.shape
+    n = x.shape[0]
     if 16 * n * n > _data._BLOCK_BYTES or n * n >= cells:
         return None
     dist, power = np.empty((n, n)), np.empty((n, n))
-    for rows, powers in _distance_rows(x, m, dist):
+    for rows, powers in _distance_rows(x, dist):
         power[rows] = powers
     return dist, power
 
@@ -176,7 +175,7 @@ def _distances_and_sums(x: np.ndarray, idx: np.ndarray, table, reach: np.ndarray
     in the same order as a row computed here.
     """
     if table is None:
-        for rows, powers in _distance_rows(x[idx], x.shape[1], reach):
+        for rows, powers in _distance_rows(x[idx], reach):
             powers.sum(axis=1, out=sums[rows])
         return
     dist, power = table
@@ -281,7 +280,7 @@ def _spanning_trees(slab: np.ndarray, sizes) -> list[tuple[np.ndarray, np.ndarra
 
 
 def _build_terms(x: np.ndarray, missing: dict, cluster_terms: dict) -> np.ndarray:
-    """Put each cluster of `missing` (key -> ascending member ids) into `cluster_terms`.
+    """Put each cluster of `missing` (key -> ascending member ids, nonempty) into `cluster_terms`.
 
     A cluster's terms are (core distances, sparseness, pool). Its Prim MST
     over the mutual reachability gives the sparseness (the largest
@@ -304,8 +303,6 @@ def _build_terms(x: np.ndarray, missing: dict, cluster_terms: dict) -> np.ndarra
     """
     keys = list(missing)
     seconds = np.zeros(len(keys))
-    if not keys:
-        return seconds
     sizes = np.array([missing[key].size for key in keys])
     squares = sizes.astype(np.float64) ** 2
     start = time.perf_counter()
@@ -320,7 +317,6 @@ def _build_terms(x: np.ndarray, missing: dict, cluster_terms: dict) -> np.ndarra
         stack.append(c)
     stacks.append(stack)
     buffer = np.empty(max(len(stack) * int(sizes[stack[-1]]) ** 2 for stack in stacks))
-    m = x.shape[1]
     for stack in stacks:
         start = time.perf_counter()
         width = sizes[stack[-1]]
@@ -331,7 +327,7 @@ def _build_terms(x: np.ndarray, missing: dict, cluster_terms: dict) -> np.ndarra
             slot[n:] = np.inf  # the padding
             slot[:n, n:] = np.inf
             _distances_and_sums(x, missing[keys[c]], table, slot[:n, :n], sums[:n])
-        _mutual_reachability(slab, sizes[stack], cores, m)
+        _mutual_reachability(slab, sizes[stack], cores, x.shape[1])
         for c, core, (edges, edge_w, degrees) in zip(
             stack, cores, _spanning_trees(slab, sizes[stack])
         ):
@@ -353,6 +349,35 @@ def _scored_clusters(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[n
     return ids[scored], counts[scored], [order[start : start + size] for start, size in spans]
 
 
+def _read_labeling(x: np.ndarray, labeling) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """The one labeling reader: `_scored_clusters` of a labeling of x's rows, else ValueError."""
+    labels = as_labels(labeling)
+    if labels.shape[0] != x.shape[0]:
+        raise ValueError("clustering and data disagree on the number of entities")
+    return _scored_clusters(labels)
+
+
+def _fill_missing(x: np.ndarray, clusters: list, cluster_terms: dict) -> np.ndarray:
+    """The one collector: build in one pass the clusters `cluster_terms` lacks.
+
+    `clusters` holds each labeling's member-id arrays, and a labeling of fewer than two is
+    skipped. Returns each labeling's build seconds: a cluster's go to the first that holds it.
+    """
+    missing, owner = {}, []
+    for i, members in enumerate(clusters):
+        if len(members) < 2:
+            continue
+        for idx in members:
+            key = idx.tobytes()
+            if key not in cluster_terms and key not in missing:
+                missing[key] = idx
+                owner.append(i)
+    seconds = np.zeros(len(clusters))
+    if missing:  # a memoised `dbcv` call builds nothing
+        np.add.at(seconds, owner, _build_terms(x, missing, cluster_terms))
+    return seconds
+
+
 def fill_cluster_terms(data: np.ndarray, labelings, cluster_terms: dict) -> np.ndarray:
     """Build into `cluster_terms` the terms of every cluster `dbcv` would score.
 
@@ -361,27 +386,12 @@ def fill_cluster_terms(data: np.ndarray, labelings, cluster_terms: dict) -> np.n
     is built, in one lockstep pass over all of them, unless its labeling
     has fewer than two such clusters (`dbcv` scores that 0 and builds
     nothing). Later `dbcv` calls with the memo then build nothing, and
-    their reports are the same. Returns the build seconds charged to each
-    labeling: each cluster's share of its stack's time goes to the first
-    labeling that contains it.
+    their reports are the same: one reader, one collector serve both.
+    Returns the build seconds charged to each labeling: each cluster's
+    share of its stack's time goes to the first labeling that contains it.
     """
     x = as_feature_matrix(data)
-    missing, owner = {}, []
-    for i, labeling in enumerate(labelings):
-        labels = as_labels(labeling)
-        if labels.shape[0] != x.shape[0]:
-            raise ValueError("clustering and data disagree on the number of entities")
-        _, _, members = _scored_clusters(labels)
-        if len(members) < 2:
-            continue
-        for idx in members:
-            key = idx.tobytes()
-            if key not in cluster_terms and key not in missing:
-                missing[key] = idx
-                owner.append(i)
-    seconds = np.zeros(len(labelings))
-    np.add.at(seconds, np.array(owner, dtype=np.int64), _build_terms(x, missing, cluster_terms))
-    return seconds
+    return _fill_missing(x, [_read_labeling(x, labeling)[2] for labeling in labelings], cluster_terms)
 
 
 def _separations(points: np.ndarray, core: np.ndarray, cuts: np.ndarray) -> np.ndarray:
@@ -420,6 +430,13 @@ def _separations(points: np.ndarray, core: np.ndarray, cuts: np.ndarray) -> np.n
     return separation
 
 
+def _validity(separation: np.ndarray, sparseness: np.ndarray) -> np.ndarray:
+    """(sep - spa) / max(sep, spa): equal terms score 0, and an infinite one decides the sign."""
+    with np.errstate(invalid="ignore"):  # inf - inf, inf / inf and 0 / 0, all replaced
+        gap, top = separation - sparseness, np.maximum(separation, sparseness)
+        return np.where(separation == sparseness, 0.0, np.where(np.isinf(gap), np.sign(gap), gap / top))
+
+
 def dbcv(data: np.ndarray, clustering, *, cluster_terms: dict | None = None) -> DbcvReport:
     """Density-based clustering validation score of a clustering on `data`.
 
@@ -432,50 +449,31 @@ def dbcv(data: np.ndarray, clustering, *, cluster_terms: dict | None = None) -> 
 
     `cluster_terms` is an optional memo that the caller owns: a dict from
     a cluster's member ids (the bytes of its ascending int64 entity ids)
-    to its terms (core distances, sparseness, pool). A cluster already in
-    it is not rebuilt, and the clusters it lacks are built together, so a
-    caller that scores many labelings of the same data pays for each
-    distinct cluster once. The entries depend on `data`, so one dict must
-    only ever see one dataset. The report is the same with or without it.
+    to its terms (core distances, sparseness, pool). A call fills one
+    labeling through the one reader and one collector of
+    `fill_cluster_terms`, then reports, so a cluster in the memo is not
+    rebuilt. The entries depend on `data`, so one dict must only ever see
+    one dataset. The report is the same with or without it.
     """
-    labels = as_labels(clustering)
     x = as_feature_matrix(data)
-    if labels.shape[0] != x.shape[0]:
-        raise ValueError("clustering and data disagree on the number of entities")
-    scored, sizes, members = _scored_clusters(labels)
+    scored, sizes, members = _read_labeling(x, clustering)
     empty = np.array([], dtype=np.float64)
     if scored.size < 2:
         return DbcvReport(scored, empty, empty, empty, overall=0.0)
 
-    if cluster_terms is None:
-        cluster_terms = {}
-    keys = [idx.tobytes() for idx in members]
-    missing = {key: idx for key, idx in zip(keys, members) if key not in cluster_terms}
-    _build_terms(x, missing, cluster_terms)
+    cluster_terms = {} if cluster_terms is None else cluster_terms
+    _fill_missing(x, [members], cluster_terms)
     sparseness = np.empty(scored.size)
     pool_ids: list[np.ndarray] = []  # each cluster's pool, as entity ids
     pool_core: list[np.ndarray] = []
-    for c, (key, idx) in enumerate(zip(keys, members)):
-        core, sparseness[c], pool = cluster_terms[key]
+    for c, idx in enumerate(members):
+        core, sparseness[c], pool = cluster_terms[idx.tobytes()]
         pool_ids.append(idx[pool])
         pool_core.append(core[pool])
     cuts = np.cumsum([0] + [p.size for p in pool_ids])
     separation = _separations(x[np.concatenate(pool_ids)], np.concatenate(pool_core), cuts)
-
-    validity = np.zeros(scored.size)
-    for c in range(scored.size):
-        sep, spa = separation[c], sparseness[c]
-        if np.isinf(sep) and np.isinf(spa):
-            validity[c] = 0.0
-        elif np.isinf(sep):
-            validity[c] = 1.0
-        elif np.isinf(spa):
-            validity[c] = -1.0
-        else:
-            denom = max(sep, spa)
-            validity[c] = (sep - spa) / denom if denom > 0 else 0.0
-
-    overall = float(np.sum(sizes.astype(np.float64) / labels.shape[0] * validity))
+    validity = _validity(separation, sparseness)
+    overall = float(np.sum(sizes.astype(np.float64) / x.shape[0] * validity))
     return DbcvReport(scored, sparseness, separation, validity, overall)
 
 

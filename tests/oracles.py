@@ -537,8 +537,21 @@ def dbcv_report_oracle(x, labels, count_noise_in_weight=True):
             separation[a] = min(separation[a], dspc)
             separation[b] = min(separation[b], dspc)
 
-    validity = np.zeros(scored.size)
-    for c in range(scored.size):
+    validity = validity_loop_oracle(separation, sparseness)
+    sizes = counts[counts >= 2].astype(np.float64)
+    overall = float(np.sum(sizes / n_total * validity))
+    return scored, sparseness, separation, validity, overall
+
+
+def validity_loop_oracle(separation, sparseness):
+    """The replaced per-cluster validity loop of `dbcv`, one branch per infinite case.
+
+    Returns (sep - spa) / max(sep, spa) per cluster: 0 where both terms are
+    infinite or both 0, 1 where only the separation is infinite and -1 where
+    only the sparseness is.
+    """
+    validity = np.zeros(len(separation))
+    for c in range(len(separation)):
         sep, spa = separation[c], sparseness[c]
         if np.isinf(sep) and np.isinf(spa):
             validity[c] = 0.0
@@ -549,10 +562,7 @@ def dbcv_report_oracle(x, labels, count_noise_in_weight=True):
         else:
             denom = max(sep, spa)
             validity[c] = (sep - spa) / denom if denom > 0 else 0.0
-
-    sizes = counts[counts >= 2].astype(np.float64)
-    overall = float(np.sum(sizes / n_total * validity))
-    return scored, sparseness, separation, validity, overall
+    return validity
 
 
 class _KDTree:

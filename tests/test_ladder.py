@@ -22,7 +22,9 @@ def test_rung_record_schema(ladder, rung, n, m):
     assert set(record) == {"rung", "n", "m", "ru_maxrss_mb", "stages"}
     assert (record["rung"], record["n"], record["m"]) == (rung, n, m)
     assert record["ru_maxrss_mb"] > 0
-    assert [s["stage"] for s in record["stages"]] == ["build", "rnn_csr", "eps_lists", "dbcv", "ari"]
+    assert [s["stage"] for s in record["stages"]] == [
+        "build", "rnn_csr", "eps_lists", "dbscrn", "isdbscan", "dbscan", "dbcv", "ari",
+    ]
     for stage in record["stages"]:
         assert set(stage) == {"stage", "seconds", "calls", "peak_mb"}
         assert stage["seconds"] >= 0 and stage["peak_mb"] > 0

@@ -41,3 +41,11 @@ def test_non_planar_data_rejected():
 def test_length_mismatch_rejected():
     with pytest.raises(ValueError, match="entities"):
         render_svg(_points(8), Clustering(labels=np.zeros(5, dtype=int)))
+
+
+def test_non_finite_points_rejected_by_row_and_column():
+    # a NaN coordinate was once written into the SVG as "nan"
+    with pytest.raises(ValueError, match=r"nan at row 1, column 1"):
+        render_svg([[0, 0], [1, np.nan], [2, 1]], Clustering(labels=np.zeros(3, dtype=int)))
+    with pytest.raises(ValueError, match=r"inf at row 0, column 0"):
+        render_svg([[np.inf, 0], [1, 1]], Clustering(labels=np.zeros(2, dtype=int)))

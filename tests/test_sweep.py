@@ -120,6 +120,26 @@ def test_each_distinct_labeling_is_scored_once(small_blobs, spec, monkeypatch):
     assert len(calls) == len(seen) < len(result.records)
 
 
+@pytest.mark.parametrize("spec", MEMO_SPECS, ids=lambda s: s.algorithm)
+def test_equal_labelings_share_one_read_only_array(small_blobs, spec):
+    result = run_sweep(small_blobs, spec)
+    x, _ = range_standardize(small_blobs.matrix)
+    first: dict = {}
+    for r in result.records:
+        assert r.labels is first.setdefault(r.labels.tobytes(), r.labels)
+        with pytest.raises(ValueError, match="read-only"):
+            r.labels[0] = 0
+        # the shared array still holds this record's own fit
+        refit = sweep_module._fit(x, sweep_module._prepare(x, r.params), r.params, r.seed)
+        np.testing.assert_array_equal(r.labels, refit.labels)
+    assert len(first) < len(result.records)
+
+
+def test_a_parallel_sweep_keeps_its_labels_read_only(small_blobs):
+    result = run_sweep(small_blobs, MEMO_SPECS[1], n_jobs=2)
+    assert not any(r.labels.flags.writeable for r in result.records)
+
+
 @pytest.mark.parametrize("spec", MEMO_SPECS[:2], ids=lambda s: s.algorithm)
 def test_each_distinct_cluster_is_built_once_per_sweep(small_blobs, spec, monkeypatch):
     built = []  # the member-id key of every cluster whose terms are built
@@ -328,6 +348,16 @@ def test_write_reports_renders_dash_for_deterministic_rows(tmp_path):
     summary = (tmp_path / "summary.txt").read_text()
     assert "two_moons*" in summary and "generated approximation" in summary
     assert os.path.exists(paths["summary"])
+
+
+def test_write_reports_leaves_out_the_footnote_without_a_flagged_row(tmp_path):
+    # the CLI's `report` flags no row, and once every summary carried the footnote
+    row = {"dataset": "iris", "algorithm": "dbscrn", "approximate": False, "best_ari": None,
+           "dbcv_selected": None, "timing": None}
+    write_reports([row, {**row, "algorithm": "dbscan"}], tmp_path)
+    summary = (tmp_path / "summary.txt").read_text().splitlines()
+    assert summary[1:] == ["iris  dbscrn  -  -  -", "iris  dbscan  -  -  -"]
+    assert not any("generated approximation" in line for line in summary)
 
 
 def test_spec_validation(small_blobs):

@@ -76,3 +76,36 @@ def test_generate_synthetic_refuses_a_parameter_its_generator_does_not_take():
     with pytest.raises(ValueError, match=r"^nested_rings takes only the parameters \['n_rings'"):
         generate_synthetic("nested_rings", {"n": 100})
     assert generate_synthetic("blobs", {"n_centers": 3}).n == 60
+
+
+# (generator, keyword, bad value, the rule the message states)
+BAD_REALS = [
+    (make_spirals, "turns", 0.0, "a finite nonzero real number"),  # once 0 / 0 in the radius
+    (make_spirals, "turns", np.inf, "a finite nonzero real number"),
+    (make_spirals, "noise", np.nan, "a finite real number"),
+    (make_two_moons, "density_ratio", np.nan, "a finite real number > 0"),  # once numpy's
+    (make_two_moons, "density_ratio", np.inf, "a finite real number > 0"),  # int() error
+    (make_two_moons, "density_ratio", -1.0, "a finite real number > 0"),
+    (make_two_moons, "noise", np.inf, "a finite real number"),
+    (make_blobs, "spread", np.nan, "a finite real number"),
+    (make_blobs, "center_box", -np.inf, "a finite real number"),
+    (make_nested_rings, "base_radius", np.inf, "a finite real number"),
+    (make_nested_rings, "radius_step", np.nan, "a finite real number"),
+    (make_nested_rings, "noise", np.nan, "a finite real number"),
+    (make_blobs, "spread", True, "a finite real number"),
+]
+
+
+@pytest.mark.parametrize("make, field, value, rule", BAD_REALS,
+                         ids=[f"{m.__name__}-{f}-{v}" for m, f, v, _ in BAD_REALS])
+def test_generators_name_a_bad_real_parameter(make, field, value, rule):
+    message = f"^{field} must be {re.escape(rule)}, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        make(**{field: value})
+
+
+def test_valid_real_parameters_still_generate():
+    # a negative spread or turns is a mirror image, not an error
+    assert make_spirals(n=40, turns=-1.5).n == 40
+    assert make_blobs(spread=np.float32(-0.1), center_box=0).n == 40
+    assert make_nested_rings(base_radius=0.0, radius_step=-1.0).n == 300

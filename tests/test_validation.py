@@ -16,6 +16,7 @@ from oracles import (
     prim_mst_oracle,
     spread_noise_ari_oracle,
     unique_scan_clusters_oracle,
+    validity_loop_oracle,
 )
 from rnncluster import (
     DbscrnParams,
@@ -32,7 +33,7 @@ from rnncluster import (
     select_best,
 )
 import rnncluster.validation as validation_module
-from rnncluster.validation import _scored_clusters, _spanning_trees, fill_cluster_terms
+from rnncluster.validation import _scored_clusters, _spanning_trees, _validity, fill_cluster_terms
 
 
 def test_ari_trivial_cases():
@@ -381,6 +382,23 @@ def dbcv_inputs(draw):
 def test_dbcv_report_matches_the_replaced_implementation(case):
     x, labels = case
     assert_same_report(dbcv(x, labels), dbcv_report_oracle(x, labels))
+
+
+# a sparseness or a separation: +0.0 to +inf, the loop's branches and the float extremes
+dbcv_terms = st.one_of(st.sampled_from([0.0, 5e-324, 1.0, np.finfo(float).max, np.inf]),
+                       st.floats(0.0, allow_nan=False))
+
+
+@given(st.lists(st.one_of(st.tuples(dbcv_terms, dbcv_terms), dbcv_terms.map(lambda t: (t, t))),
+                max_size=30))
+@settings(max_examples=300, deadline=None)
+def test_validity_matches_the_replaced_loop_bit_for_bit(pairs):
+    # always inf/inf, inf/finite, finite/inf, 0/0 and equal finite terms; no warning escapes
+    pairs = [(np.inf, np.inf), (np.inf, 2.5), (2.5, np.inf), (0.0, 0.0), (3.0, 3.0)] + pairs
+    separation, sparseness = (np.array(column) for column in zip(*pairs))
+    got = _validity(separation, sparseness)
+    assert got.dtype == np.float64
+    assert got.view(np.int64).tolist() == validity_loop_oracle(separation, sparseness).view(np.int64).tolist()
 
 
 @st.composite
