@@ -18,6 +18,8 @@ Stages:
   - dbscrn: DBSCRN at k = 10 on the build's index;
   - isdbscan: ISDBSCAN at k = 10, seed 0, on a fresh index over the build's
     lists, so every call pays for the k = 10 influence graph and its groups;
+  - influence: `influence_csr(k)` for k = 5..25 on a fresh index over the
+    build's first 25 columns, the influence graphs of an ISDBSCAN sweep;
   - dbscan: `dbscan_from_neighborhoods` on the eps_lists stage's lists at
     criterion 4's MinPts of 10, seed 0, with no `roots` memo;
   - dbcv: DBCV on the labels of the dbscrn stage;
@@ -63,6 +65,7 @@ from rnncluster.synthetic import make_two_moons  # noqa: E402
 
 K_MAX = 30
 K = 10  # the k of the rnn_csr and fit stages, and so of the dbcv and ari stages
+SWEEP_KS = range(5, 26)  # the k of the influence stage: ISDBSCAN's default sweep grid
 MIN_PTS = 10  # criterion 4's MinPts, for the dbscan stage
 BLOBS = (791, 2800, 7000, 21000, 70000)
 RUNGS = tuple(f"blobs-{n}" for n in BLOBS) + ("moons-372", "iris-150")
@@ -114,6 +117,14 @@ def _pass(x: np.ndarray, truth: np.ndarray, calls: int, traced: bool) -> dict:
     neighborhoods = measure("eps_lists", lambda: neighborhood_lists(x, epsilon))
     labels = measure("dbscrn", lambda: dbscrn(x, index, DbscrnParams(k=K))).labels
     measure("isdbscan", lambda: isdbscan(x, NeighborIndex(*lists), IsdbscanParams(k=K, seed=0)))
+    k_swept = SWEEP_KS[-1]
+    swept = x, k_swept, index.knn_idx[:, :k_swept], index.knn_d2[:, :k_swept]
+
+    def influence():
+        fresh = NeighborIndex(*swept)
+        return [fresh.influence_csr(k) for k in SWEEP_KS]
+
+    measure("influence", influence)
     measure("dbscan", lambda: dbscan_from_neighborhoods(neighborhoods, MIN_PTS, 0))
     measure("dbcv", lambda: dbcv(x, labels))
     measure("ari", lambda: adjusted_rand_index(labels, truth))

@@ -57,14 +57,15 @@ class Clustering:
         return int(np.count_nonzero(self.labels == NOISE))
 
 
-def check_count(name: str, value, minimum: int = 1) -> None:
+def check_count(name: str, value, minimum: int | None = 1) -> None:
     """ValueError naming `name` unless `value` is a Python or numpy integer >= `minimum`.
 
-    Counts take the default minimum 1; seeds take 0.
+    Counts take the default minimum 1; seeds take 0. With `minimum` None
+    any integer passes, for a caller that states its own range.
     """
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
+    if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}")
 
 

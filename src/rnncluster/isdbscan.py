@@ -1,10 +1,11 @@
 """ISDBSCAN: influence-space clustering with seeded random start selection.
 
 The k-influence space IS_k(i) = NN_k(i) ∩ RNN_k(i) is the mutual-kNN
-relation, so it is symmetric; the index builds it once per k
-(`NeighborIndex.influence_csr`). Entities with more than 2k/3 members in
-it are dense, and linked dense entities form groups: the first fit at a k
-finds them (`group_roots`), and the index caches them for every seed.
+relation, so it is symmetric; the index filters it from one mutual-rank
+table, once per k (`NeighborIndex.influence_csr`), so a sweep over k sorts
+nothing. Entities with more than 2k/3 members in it are dense, and linked
+dense entities form groups: the first fit at a k finds them
+(`group_roots`), and the index caches them for every seed.
 Entities are drawn in a seeded order; the first draw of a group collects
 all of it plus its sparse neighbours not yet drawn or collected, and a
 sparse entity drawn before any linked group is noise

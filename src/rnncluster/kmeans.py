@@ -22,7 +22,7 @@ import numpy as np
 
 from . import data as _data
 from .clustering import Clustering, canonicalize_labels, check_count
-from .data import as_feature_matrix, row_squared_distances, squared_distance_blocks
+from .data import as_feature_matrix, row_squared_distances
 
 __all__ = ["KmeansParams", "kmeans", "lloyd"]
 
@@ -43,13 +43,47 @@ class KmeansParams:
 def _assign(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Every run's nearest centroid (runs, n) to each row, for centroids (runs, k, m).
 
-    One kernel call covers every run; ties go to the smaller index.
+    The rows go in the blocks of `squared_distance_blocks` over all the
+    centroids. In each block one kernel call per centroid slot covers every
+    run: the distances to each run's c-th centroid, which `_first_minimum`
+    reads in turn. The kernel squares each difference, so its floats are
+    those of the rows' distances to the centroids.
     """
-    runs, k, m = centroids.shape
+    runs, k, _ = centroids.shape
     labels = np.empty((runs, x.shape[0]), dtype=np.int64)
-    for start, block in squared_distance_blocks(x, centroids.reshape(-1, m)):
-        labels[:, start : start + block.shape[0]] = block.reshape(-1, runs, k).argmin(axis=2).T
+    rows = max(1, _data._BLOCK_BYTES // (8 * centroids.size))
+    for start in range(0, x.shape[0], rows):
+        part = x[start : start + rows]
+        _first_minimum(lambda c, part=part: row_squared_distances(centroids[:, c, None, :], part), k,
+                       labels[:, start : start + rows])
     return labels
+
+
+def _first_minimum(slice_of, k: int, out: np.ndarray) -> None:
+    """Into `out`, elementwise, the c in 0..k-1 of the smallest `slice_of(c)`, as argmin would.
+
+    k - 1 elementwise passes: a later slice wins only where it is strictly
+    smaller, so ties go to the smaller index. The winner is the last c that
+    won, so the largest, which a maximum keeps without a masked write. The
+    running minimum carries a NaN on, and an element whose minimum is NaN
+    takes its first NaN, as argmin does, from a second read of the slices.
+    Each call of `slice_of` returns a new array; the first becomes the
+    running minimum.
+    """
+    best = slice_of(0)
+    out[...] = 0
+    closer = np.empty(best.shape, dtype=bool)
+    for c in range(1, k):
+        distances = slice_of(c)
+        np.less(distances, best, out=closer)
+        np.maximum(out, closer * c, out=out)
+        np.minimum(best, distances, out=best)
+    lost = np.isnan(best)
+    if lost.any():
+        first = out[lost]
+        for c in range(k - 1, -1, -1):
+            first[np.isnan(slice_of(c)[lost])] = c
+        out[lost] = first
 
 
 def _reseed_empty(x: np.ndarray, centroids: np.ndarray, labels: np.ndarray, counts: np.ndarray):

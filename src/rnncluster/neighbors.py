@@ -4,10 +4,13 @@ The index stores, for every entity, its k_max nearest other entities sorted
 by (squared distance ascending, entity index ascending). In bulk, NN_k is
 `knn_idx[:, :k]` for any k <= k_max. DBSCRN reads only |RNN_k(i)|
 (`rnn_sizes`), one count over those columns. ISDBSCAN reads the
-k-influence spaces IS_k(i) = NN_k(i) ∩ RNN_k(i) (`influence_csr`), built in
-O(n*k) and cached per k with their group roots (`per_k`), so a parameter
-sweep over k reuses a single build and the repeated seeded runs at one k
-reuse one influence graph.
+k-influence spaces IS_k(i) = NN_k(i) ∩ RNN_k(i) (`influence_csr`). Each
+is a filter of one mutual-rank table: rank[i, p] is the smallest k at which
+i and its (p+1)-th neighbour are each in the other's NN_k. The table is
+built as wide as the first k asked, and once more at k_max if a larger k
+follows; each k's graph and its group roots are cached (`per_k`), so a
+parameter sweep over k reuses a single build and the repeated seeded runs
+at one k reuse one influence graph.
 
 Two backends share the leaves of `data.compact_blocks` and the distance
 kernel, and produce bit-identical lists. The default, "brute", scans block
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import data as _data
 from .clustering import check_count
 from .data import as_feature_matrix, compact_blocks, row_squared_distances, squared_distance_blocks
 
@@ -53,6 +57,7 @@ class NeighborIndex:
         return self.data.shape[0]
 
     def _check_k(self, k: int) -> None:
+        check_count("k", k, minimum=None)
         if not 1 <= k <= self.k_max:
             raise ValueError(f"k={k} outside the index's range 1..k_max={self.k_max}")
 
@@ -65,7 +70,11 @@ class NeighborIndex:
             )
 
     def per_k(self, kind: str, k: int, build):
-        """`build()`, made once per (kind, k): "rnn", "influence" or "isdbscan" (`group_roots`)."""
+        """`build()`, made once per (kind, k).
+
+        Kinds: "rnn", "influence", "isdbscan" (`group_roots`) and "mutual",
+        the mutual-rank table, keyed by its width (`_mutual_ranks`).
+        """
         self._check_k(k)
         if (kind, k) not in self._per_k:
             self._per_k[kind, k] = build()
@@ -92,13 +101,26 @@ class NeighborIndex:
 
         Row i, members[offsets[i]:offsets[i+1]], is i itself, then IS_k(i)
         = NN_k(i) ∩ RNN_k(i) in kNN order. The relation is mutual kNN, so
-        the graph is symmetric. Built once per k and cached; ISDBSCAN and
-        `influence_space` read it.
+        the graph is symmetric. Filtered from the mutual-rank table once
+        per k and cached; ISDBSCAN and `influence_space` read it.
         """
-        return self.per_k("influence", k, lambda: _influence_graph(self, k))
+        return self.per_k("influence", k, lambda: _influence_graph(self.knn_idx, self._mutual_ranks(k), k))
+
+    def _mutual_ranks(self, k: int) -> np.ndarray:
+        """The mutual-rank table, at least k wide: as wide as the first k asked, else k_max.
+
+        The index keeps one table; a k wider than it replaces it with the
+        table at k_max, so a sweep builds at most two.
+        """
+        width = max((w for kind, w in list(self._per_k) if kind == "mutual"), default=int(k))
+        if width < k:
+            self._per_k.pop(("mutual", width), None)
+            width = self.k_max
+        return self.per_k("mutual", width, lambda: _mutual_ranks(self.knn_idx, width))
 
     def influence_space(self, i: int, k: int) -> np.ndarray:
         """NN_k(i) intersected with RNN_k(i); ascending ids, size <= k."""
+        check_count("i", i, minimum=None)
         if not 0 <= i < self.n:
             raise ValueError(f"entity i={i} outside the index's range 0..n-1 (n={self.n})")
         offsets, members = self.influence_csr(k)
@@ -116,15 +138,38 @@ def _rnn_lists(index: NeighborIndex, k: int) -> tuple[np.ndarray, np.ndarray]:
     return offsets, np.sort(flat * nk + np.arange(nk)) % nk // k
 
 
-def _influence_graph(index: NeighborIndex, k: int) -> tuple[np.ndarray, np.ndarray]:
-    n = index.n
-    # row i is i itself, then NN_k(i); the pairs found both ways are i and IS_k(i)
-    nbrs = np.column_stack([np.arange(n), index.knn_idx[:, :k]]).ravel()
-    ids = np.repeat(np.arange(n), k + 1)
-    keys, reverse = ids * n + nbrs, np.sort(nbrs * n + ids)
-    mutual = reverse[np.minimum(np.searchsorted(reverse, keys), keys.size - 1)] == keys
+def _mutual_ranks(knn_idx: np.ndarray, width: int) -> np.ndarray:
+    """rank[i, p] over the first `width` columns: max(p, q) + 1, or width + 1.
+
+    q is i's column in the first `width` of its (p+1)-th neighbour's row, so
+    i and that neighbour are each in the other's NN_k exactly when
+    rank[i, p] <= k, for every k <= width. Each block of rows gathers its
+    neighbours' rows, ids narrowed to the smallest type that holds them,
+    within `data._BLOCK_BYTES`. A row holds i at most once, so the product
+    of the matches with 1..width is q + 1, or 0 when i is absent.
+    """
+    n = knn_idx.shape[0]
+    nbrs = knn_idx[:, :width].astype(np.min_scalar_type(n - 1))
+    ids = np.arange(n, dtype=nbrs.dtype)
+    column = np.arange(1, width + 1, dtype=np.min_scalar_type(width + 1))
+    rank = np.empty((n, width), dtype=column.dtype)
+    rows = max(1, _data._BLOCK_BYTES // (8 * width * width))
+    for start in range(0, n, rows):
+        block = nbrs[start : start + rows]
+        back = np.take(nbrs, block, axis=0) == ids[start : start + block.shape[0], None, None]
+        found = back.view(np.uint8) @ column
+        found[found == 0] = width + 1
+        np.maximum(found, column, out=rank[start : start + block.shape[0]])
+    return rank
+
+
+def _influence_graph(knn_idx: np.ndarray, rank: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    n = knn_idx.shape[0]
+    # row i is i itself, then NN_k(i); the mutual ones at k are i and IS_k(i)
+    nbrs = np.column_stack([np.arange(n), knn_idx[:, :k]])
+    mutual = np.column_stack([np.ones(n, dtype=bool), rank[:, :k] <= k])
     offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(mutual.reshape(n, k + 1).sum(axis=1), out=offsets[1:])
+    np.cumsum(mutual.sum(axis=1), out=offsets[1:])
     return offsets, nbrs[mutual]
 
 

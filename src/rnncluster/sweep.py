@@ -22,8 +22,9 @@ sum to its DBCV time. The shared index and each epsilon's neighbourhood
 graph, both streamed from the blocked distance kernel in O(block * n)
 memory, are amortized across the grid by design and timed in neither
 field. DBSCRN reads only the index's kNN lists, counting |RNN_k| from
-them in each fit. ISDBSCAN's influence graph (`influence_csr`) and its
-dense groups are built by the index on first use and cached per k, and
+them in each fit. ISDBSCAN's influence graph (`influence_csr`, a filter
+of the index's mutual-rank table) and its dense groups are built by the
+index on first use and cached per k, and
 DBSCAN's groups sit in a memo that comes with each epsilon's lists, shared
 by every min_pts with the same core set: the first run at each k or core
 set pays for them inside its `cluster_seconds`, and the other runs reuse

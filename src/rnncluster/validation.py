@@ -66,17 +66,17 @@ def adjusted_rand_index(pred, truth) -> float:
     contingency cells and of the cluster sizes run over the entities not
     labelled NOISE, and those of the class sizes over all entities. Returns
     1.0 when the chance-correction denominator vanishes, which only
-    happens when both partitions are trivial in the same way.
+    happens when both partitions are trivial in the same way. Ids that are
+    already 0..K-1, as a `Clustering`'s and most class labels are, are
+    counted as they are (`_dense_codes`).
     """
     pred, truth = as_labels(pred), as_labels(truth)
     if pred.shape != truth.shape:
         raise ValueError(f"label arrays differ in length: {pred.shape} vs {truth.shape}")
     n = pred.size
     clustered = pred != NOISE
-    _, class_of, class_sizes = np.unique(truth, return_inverse=True, return_counts=True)
-    _, cluster_of, cluster_sizes = np.unique(
-        pred[clustered], return_inverse=True, return_counts=True
-    )
+    class_of, class_sizes = _dense_codes(truth)
+    cluster_of, cluster_sizes = _dense_codes(pred[clustered])
     # the contingency cells, empty ones included where the table is no
     # larger than the labels; each comb2 is an integer-valued float below
     # 2**53 and an empty cell adds a zero, so every sum is exact in any order
@@ -93,6 +93,21 @@ def adjusted_rand_index(pred, truth) -> float:
     if denominator == 0.0:
         return 1.0
     return float((index - expected) / denominator)
+
+
+def _dense_codes(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each id's rank among the distinct ids, and how many entities hold each.
+
+    Ids that are already 0..K-1 are their own ranks, and one bincount
+    counts them; any others go through `np.unique`. Both give the same
+    integers.
+    """
+    if not ids.size or (ids.min() >= 0 and ids.max() < ids.size):
+        sizes = np.bincount(ids)
+        if sizes.all():
+            return ids, sizes
+    _, codes, sizes = np.unique(ids, return_inverse=True, return_counts=True)
+    return codes, sizes
 
 
 @dataclass(frozen=True)

@@ -807,6 +807,23 @@ def stable_argsort_rnn_oracle(knn_idx, k):
     return offsets, np.argsort(flat, kind="stable") // k
 
 
+def sorted_keys_influence_oracle(knn_idx, k):
+    """The replaced per-k build of `NeighborIndex.influence_csr`: (offsets, members).
+
+    Row i is i, then NN_k(i); a pair (i, j) is kept when its reverse key
+    j * n + i is among the sorted reverse keys of all n(k+1) pairs.
+    """
+    knn_idx = np.asarray(knn_idx)
+    n = knn_idx.shape[0]
+    nbrs = np.column_stack([np.arange(n), knn_idx[:, :k]]).ravel()
+    ids = np.repeat(np.arange(n), k + 1)
+    keys, reverse = ids * n + nbrs, np.sort(nbrs * n + ids)
+    mutual = reverse[np.minimum(np.searchsorted(reverse, keys), keys.size - 1)] == keys
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(mutual.reshape(n, k + 1).sum(axis=1), out=offsets[1:])
+    return offsets, nbrs[mutual]
+
+
 def unique_scan_clusters_oracle(labels):
     """The replaced `validation._scored_clusters`, one full scan per cluster.
 

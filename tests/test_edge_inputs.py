@@ -358,3 +358,30 @@ def test_ari_rejects_labels_that_are_not_1d_integers():
         adjusted_rand_index([[0], [1]], [0, 1])
     assert adjusted_rand_index([0.0, 1.0], [1, 0]) == 1.0  # integral floats are labels
     assert dbcv(_x, _labels.astype(float)).overall == dbcv(_x, _labels).overall
+
+
+_index = build_index(np.random.default_rng(18).normal(size=(10, 2)), 3)
+# each once answered as for k = 1 or i = 1 (a bool), or raised numpy's own
+# TypeError or IndexError (a float)
+BAD_QUERIES = {
+    "rnn_sizes(True)": (lambda: _index.rnn_sizes(True), "k must be an integer, got True"),
+    "rnn_sizes(2.5)": (lambda: _index.rnn_sizes(2.5), "k must be an integer, got 2.5"),
+    "rnn_csr(True)": (lambda: _index.rnn_csr(True), "k must be an integer, got True"),
+    "influence_csr(True)": (lambda: _index.influence_csr(True), "k must be an integer, got True"),
+    "influence_csr(2.0)": (lambda: _index.influence_csr(2.0), "k must be an integer, got 2.0"),
+    "influence_space(2.5, 3)": (lambda: _index.influence_space(2.5, 3), "i must be an integer, got 2.5"),
+    "influence_space(True, 3)": (lambda: _index.influence_space(True, 3), "i must be an integer, got True"),
+    "influence_space(1, 2.5)": (lambda: _index.influence_space(1, 2.5), "k must be an integer, got 2.5"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_QUERIES))
+def test_index_queries_name_a_k_or_i_that_is_not_an_integer(name):
+    query, message = BAD_QUERIES[name]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        query()
+
+
+def test_index_queries_take_numpy_integers():
+    assert _index.rnn_sizes(np.int32(2)).tolist() == _index.rnn_sizes(2).tolist()
+    assert _index.influence_space(np.int64(4), np.uint8(3)).tolist() == _index.influence_space(4, 3).tolist()

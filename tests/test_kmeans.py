@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import rnncluster.data
 from oracles import einsum_squared_distances_oracle, lloyd_oracle
 from rnncluster import KmeansParams, canonicalize_labels, kmeans, lloyd, make_blobs, range_standardize
-from rnncluster.kmeans import _assign, _lloyd_runs
+from rnncluster.kmeans import _assign, _first_minimum, _lloyd_runs
 
 
 def test_k_equals_n_gives_singletons_and_zero_objective():
@@ -80,6 +80,27 @@ def test_assign_matches_the_stacked_per_centroid_form():
         for centroids in (x[:6], np.round(rng.normal(size=(5, m))), np.repeat(x[:3], 2, axis=0)):
             stacked = np.stack([einsum_squared_distances_oracle(x, c) for c in centroids], axis=1)
             assert _assign(x, centroids[None])[0].tolist() == np.argmin(stacked, axis=1).tolist()
+
+
+@st.composite
+def distance_blocks(draw):
+    """(n, runs, k) blocks from a few values, so ties, +-inf and NaN recur."""
+    n, runs, k = draw(st.integers(1, 30)), draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    values = draw(st.lists(st.sampled_from([0.0, 1.0, 2.5, np.inf, -np.inf, np.nan]) | st.floats(0, 10),
+                           min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return np.array(values)[rng.integers(0, len(values), size=(n, runs, k))]
+
+
+@given(distance_blocks())
+@example(np.array([[[1.0, np.nan, 0.0, np.nan]], [[2.0, 2.0, 1.0, 1.0]], [[np.nan, -np.inf, np.nan, 0.0]]]))
+@settings(max_examples=300, deadline=None)
+def test_first_minimum_picks_as_argmin(block):
+    kept = block.copy()
+    out = np.full(block.shape[:2], -1, dtype=np.int64)
+    _first_minimum(lambda c: block[:, :, c].copy(), block.shape[2], out)
+    assert out.tolist() == np.argmin(block, axis=2).tolist()
+    np.testing.assert_array_equal(block, kept)
 
 
 @st.composite

@@ -23,7 +23,7 @@ def test_rung_record_schema(ladder, rung, n, m):
     assert (record["rung"], record["n"], record["m"]) == (rung, n, m)
     assert record["ru_maxrss_mb"] > 0
     assert [s["stage"] for s in record["stages"]] == [
-        "build", "rnn_csr", "eps_lists", "dbscrn", "isdbscan", "dbscan", "dbcv", "ari",
+        "build", "rnn_csr", "eps_lists", "dbscrn", "isdbscan", "influence", "dbscan", "dbcv", "ari",
     ]
     for stage in record["stages"]:
         assert set(stage) == {"stage", "seconds", "calls", "peak_mb"}

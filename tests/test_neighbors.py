@@ -14,10 +14,13 @@ from oracles import (
     leaf_tau_knn_oracle,
     neighborhood_lists_oracle,
     rnn_oracle,
+    sorted_keys_influence_oracle,
     stable_argsort_rnn_oracle,
 )
+import rnncluster.data
 from rnncluster import build_index, make_blobs, range_standardize
 from rnncluster.data import compact_blocks
+from rnncluster.neighbors import NeighborIndex
 from rnncluster.dbscan import neighborhood_lists
 
 LINE = np.array([[0.0], [1.0], [2.0], [4.0], [8.0]])
@@ -301,3 +304,60 @@ def test_brute_build_memory_is_bounded():
             tracemalloc.stop()
         assert peak_mb < limit_mb, (m, k_max, peak_mb)
         assert index.knn_idx.shape == (6000, k_max)
+
+
+@st.composite
+def influence_cases(draw):
+    """Lists to read every influence graph from, and the order of the k.
+
+    Rows are normal, on an integer grid (tied distances), a few distinct
+    rows repeated (duplicates) or 1-D; k_max reaches n - 1. The k go
+    ascending from 1 (so the table is rebuilt at k_max), descending, or
+    shuffled.
+    """
+    n = draw(st.integers(2, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["normal", "grid", "duplicates", "1-D"]))
+    x = rng.normal(size=(n, 1 if kind == "1-D" else 2))
+    if kind == "grid":
+        x = np.round(2 * x)
+    elif kind == "duplicates":
+        x = rng.normal(size=(3, 2))[rng.integers(0, 3, size=n)]
+    k_max = draw(st.sampled_from([n - 1, min(n - 1, 8)]))
+    ks = list(range(1, k_max + 1))
+    order = draw(st.sampled_from(["ascending", "descending", "shuffled"]))
+    if order == "descending":
+        ks.reverse()
+    elif order == "shuffled":
+        ks = draw(st.permutations(ks))
+    return x, k_max, ks
+
+
+@given(influence_cases())
+@settings(max_examples=150, deadline=None)
+def test_influence_graphs_match_the_sorted_keys_build_in_any_order(case):
+    x, k_max, ks = case
+    index = build_index(x, k_max)
+    for k in ks:
+        offsets, members = index.influence_csr(k)
+        want_offsets, want_members = sorted_keys_influence_oracle(index.knn_idx, k)
+        np.testing.assert_array_equal(offsets, want_offsets)
+        np.testing.assert_array_equal(members, want_members)
+    # one table, as wide as the first k, or rebuilt at k_max for a wider one
+    widths = [width for kind, width in index._per_k if kind == "mutual"]
+    assert widths == ([ks[0]] if max(ks) <= ks[0] else [k_max])
+
+
+def test_the_mutual_rank_table_holds_no_gather_of_all_rows():
+    x = np.random.default_rng(12).uniform(size=(5000, 2))
+    built = build_index(x, 30)
+    index = NeighborIndex(built.data, 30, built.knn_idx, built.knn_d2)
+    tracemalloc.start()
+    try:
+        table = index._mutual_ranks(30)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a plain knn_idx[knn_idx] gather holds n * k_max**2 ids: 36 MB here
+    assert 8 * x.shape[0] * 30**2 > 8 * rnncluster.data._BLOCK_BYTES
+    assert peak - table.nbytes <= rnncluster.data._BLOCK_BYTES

@@ -33,6 +33,7 @@ from rnncluster import (
     select_best,
 )
 import rnncluster.validation as validation_module
+from rnncluster.data import as_labels
 from rnncluster.validation import _scored_clusters, _spanning_trees, _validity, fill_cluster_terms
 
 
@@ -99,6 +100,42 @@ def test_ari_matches_the_spread_noise_table_bit_for_bit(inputs):
     pred, truth = inputs
     got, want = adjusted_rand_index(pred, truth), spread_noise_ari_oracle(pred, truth)
     assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64)  # sign of zero too
+
+
+_PAIRS = np.arange(24)
+# name -> (pred, truth, whether the truth's ids and the clustered ids are
+# counted as they are); the rest go through np.unique
+ARI_PATHS = {
+    "dense ids": (canonicalize_labels(_PAIRS // 5 - 1), _PAIRS % 3, (True, True)),
+    "dense ids in an array": (np.where(_PAIRS % 4 == 0, -1, _PAIRS % 3), _PAIRS // 6, (True, True)),
+    "ids with gaps": (_PAIRS % 3 * 7, _PAIRS // 6 * 2 + 1, (False, False)),
+    "ids near 2**62": (2**62 - _PAIRS % 3, _PAIRS % 2 * 2**62 - 2**62, (False, False)),
+    "ids above n": (_PAIRS % 2 + 23, _PAIRS % 2, (True, False)),
+    "all noise": (np.full(24, -1), _PAIRS % 4, (True, True)),
+    "one class": (_PAIRS // 8, np.zeros(24, dtype=int), (True, True)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARI_PATHS))
+def test_ari_counts_dense_ids_as_they_are(name, monkeypatch):
+    pred, truth, dense = ARI_PATHS[name]
+    taken = []
+
+    def spy(ids):
+        codes, sizes = dense_codes(ids)
+        taken.append(codes is ids)
+        return codes, sizes
+
+    dense_codes = validation_module._dense_codes
+    monkeypatch.setattr(validation_module, "_dense_codes", spy)
+    got = adjusted_rand_index(pred, truth)
+    assert tuple(taken) == dense
+    # the pair count reads NOISE as one more id, so each noise entity gets its own
+    labels = as_labels(pred).copy()
+    noise = labels == -1
+    labels[noise] = -2 - np.arange(noise.sum())
+    assert got == pytest.approx(ari_pairs_oracle(labels.tolist(), np.asarray(truth).tolist()), abs=1e-12)
+    assert np.float64(got).view(np.int64) == np.float64(spread_noise_ari_oracle(pred, truth)).view(np.int64)
 
 
 def test_ari_of_n_clusters_by_n_classes_holds_no_n_by_n_cells():
