@@ -9,13 +9,19 @@ measure another revision, run this file from a checkout of it.
 
 Rungs: blobs `make_blobs(7, n/7, 0.08, seed=5)` at n = 791, 2,800, 7,000,
 21,000 and 70,000, two moons at 372 and Iris at 150, each range-standardized.
-Stages:
+Each rung record first holds `reference_s`, the median of three timings of
+perfbench's reference kernel (`perfbench/reference.py`) in the rung's process
+before its stages: the host's speed at that moment, by which two readings
+from different sessions can be scaled. Stages:
   - build: the default `build_index` at k_max = 30;
   - rnn_csr: the reverse lists at k = 10, on a fresh index over that build's
     lists, so no call reads the per-k cache;
+  - extrema: `pairwise_distance_extrema`, the DBSCAN grid's range, on the
+    rungs of at most EXTREMA_MAX_N points (it reads every pair);
   - eps_lists: `neighborhood_lists` at criterion 4's epsilon, the median
     10th-neighbour squared distance, read from that build;
   - dbscrn: DBSCRN at k = 10 on the build's index;
+  - dbscrn_k5: DBSCRN at k = 5 on the build's index, on the K5_RUNGS only;
   - isdbscan: ISDBSCAN at k = 10, seed 0, on a fresh index over the build's
     lists, so every call pays for the k = 10 influence graph and its groups;
   - influence: `influence_csr(k)` for k = 5..25 on a fresh index over the
@@ -37,6 +43,7 @@ import json
 import os
 import platform
 import resource
+import statistics
 import subprocess
 import sys
 import time
@@ -44,6 +51,7 @@ import tracemalloc
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import numpy as np  # noqa: E402
 
@@ -57,11 +65,13 @@ from rnncluster import (  # noqa: E402
     isdbscan,
     load_dataset,
     make_blobs,
+    pairwise_distance_extrema,
     range_standardize,
 )
 from rnncluster.dbscan import dbscan_from_neighborhoods, neighborhood_lists  # noqa: E402
 from rnncluster.neighbors import NeighborIndex  # noqa: E402
 from rnncluster.synthetic import make_two_moons  # noqa: E402
+from reference import Reference  # noqa: E402
 
 K_MAX = 30
 K = 10  # the k of the rnn_csr and fit stages, and so of the dbcv and ari stages
@@ -69,11 +79,13 @@ SWEEP_KS = range(5, 26)  # the k of the influence stage: ISDBSCAN's default swee
 MIN_PTS = 10  # criterion 4's MinPts, for the dbscan stage
 BLOBS = (791, 2800, 7000, 21000, 70000)
 RUNGS = tuple(f"blobs-{n}" for n in BLOBS) + ("moons-372", "iris-150")
+EXTREMA_MAX_N = 21000  # the largest rung of the extrema stage, which reads all n^2 pairs
+K5_RUNGS = ("blobs-21000", "blobs-70000")  # the rungs of the dbscrn_k5 stage
 # timed calls behind each stage's median, after one warm-up: enough to
 # read the small rungs warm and steady, one where a call takes seconds
 CALLS = {"blobs-791": 5, "blobs-2800": 5, "blobs-7000": 3, "blobs-21000": 1, "blobs-70000": 1,
          "moons-372": 5, "iris-150": 5}
-UNITS = {"seconds": "s", "calls": "count", "peak_mb": "MiB", "ru_maxrss_mb": "MiB"}
+UNITS = {"seconds": "s", "calls": "count", "peak_mb": "MiB", "reference_s": "s", "ru_maxrss_mb": "MiB"}
 
 
 def rung_data(name: str) -> tuple[np.ndarray, np.ndarray]:
@@ -90,8 +102,8 @@ def rung_data(name: str) -> tuple[np.ndarray, np.ndarray]:
     return range_standardize(data.matrix)[0], data.true_labels
 
 
-def _pass(x: np.ndarray, truth: np.ndarray, calls: int, traced: bool) -> dict:
-    """One pass over the stages: each one's median seconds over `calls`, or its traced peak in MiB."""
+def _pass(name: str, x: np.ndarray, truth: np.ndarray, calls: int, traced: bool) -> dict:
+    """One pass over rung `name`'s stages: each one's median seconds over `calls`, or its traced peak."""
     out = {}
 
     def measure(stage, run):
@@ -113,9 +125,13 @@ def _pass(x: np.ndarray, truth: np.ndarray, calls: int, traced: bool) -> dict:
     index = measure("build", lambda: build_index(x, K_MAX))
     lists = index.data, index.k_max, index.knn_idx, index.knn_d2
     measure("rnn_csr", lambda: NeighborIndex(*lists).rnn_csr(K))
+    if x.shape[0] <= EXTREMA_MAX_N:
+        measure("extrema", lambda: pairwise_distance_extrema(x))
     epsilon = float(np.median(index.knn_d2[:, 9]))
     neighborhoods = measure("eps_lists", lambda: neighborhood_lists(x, epsilon))
     labels = measure("dbscrn", lambda: dbscrn(x, index, DbscrnParams(k=K))).labels
+    if name in K5_RUNGS:
+        measure("dbscrn_k5", lambda: dbscrn(x, index, DbscrnParams(k=5)))
     measure("isdbscan", lambda: isdbscan(x, NeighborIndex(*lists), IsdbscanParams(k=K, seed=0)))
     k_swept = SWEEP_KS[-1]
     swept = x, k_swept, index.knn_idx[:, :k_swept], index.knn_d2[:, :k_swept]
@@ -135,13 +151,16 @@ def run_rung(name: str) -> dict:
     """Time one rung's stages, then trace their peaks; the rung's record."""
     x, truth = rung_data(name)
     calls = CALLS[name]
-    seconds = _pass(x, truth, calls, traced=False)
+    reference = Reference()
+    reference_s = statistics.median(reference.time() for _ in range(3))
+    seconds = _pass(name, x, truth, calls, traced=False)
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
-    peaks = _pass(x, truth, calls, traced=True)
+    peaks = _pass(name, x, truth, calls, traced=True)
     return {
         "rung": name,
         "n": int(x.shape[0]),
         "m": int(x.shape[1]),
+        "reference_s": round(reference_s, 6),
         "ru_maxrss_mb": round(rss_mb, 1),
         "stages": [
             {"stage": stage, "seconds": round(seconds[stage], 6), "calls": calls,

@@ -7,14 +7,17 @@ the clustering algorithms are *squared* Euclidean distances; squaring
 preserves neighbour rankings, so only radius-type thresholds change scale,
 and the sweep grids are expressed in the same squared units.
 
-One blocked kernel, `squared_distance_blocks`, serves every scan over
-many rows in O(block * n) memory. It evaluates the same expression as
-`row_squared_distances`, so a pair's distance is bit-identical on every
-path, which keeps index tie-breaking exact. That expression adds the
-squared feature differences feature by feature over whole arrays, in the
-fixed two-lane order of numpy's einsum, so every distance keeps the
-einsum's floats, which the benchmark's reference digests pin, without a
-per-pair inner-product call and independent of numpy's SIMD dispatch.
+Every scan over many rows runs in row blocks, in O(block * n) memory:
+`squared_distance_blocks` serves the kNN build, the epsilon-lists, the
+pairwise extrema and DBSCRN's nearest-core scan, while k-means'
+assignment, DBCV's within-cluster rows and separations, and the
+mutual-rank table cut their own under the same `_BLOCK_BYTES` and
+`_BLOCK_ROWS` budgets. Every distance is `row_squared_distances`'
+expression, so a pair's distance is bit-identical on every path, which
+keeps index tie-breaking exact. It adds the squared differences feature
+by feature over whole arrays, in the two-lane order of numpy's einsum:
+the einsum's floats, which the benchmark's reference digests pin, without
+a per-pair inner-product call and independent of numpy's SIMD dispatch.
 
 `compact_blocks` orders the rows into spatially compact blocks and gives
 every row a lower bound on its distance to any row of a block (the
@@ -50,9 +53,9 @@ __all__ = [
     "squared_distance_blocks",
 ]
 
-# bytes of one block of `squared_distance_blocks` and of DBCV's separation
-# pass, counted as m floats per pair, and the cap on DBCV's pair table
-# (`validation._pair_table`)
+# bytes of one row block of the distance scans (`squared_distance_blocks`,
+# k-means, DBCV's separations: m floats per pair) and of the mutual-rank
+# gathers, and the cap on DBCV's pair table (`validation._pair_table`)
 _BLOCK_BYTES = 4 * 2**20
 # most rows in one block of `compact_blocks`, and in one chunk of DBCV's
 # within-cluster rows and of its separation pass (`validation`)

@@ -43,11 +43,11 @@ class KmeansParams:
 def _assign(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Every run's nearest centroid (runs, n) to each row, for centroids (runs, k, m).
 
-    The rows go in the blocks of `squared_distance_blocks` over all the
-    centroids. In each block one kernel call per centroid slot covers every
-    run: the distances to each run's c-th centroid, which `_first_minimum`
-    reads in turn. The kernel squares each difference, so its floats are
-    those of the rows' distances to the centroids.
+    The rows go in blocks sized as `squared_distance_blocks` would size
+    them over all the centroids. In each block one kernel call per centroid
+    slot covers every run: the distances to each run's c-th centroid, which
+    `_first_minimum` reads in turn. The kernel squares each difference, so
+    its floats are those of the rows' distances to the centroids.
     """
     runs, k, _ = centroids.shape
     labels = np.empty((runs, x.shape[0]), dtype=np.int64)

@@ -12,16 +12,15 @@ Each record times its fit (`cluster_seconds`) apart from its DBCV
 First every grid point is fitted. Then DBCV's per-cluster terms (the
 `cluster_terms` memo of `dbcv`, keyed by member ids) are built once for
 all of the chunk's distinct labelings by `validation.fill_cluster_terms`,
-which grows the new clusters' spanning trees together, and DBCV and ARI
-run once per distinct labeling, reading the memo. Labels are canonical,
-so equal partitions have equal bytes. A distinct labeling's
-`dbcv_seconds` is its own `dbcv` call plus, for each cluster it is the
-first to contain, that cluster's share of its stack's build time (a
-stack's time split by n_c^2); a repeat reads 0.0, so a chunk's records
-sum to its DBCV time. The shared index and each epsilon's neighbourhood
-graph, both streamed from the blocked distance kernel in O(block * n)
-memory, are amortized across the grid by design and timed in neither
-field. DBSCRN reads only the index's kNN lists, counting |RNN_k| from
+one timed span, and DBCV and ARI run once per distinct labeling, reading
+the memo. Labels are canonical, so equal partitions have equal bytes. A
+distinct labeling's `dbcv_seconds` is its own `dbcv` call plus the fill's
+time split by built cells (n_c^2 over the clusters it is the first to
+contain); a repeat reads 0.0, so a chunk's records sum to its DBCV time
+whenever the fill builds a cluster. The shared index and each
+epsilon's neighbourhood graph, both streamed from the blocked distance
+kernel in O(block * n) memory, are amortized across the grid by design
+and timed in neither field. DBSCRN reads only the index's kNN lists, counting |RNN_k| from
 them in each fit. ISDBSCAN's influence graph (`influence_csr`, a filter
 of the index's mutual-rank table) and its dense groups are built by the
 index on first use and cached per k, and
@@ -141,7 +140,7 @@ class SweepRecord:
     dbcv_score: float
     ari: float | None
     cluster_seconds: float
-    dbcv_seconds: float  # 0.0 when the labeling was already scored
+    dbcv_seconds: float  # its `dbcv` call and cells' share of the chunk's fill; 0.0 for a repeat
 
 
 @dataclass
@@ -284,8 +283,8 @@ def _evaluate_chunk(x, truth, spec, grid, first_point_index):
     """Evaluate a slice of the grid; deterministic given its arguments.
 
     First every grid point is fitted, and each fit's labels are keyed by
-    their bytes as it ends; then DBCV's memo is filled once from the
-    distinct labelings, and DBCV and ARI run once per distinct labeling.
+    their bytes as it ends; then DBCV's memo is filled once, in one timed
+    span, and DBCV and ARI run once per distinct labeling.
     """
     runs = 1 if spec.algorithm == "dbscrn" else spec.runs_per_setting
     # one index per chunk (for its largest k) and one set of lists per
@@ -317,12 +316,14 @@ def _evaluate_chunk(x, truth, spec, grid, first_point_index):
     # x is fixed within the chunk, so DBCV's per-cluster memo (member ids ->
     # terms) is valid for all of it
     cluster_terms: dict = {}
-    built = validation.fill_cluster_terms(x, list(distinct.values()), cluster_terms)
+    start = time.perf_counter()
+    cells = validation.fill_cluster_terms(x, list(distinct.values()), cluster_terms)
+    per_cell = (time.perf_counter() - start) / max(cells.sum(), 1)
     scores: dict[bytes, tuple[float, float | None, float]] = {}  # DBCV, ARI, seconds
-    for (key, clustering), build_seconds in zip(distinct.items(), built):
+    for (key, clustering), built in zip(distinct.items(), cells):
         start = time.perf_counter()
         score = dbcv(x, clustering, cluster_terms=cluster_terms).overall
-        seconds = time.perf_counter() - start + build_seconds
+        seconds = time.perf_counter() - start + per_cell * built
         ari = None if truth is None else adjusted_rand_index(clustering, truth)
         scores[key] = score, ari, seconds
 
@@ -355,8 +356,8 @@ def run_sweep(dataset: DataSet, spec: SweepSpec, n_jobs: int = 1) -> SweepResult
     a process pool; records are merged in grid order, so results equal the
     sequential run except for wall-clock fields. Each worker keeps its own
     memos: DBCV/ARI per distinct labeling, and DBCV's terms per distinct
-    cluster, so a cluster's build is charged to the first labeling of its
-    chunk that contains it. No memo outlives the call.
+    cluster, and times its own fill, so a cluster's cells count for the
+    first labeling of its chunk that contains it. No memo outlives the call.
     """
     check_count("n_jobs", n_jobs)
     x, report = range_standardize(dataset.matrix)

@@ -1,7 +1,9 @@
 """Labeled synthetic datasets for experiments and tests.
 
 The half-moon and ring generators stand in for benchmark sets that have no
-canonical public download; reports flag results on them as approximations.
+canonical public download. A report flags results on them as approximations
+only where its caller sets `approximate` (demo 03 does); the CLI's `report`
+always writes False.
 All generators are deterministic for a fixed seed, an integer >= 0, and
 refuse a non-finite real parameter (and a zero `turns` or a `density_ratio`
 not > 0) with a ValueError that names it.

@@ -34,7 +34,6 @@ gathers each slot from it. The report is bit-identical either way.
 from __future__ import annotations
 
 import dataclasses
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,7 +161,7 @@ def _distance_rows(points: np.ndarray, out: np.ndarray):
         yield rows, powers
 
 
-def _pair_table(x: np.ndarray, cells: float) -> tuple[np.ndarray, np.ndarray] | None:
+def _pair_table(x: np.ndarray, cells: int) -> tuple[np.ndarray, np.ndarray] | None:
     """(distances, (1/d)^m) over every pair of rows of x, or None where it does not pay.
 
     The two n x n tables take 16 n^2 bytes. They are built only when that
@@ -294,7 +293,7 @@ def _spanning_trees(slab: np.ndarray, sizes) -> list[tuple[np.ndarray, np.ndarra
     return trees
 
 
-def _build_terms(x: np.ndarray, missing: dict, cluster_terms: dict) -> np.ndarray:
+def _build_terms(x: np.ndarray, missing: dict, cluster_terms: dict) -> None:
     """Put each cluster of `missing` (key -> ascending member ids, nonempty) into `cluster_terms`.
 
     A cluster's terms are (core distances, sparseness, pool). Its Prim MST
@@ -313,16 +312,10 @@ def _build_terms(x: np.ndarray, missing: dict, cluster_terms: dict) -> np.ndarra
     tie, and a node at +inf joins before the padding does. When a
     `_pair_table` pays, every slot is gathered from it, so each pair's
     distance and power are computed once for all the clusters.
-    Returns each cluster's share of the build seconds, in the order of
-    `missing`: a stack's time, and the table's, split by n_c^2.
     """
     keys = list(missing)
-    seconds = np.zeros(len(keys))
     sizes = np.array([missing[key].size for key in keys])
-    squares = sizes.astype(np.float64) ** 2
-    start = time.perf_counter()
-    table = _pair_table(x, squares.sum())  # before the buffer, so their peaks do not add
-    seconds += (time.perf_counter() - start) * squares / squares.sum()
+    table = _pair_table(x, (sizes**2).sum())  # before the buffer, so their peaks do not add
     stacks, stack = [], []
     for c in np.argsort(sizes, kind="stable"):
         # a padded width-n slot, and its share of the loop's state: five arrays of n
@@ -333,7 +326,6 @@ def _build_terms(x: np.ndarray, missing: dict, cluster_terms: dict) -> np.ndarra
     stacks.append(stack)
     buffer = np.empty(max(len(stack) * int(sizes[stack[-1]]) ** 2 for stack in stacks))
     for stack in stacks:
-        start = time.perf_counter()
         width = sizes[stack[-1]]
         slab = buffer[: len(stack) * width * width].reshape(len(stack), width, width)
         cores = np.ones((len(stack), width))
@@ -351,8 +343,6 @@ def _build_terms(x: np.ndarray, missing: dict, cluster_terms: dict) -> np.ndarra
             internal_nodes = np.flatnonzero(degrees > 1)
             pool = internal_nodes if internal_nodes.size else np.arange(sizes[c])
             cluster_terms[keys[c]] = core[: sizes[c]].copy(), sparseness, pool
-        seconds[stack] += (time.perf_counter() - start) * squares[stack] / squares[stack].sum()
-    return seconds
 
 
 def _scored_clusters(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
@@ -369,6 +359,9 @@ def _read_labeling(x: np.ndarray, labeling) -> tuple[np.ndarray, np.ndarray, lis
     labels = as_labels(labeling)
     if labels.shape[0] != x.shape[0]:
         raise ValueError("clustering and data disagree on the number of entities")
+    if labels.min() < NOISE:
+        i = int(np.argmax(labels < NOISE))
+        raise ValueError(f"labels must be cluster ids >= 0 or NOISE (-1), got {labels[i]} at position {i}")
     return _scored_clusters(labels)
 
 
@@ -376,9 +369,9 @@ def _fill_missing(x: np.ndarray, clusters: list, cluster_terms: dict) -> np.ndar
     """The one collector: build in one pass the clusters `cluster_terms` lacks.
 
     `clusters` holds each labeling's member-id arrays, and a labeling of fewer than two is
-    skipped. Returns each labeling's build seconds: a cluster's go to the first that holds it.
+    skipped. Returns each labeling's cells: n_c^2 summed over the clusters it is the first to hold.
     """
-    missing, owner = {}, []
+    missing, cells = {}, np.zeros(len(clusters), dtype=np.int64)
     for i, members in enumerate(clusters):
         if len(members) < 2:
             continue
@@ -386,11 +379,10 @@ def _fill_missing(x: np.ndarray, clusters: list, cluster_terms: dict) -> np.ndar
             key = idx.tobytes()
             if key not in cluster_terms and key not in missing:
                 missing[key] = idx
-                owner.append(i)
-    seconds = np.zeros(len(clusters))
+                cells[i] += idx.size**2
     if missing:  # a memoised `dbcv` call builds nothing
-        np.add.at(seconds, owner, _build_terms(x, missing, cluster_terms))
-    return seconds
+        _build_terms(x, missing, cluster_terms)
+    return cells
 
 
 def fill_cluster_terms(data: np.ndarray, labelings, cluster_terms: dict) -> np.ndarray:
@@ -402,8 +394,8 @@ def fill_cluster_terms(data: np.ndarray, labelings, cluster_terms: dict) -> np.n
     has fewer than two such clusters (`dbcv` scores that 0 and builds
     nothing). Later `dbcv` calls with the memo then build nothing, and
     their reports are the same: one reader, one collector serve both.
-    Returns the build seconds charged to each labeling: each cluster's
-    share of its stack's time goes to the first labeling that contains it.
+    Returns each labeling's built cells, n_c^2 summed over the clusters it
+    is the first to contain, by which a caller that times the call splits it.
     """
     x = as_feature_matrix(data)
     return _fill_missing(x, [_read_labeling(x, labeling)[2] for labeling in labelings], cluster_terms)

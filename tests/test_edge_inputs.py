@@ -349,6 +349,29 @@ def test_every_label_entry_point_reads_integral_dtypes_as_int64(name):
         assert expected.dtype == np.int64
 
 
+# where NOISE is a sentinel, an id below it is refused; the pair counts read it
+# as one more cluster (DBCV once read it as noise)
+BELOW_NOISE = {
+    "Clustering": "labels must be cluster ids >= 0 or NOISE (-1)",
+    "canonicalize_labels": "labels must be cluster ids >= 0 or NOISE (-1)",
+    "dbcv": "labels must be cluster ids >= 0 or NOISE (-1), got -2 at position 3",
+}
+
+
+@pytest.mark.parametrize("name", sorted(LABEL_INPUTS))
+def test_an_id_below_noise_is_refused_where_noise_is_a_sentinel(name):
+    labels = _at_3(-2, int)
+    if name in BELOW_NOISE:
+        with pytest.raises(ValueError, match=f"^{re.escape(BELOW_NOISE[name])}$"):
+            LABEL_INPUTS[name](labels)
+        return
+    taken = LABEL_INPUTS[name](labels)
+    if name == "DataSet.true_labels":
+        np.testing.assert_array_equal(taken, labels)
+    if name.startswith("adjusted_rand_index"):
+        assert taken == LABEL_INPUTS[name](_at_3(2, int))  # a cluster of its own, as id 2 is
+
+
 def test_ari_rejects_labels_that_are_not_1d_integers():
     with pytest.raises(ValueError, match="integers, got 1.5"):
         adjusted_rand_index([0, 1.5], [0, 1])

@@ -19,11 +19,13 @@ def ladder():
 @pytest.mark.parametrize("rung, n, m", [("moons-372", 372, 2), ("iris-150", 150, 4)])
 def test_rung_record_schema(ladder, rung, n, m):
     record = ladder.run_rung(rung)
-    assert set(record) == {"rung", "n", "m", "ru_maxrss_mb", "stages"}
+    assert set(record) == {"rung", "n", "m", "reference_s", "ru_maxrss_mb", "stages"}
     assert (record["rung"], record["n"], record["m"]) == (rung, n, m)
-    assert record["ru_maxrss_mb"] > 0
+    assert record["ru_maxrss_mb"] > 0 and record["reference_s"] > 0
+    # a small rung runs the extrema stage and not the dbscrn_k5 stage
     assert [s["stage"] for s in record["stages"]] == [
-        "build", "rnn_csr", "eps_lists", "dbscrn", "isdbscan", "influence", "dbscan", "dbcv", "ari",
+        "build", "rnn_csr", "extrema", "eps_lists", "dbscrn", "isdbscan", "influence", "dbscan", "dbcv",
+        "ari",
     ]
     for stage in record["stages"]:
         assert set(stage) == {"stage", "seconds", "calls", "peak_mb"}
@@ -39,11 +41,16 @@ def test_header_schema(ladder):
         "units",
     }
     assert head["label"] == "schema" and head["k_max"] == 30 and head["k"] == 10 and head["nproc"] >= 1
-    assert head["units"] == {"seconds": "s", "calls": "count", "peak_mb": "MiB", "ru_maxrss_mb": "MiB"}
+    assert head["units"] == {
+        "seconds": "s", "calls": "count", "peak_mb": "MiB", "reference_s": "s", "ru_maxrss_mb": "MiB",
+    }
     assert set(ladder.RUNGS) == {
         "blobs-791", "blobs-2800", "blobs-7000", "blobs-21000", "blobs-70000", "moons-372", "iris-150",
     }
     # a fixed count per rung: 5 below 7,000 points, 3 at 7,000, 1 from 21,000 up
     assert head["calls"] == ladder.CALLS and set(ladder.CALLS) == set(ladder.RUNGS)
+    # the extrema stage reads all n^2 pairs, so it stops at 21,000; DBSCRN at k = 5 runs on the two largest
+    assert ladder.EXTREMA_MAX_N == 21000
+    assert ladder.K5_RUNGS == ("blobs-21000", "blobs-70000")
     assert {name: ladder.CALLS[name] for name in ("blobs-2800", "blobs-7000", "blobs-21000", "blobs-70000")} \
         == {"blobs-2800": 5, "blobs-7000": 3, "blobs-21000": 1, "blobs-70000": 1}

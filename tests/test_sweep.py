@@ -1,7 +1,9 @@
 import importlib
+import itertools
 import json
 import os
 from collections import defaultdict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from rnncluster import adjusted_rand_index, dbcv, dbscan, range_standardize
 from rnncluster.clustering import Clustering
 from rnncluster.dbscan import neighborhood_lists
 from rnncluster.sweep import build_grid
+from rnncluster.validation import fill_cluster_terms
 
 
 @pytest.fixture
@@ -118,6 +121,29 @@ def test_each_distinct_labeling_is_scored_once(small_blobs, spec, monkeypatch):
         assert (r.dbcv_seconds == 0.0) == (key in seen)
         seen.add(key)
     assert len(calls) == len(seen) < len(result.records)
+
+
+@pytest.mark.parametrize("spec", MEMO_SPECS, ids=lambda s: s.algorithm)
+def test_the_fill_is_timed_once_and_split_by_built_cells(small_blobs, spec, monkeypatch):
+    # a clock that advances 1.0 per reading: each timed span reads exactly 1.0
+    ticks = itertools.count()
+    monkeypatch.setattr(sweep_module, "time", SimpleNamespace(perf_counter=lambda: float(next(ticks))))
+    result = run_sweep(small_blobs, spec)
+    x, _ = range_standardize(small_blobs.matrix)
+    distinct: dict = {}
+    for r in result.records:
+        distinct.setdefault(r.labels.tobytes(), r.labels)
+    cells = fill_cluster_terms(x, list(distinct.values()), {})
+    assert cells.sum() > 0  # the fill builds something
+    charged, seen = dict(zip(distinct, cells / cells.sum())), set()
+    for r in result.records:
+        key = r.labels.tobytes()
+        assert r.cluster_seconds == 1.0
+        # a distinct labeling's own `dbcv` call, and its cells' share of the fill
+        assert r.dbcv_seconds == (0.0 if key in seen else pytest.approx(1.0 + charged[key], abs=1e-15))
+        seen.add(key)
+    # one span per distinct labeling, and one for the fill
+    assert sum(r.dbcv_seconds for r in result.records) == pytest.approx(len(distinct) + 1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("spec", MEMO_SPECS, ids=lambda s: s.algorithm)

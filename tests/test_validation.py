@@ -363,9 +363,8 @@ def test_fill_charges_each_cluster_to_the_first_labeling_that_has_it(monkeypatch
                  np.array(a + [-1] * 6),  # one scored cluster: DBCV builds nothing
                  np.array(a + c)]
     memo: dict = {}
-    seconds = fill_cluster_terms(x, labelings, memo)
-    assert seconds.shape == (4,)
-    assert seconds[0] > 0 and seconds[1] == seconds[2] == 0.0 and seconds[3] > 0
+    # two new 6-member clusters, two labelings that build nothing, one new 3-member cluster
+    assert fill_cluster_terms(x, labelings, memo).tolist() == [72, 0, 0, 9]
     assert sorted(memo) == sorted(np.arange(lo, hi).tobytes() for lo, hi in
                                   ((0, 6), (6, 12), (6, 9)))
     fresh = [dbcv(x, labels) for labels in labelings]
