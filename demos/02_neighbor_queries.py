@@ -43,8 +43,9 @@ offsets, members = clump_index.rnn_csr(5)
 assert all(i in clump_index.knn_idx[j, :5] for j in members[offsets[i] : offsets[i + 1]])
 print(f"  duality verified around the most popular entity ({i})")
 
-# the spatial backend, a best-first search over the same leaves, returns bit-identical lists
-spatial = build_index(clump, k_max=5, backend="spatial")
-assert np.array_equal(spatial.knn_idx, clump_index.knn_idx)
-assert np.array_equal(spatial.knn_d2, clump_index.knn_d2)
-print("  brute-force and spatial backends agree bit-for-bit")
+# backend="spatial" is the unpruned reference: every pair, one stable sort per
+# row; the pruned default build returns bit-identical lists
+reference = build_index(clump, k_max=5, backend="spatial")
+assert np.array_equal(reference.knn_idx, clump_index.knn_idx)
+assert np.array_equal(reference.knn_d2, clump_index.knn_d2)
+print("  the pruned build and the unpruned reference agree bit-for-bit")

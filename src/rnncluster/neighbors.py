@@ -12,15 +12,15 @@ follows; each k's graph and its group roots are cached (`per_k`), so a
 parameter sweep over k reuses a single build and the repeated seeded runs
 at one k reuse one influence graph.
 
-Two backends share the leaves of `data.compact_blocks` and the distance
-kernel, and produce bit-identical lists. The default, "brute", scans block
-by block in O(block * n) memory. The block's rows + k_max entities of
-lowest bound give each row a cap on its k-th distance; only the entities
-whose bound is at or below the largest cap are scanned, each row keeps the
-ones at or below its own cap, and one stable sort per row ranks those
-hits by (distance, id). "spatial" is the best-first
-search of Friedman, Bentley & Finkel (1977): each entity visits the leaves
-by ascending box bound until one exceeds the k_max-th distance found.
+Two backends share the distance kernel and produce bit-identical lists.
+The default, "brute", scans the leaves of `data.compact_blocks` block by
+block in O(block * n) memory. The block's rows + k_max entities of lowest
+bound give each row a cap on its k-th distance; only the entities whose
+bound is at or below the largest cap are scanned, each row keeps the ones
+at or below its own cap, and one stable sort per row ranks those hits by
+(distance, id). "spatial" is the unpruned reference, kept under the name
+the benchmark passes: every pair goes through the kernel, block by block,
+and one stable sort per row ranks all of them.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 
 from . import data as _data
 from .clustering import check_count
-from .data import as_feature_matrix, compact_blocks, row_squared_distances, squared_distance_blocks
+from .data import as_feature_matrix, compact_blocks, squared_distance_blocks
 
 __all__ = ["NeighborIndex", "build_index"]
 
@@ -51,6 +51,7 @@ class NeighborIndex:
         self.knn_idx = knn_idx
         self.knn_d2 = knn_d2
         self._per_k: dict[tuple[str, int], object] = {}  # see `per_k`
+        self._ranks: np.ndarray | None = None  # see `_mutual_ranks`
 
     @property
     def n(self) -> int:
@@ -72,8 +73,7 @@ class NeighborIndex:
     def per_k(self, kind: str, k: int, build):
         """`build()`, made once per (kind, k).
 
-        Kinds: "rnn", "influence", "isdbscan" (`group_roots`) and "mutual",
-        the mutual-rank table, keyed by its width (`_mutual_ranks`).
+        Kinds: "rnn", "influence" and "isdbscan" (`group_roots`).
         """
         self._check_k(k)
         if (kind, k) not in self._per_k:
@@ -112,11 +112,10 @@ class NeighborIndex:
         The index keeps one table; a k wider than it replaces it with the
         table at k_max, so a sweep builds at most two.
         """
-        width = max((w for kind, w in list(self._per_k) if kind == "mutual"), default=int(k))
-        if width < k:
-            self._per_k.pop(("mutual", width), None)
-            width = self.k_max
-        return self.per_k("mutual", width, lambda: _mutual_ranks(self.knn_idx, width))
+        if self._ranks is None or self._ranks.shape[1] < k:
+            width = int(k) if self._ranks is None else self.k_max
+            self._ranks = _mutual_ranks(self.knn_idx, width)
+        return self._ranks
 
     def influence_space(self, i: int, k: int) -> np.ndarray:
         """NN_k(i) intersected with RNN_k(i); ascending ids, size <= k."""
@@ -196,9 +195,10 @@ def build_index(data: np.ndarray, k_max: int, backend: str = "brute") -> Neighbo
     """Build the neighbour index for all k <= k_max.
 
     backend "brute" ranks the entities of each compact block's candidate
-    set; "spatial" searches the compact blocks' leaves best-first for each
-    entity, nearest box first. Both produce bit-identical lists. An entity
-    is never its own neighbour, even when distances overflow to inf.
+    set; "spatial" is the unpruned reference, kept under the name the
+    benchmark passes: it ranks every entity for every row by one stable
+    sort. Both produce bit-identical lists. An entity is never its own
+    neighbour, even when distances overflow to inf.
     Raises ValueError on a non-finite value in `data`, and unless k_max is
     an integer in 1..n-1.
     """
@@ -243,28 +243,12 @@ def build_index(data: np.ndarray, k_max: int, backend: str = "brute") -> Neighbo
                 rows, widest = rows + counts.size, max(widest, counts.max())
             _rank_hits(knn_idx, knn_d2, pieces, candidates)
     elif backend == "spatial":
-        leaves = [ids for ids, _ in compact_blocks(x)]
-        lo = np.array([x[ids].min(axis=0) for ids in leaves])
-        hi = np.array([x[ids].max(axis=0) for ids in leaves])
-        for own in leaves:
-            q = x[own][:, None, :]
-            # fl(gap)**2 on the worst axis never exceeds the kernel's distance
-            # to a leaf's row (see `compact_blocks`); a gap may overflow to inf
-            with np.errstate(over="ignore"):
-                bounds = np.square(np.maximum(np.maximum(lo - q, q - hi), 0.0)).max(axis=2)
-            for i, gap2 in zip(own.tolist(), bounds):
-                found, d2, kth = np.empty(0, dtype=np.int64), np.empty(0), np.inf
-                for leaf in np.argsort(gap2, kind="stable"):
-                    # strictly greater: a row tied at the k-th distance is still found
-                    if gap2[leaf] > kth:
-                        break
-                    ids = leaves[leaf][leaves[leaf] != i]  # self is left out by id
-                    found = np.concatenate([found, ids])
-                    d2 = np.concatenate([d2, row_squared_distances(x[ids], x[i])])
-                    if d2.size >= k_max:
-                        kth = np.partition(d2, k_max - 1)[k_max - 1]
-                take = np.lexsort((found, d2))[:k_max]
-                knn_idx[i], knn_d2[i] = found[take], d2[take]
+        for start, block in squared_distance_blocks(x, x):
+            span = np.arange(start, start + block.shape[0])
+            ranked = np.argsort(block, axis=1, kind="stable")
+            # self is dropped by id, so it cannot win a tie at an overflowed inf
+            ranked = ranked[ranked != span[:, None]].reshape(span.size, n - 1)[:, :k_max]
+            knn_idx[span], knn_d2[span] = ranked, np.take_along_axis(block, ranked, axis=1)
     else:
         raise ValueError(f"unknown backend {backend!r} (expected 'brute' or 'spatial')")
     return NeighborIndex(x, k_max, knn_idx, knn_d2)

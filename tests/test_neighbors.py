@@ -265,6 +265,13 @@ def test_build_prunes_most_pairs(kernel_pairs):
     assert 0 < kernel_pairs[0] < x.shape[0] ** 2 / 4
 
 
+def test_reference_build_scans_every_pair(kernel_pairs):
+    # the reference prunes nothing, and reaches the kernel only through `data`
+    x, _ = range_standardize(make_blobs(7, 100, 0.08).matrix)
+    build_index(x, 10, backend="spatial")
+    assert kernel_pairs[0] == x.shape[0] ** 2
+
+
 def test_rebuild_is_deterministic():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(120, 3))
@@ -293,17 +300,20 @@ def test_kdtree_handles_identical_points():
 def test_brute_build_memory_is_bounded():
     # one n x n float64 at n = 6,000 is 275 MB; the blocked build stays far
     # below. At 30 features caps are loose, so rows hold many hits: they are
-    # ranked in pieces no larger than a kernel block, never a leaf at once
-    for m, k_max, limit_mb in ((2, 10, 64), (30, 30, 12)):
-        x = np.random.default_rng(6).uniform(size=(6000, m))
+    # ranked in pieces no larger than a kernel block, never a leaf at once.
+    # The unpruned reference sorts a kernel block at a time: one n x n
+    # float64 at n = 2,000 is 30.5 MB
+    cases = ((6000, 2, 10, "brute", 64), (6000, 30, 30, "brute", 12), (2000, 2, 10, "spatial", 16))
+    for n, m, k_max, backend, limit_mb in cases:
+        x = np.random.default_rng(6).uniform(size=(n, m))
         tracemalloc.start()
         try:
-            index = build_index(x, k_max)
+            index = build_index(x, k_max, backend=backend)
             peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
         finally:
             tracemalloc.stop()
-        assert peak_mb < limit_mb, (m, k_max, peak_mb)
-        assert index.knn_idx.shape == (6000, k_max)
+        assert peak_mb < limit_mb, (backend, m, k_max, peak_mb)
+        assert index.knn_idx.shape == (n, k_max)
 
 
 @st.composite
@@ -344,8 +354,7 @@ def test_influence_graphs_match_the_sorted_keys_build_in_any_order(case):
         np.testing.assert_array_equal(offsets, want_offsets)
         np.testing.assert_array_equal(members, want_members)
     # one table, as wide as the first k, or rebuilt at k_max for a wider one
-    widths = [width for kind, width in index._per_k if kind == "mutual"]
-    assert widths == ([ks[0]] if max(ks) <= ks[0] else [k_max])
+    assert index._ranks.shape[1] == (ks[0] if max(ks) <= ks[0] else k_max)
 
 
 def test_the_mutual_rank_table_holds_no_gather_of_all_rows():

@@ -1,8 +1,9 @@
 """The benchmark's runs pass their correctness gates.
 
-The traced run is the only caller of `build_index(..., backend="spatial")`;
-it compares the spatial kNN lists with the default build. Every run compares
-its labelings with the reference digests.
+The traced run is the only caller of `build_index(..., backend="spatial")`,
+the unpruned reference scan; it compares the reference's kNN lists with the
+pruned default build. Every run compares its labelings with the reference
+digests.
 """
 
 import json
